@@ -2,8 +2,7 @@
 
 Counting commands print a single JSON line with the count as a decimal
 string (fileio.result_record); constructive commands write graph files and
-print a short JSON summary.  All output is deterministic, independent of
---threads.
+print a short JSON summary.  All output is deterministic.
 
 Exit codes: 0 success, 1 malformed input (bad flags, unreadable or
 ill-formed files), 2 precondition violation, 3 internal inconsistency
@@ -12,7 +11,6 @@ detected by a cross-check.
 
 import argparse
 import json
-import os
 import sys
 import time
 from itertools import permutations
@@ -50,23 +48,6 @@ def _elapsed_ms(t0):
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _thread_count(args):
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("SUBCOUNT_THREADS", "")
-        if not env:
-            return 1
-        try:
-            n = int(env)
-        except ValueError:
-            raise PreconditionError(
-                f"SUBCOUNT_THREADS={env!r} is not an integer") from None
-    if n < 1:
-        raise PreconditionError("thread count must be at least 1")
-    return n
-
-
 def _pick_algo(args, pattern):
     if args.algo != "auto":
         return args.algo
@@ -94,13 +75,12 @@ def _cmd_count_emb(args):
 def _pattern_count(args, kind):
     h = read_graph(args.pattern)
     g = read_graph(args.host)
-    thr = _thread_count(args)
     if kind == "sub":
         run_brute = lambda: brute.count_subgraphs(h, g)
-        run_vc = lambda: vc.count_sub_vc(h, g, threads=thr)
+        run_vc = lambda: vc.count_sub_vc(h, g)
     else:
         run_brute = lambda: brute.count_embeddings(h, g)
-        run_vc = lambda: vc.count_emb_vc(h, g, threads=thr)
+        run_vc = lambda: vc.count_emb_vc(h, g)
     t0 = time.perf_counter()
     if args.verify:
         nb = run_brute()
@@ -116,13 +96,12 @@ def _pattern_count(args, kind):
 def _cmd_count_subpart(args):
     h = read_graph(args.pattern)
     g = read_graph(args.host)
-    thr = _thread_count(args)
 
     def run_brute():
         return brute.count_colorpreserving_subgraphs(h, g), 1
 
     def run_vc():
-        oracle = _Counted(lambda hh, gg: vc.count_sub_vc(hh, gg, threads=thr))
+        oracle = _Counted(vc.count_sub_vc)
         return iex.subpart_via_sub_oracle(h, g, oracle), oracle.calls
 
     t0 = time.perf_counter()
@@ -154,11 +133,10 @@ def _cmd_count_colorful_matchings(args):
 def _cmd_count_matchings(args):
     g = read_graph(args.host)
     k = args.k
-    thr = _thread_count(args)
     run_brute = lambda: brute.count_matchings(g, k)
     # a k-matching is a subgraph copy of the k-edge matching pattern,
     # whose vertex cover number is k
-    run_vc = lambda: vc.count_sub_vc(Graph.matching(k), g, threads=thr)
+    run_vc = lambda: vc.count_sub_vc(Graph.matching(k), g)
     t0 = time.perf_counter()
     if args.verify:
         nb = run_brute()
@@ -227,10 +205,9 @@ def _cmd_reduce_matchings_via_gadget(args):
         raise PreconditionError(
             "gadget too large to verify automatically; pass --trust to use "
             "it unchecked")
-    thr = _thread_count(args)
     algo = _pick_algo(args, hg)
     if algo == "vc":
-        oracle = _Counted(lambda hh, gg: vc.count_sub_vc(hh, gg, threads=thr))
+        oracle = _Counted(vc.count_sub_vc)
     else:
         oracle = _Counted(brute.count_subgraphs)
     t0 = time.perf_counter()
@@ -370,9 +347,6 @@ def _add_algo_flags(p):
                    help="auto uses vc when the pattern cover number is at most T")
     p.add_argument("--verify", action="store_true",
                    help="run brute and vc and require agreement")
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="worker threads for the vc counter "
-                        "(default: SUBCOUNT_THREADS or 1; output does not depend on it)")
 
 
 def build_parser():

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .brute import is_colorful
-from .graphs import Graph, PreconditionError
+from .graphs import Graph, InconsistencyError, PreconditionError
 
 
 def prune_useless_edges(h: Graph, g: Graph) -> Graph:
@@ -64,7 +64,7 @@ def subpart_via_sub_oracle(h: Graph, g: Graph, oracle) -> int:
             term = oracle(plain_h, Graph(part.n, part.edges))
             total += term if (len(colors) - r) % 2 == 0 else -term
     if total < 0:
-        raise PreconditionError("oracle is inconsistent: negative signed sum")
+        raise InconsistencyError("oracle is inconsistent: negative signed sum")
     return total
 
 
@@ -89,5 +89,5 @@ def colmatch_via_match_oracle(g: Graph, colors, oracle) -> int:
             term = oracle(Graph(g.n, ed), k)
             total += term if (k - r) % 2 == 0 else -term
     if total < 0:
-        raise PreconditionError("oracle is inconsistent: negative signed sum")
+        raise InconsistencyError("oracle is inconsistent: negative signed sum")
     return total

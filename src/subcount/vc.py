@@ -1,133 +1,107 @@
 """Embedding counts driven by a minimum vertex cover of the pattern.
 
-Fix a minimum vertex cover c_1..c_tau of the pattern H.  Everything outside
-the cover is an independent set, so once the cover's image is pinned the rest
-of an embedding is an injective assignment of independent vertices into
-compatible host vertices, and that assignment factors into a small flow
-problem between "demand" classes (pattern vertices grouped by which cover
-vertices they see) and "supply" classes (host vertices grouped by which cover
-images they see).  The grouped count is
+Outside a minimum vertex cover the pattern H is an independent set U, so once
+the cover's image (the anchor) is pinned, an embedding is an injective
+placement of U sending each u to a free host vertex adjacent to the images of
+K(u), its cover neighbours.  Per anchor, Moebius inversion over the partition
+lattice of U (Curticapean, Dell, Marx, "Homomorphisms are a good basis for
+counting small subgraphs", STOC 2017) counts those placements as
 
-    sum over flows h of
-        prod_X  multinomial(d_X; h(Y1,X), h(Y2,X), ...)
-        * prod_Y falling_factorial(m_Y, sum_X h(Y,X))
+    sum over partitions pi of U of  mu(pi) * prod over blocks B of N(K(B))
 
-where a demand class X may only send to supply classes Y >= X.  The
-multinomial chooses which of the d_X labeled pattern vertices go to each
-supply class; the falling factorial places every arrival injectively.  Both
-factors are exercised against brute-force enumeration in the tests; dropping
-the multinomial undercounts as soon as one demand class splits.
+with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!, K(B) the union of K(u) over B,
+and N(S) the number of free host vertices adjacent to the images of all of S:
+one popcount of the free mask ANDed with their adjacency masks.
+
+The terms depend on H alone and are built once per count.  Vertices with
+equal K(u) form a demand class, so the terms come from partitions of the
+demand multiset, not from the Bell(|U|) set partitions of U, and terms with
+equal key multisets are merged: K_{1,12} gets 12 terms, not 4.2 million.
+
+Anchors are enumerated by backtracking over the cover positions, each taking
+a free vertex adjacent to the images of its earlier cover neighbours; a branch
+is cut once Hall's condition fails for a demand class whose K(u) is placed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
-from typing import Iterator
+from functools import lru_cache, reduce
+from itertools import compress, product
+from math import comb, factorial, prod
+from operator import or_
+from typing import Callable
 
 from .brute import automorphism_count
-from .graphs import Graph, InconsistencyError, PreconditionError, min_vertex_cover
+from .graphs import (Graph, InconsistencyError, PreconditionError, iter_bits,
+                     min_vertex_cover)
 from .polynomials import falling_factorial
 
-ClassKey = frozenset
+
+def _demand(h: Graph, cover: tuple[int, ...]) -> dict[int, int]:
+    """Demand classes: {K(u) as a bitmask of cover positions: class size}."""
+    pos = {c: i for i, c in enumerate(cover)}
+    demand: dict[int, int] = {}
+    for u in range(h.n):
+        if u not in pos:
+            key = sum(1 << pos[w] for w in h.neighbors(u))
+            demand[key] = demand.get(key, 0) + 1
+    return demand
 
 
-@dataclass(frozen=True)
-class FlowInstance:
-    """Grouped placement problem: demands d_X and supplies m_Y.
+def _placement_counter(demand: dict[int, int]) -> Callable[[int, list[int]], int]:
+    """The placement count as a function of the free-vertex mask and the
+    anchor images' adjacency masks (by cover position)."""
+    classes = list(demand)
+    # a monomial prod N(S)^e_S is one int with a field of ``width`` bits per
+    # S holding e_S; e_S <= |U| < 2**width, so fields never carry and
+    # multiplying two monomials is adding their ints
+    width = sum(demand.values()).bit_length()
+    unit: dict[int, int] = {}  # S as a bitmask -> 1 in its field
+    memo: dict[tuple[int, ...], dict[int, int]] = {}
 
-    Keys are frozensets of cover positions.  Supplies are not capped here;
-    overfull flows are killed by the falling factorial weight.
-    """
-    demands: tuple[tuple[ClassKey, int], ...]
-    supplies: tuple[tuple[ClassKey, int], ...]
+    def expand(d):
+        """{monomial: coefficient} over the set partitions of demand vector
+        d.  The block of one fixed vertex of the first non-empty class j0
+        takes b_j of each class j, in prod_j C(d_j, b_j) * b_j0 / d_j0 ways."""
+        if d in memo:
+            return memo[d]
+        live = [j for j, x in enumerate(d) if x]
+        if not live:
+            return {0: 1}
+        j0 = live[0]
+        out = memo[d] = {}
+        for b in product(*(range(j == j0, x + 1) for j, x in enumerate(d))):
+            size = sum(b)
+            weight = ((-1) ** (size - 1) * factorial(size - 1)
+                      * prod(map(comb, d, b)) * b[j0] // d[j0])
+            key = reduce(or_, compress(classes, b))
+            one = unit.setdefault(key, 1 << width * len(unit))
+            for mono, coef in expand(tuple(x - y for x, y in zip(d, b))).items():
+                out[mono + one] = out.get(mono + one, 0) + weight * coef
+        return out
 
-    @staticmethod
-    def build(demands: dict, supplies: dict) -> "FlowInstance":
-        return FlowInstance(tuple(sorted(demands.items(), key=lambda t: (sorted(t[0]), t[1]))),
-                            tuple(sorted(supplies.items(), key=lambda t: (sorted(t[0]), t[1]))))
+    poly = expand(tuple(demand.values()))
+    keys = [tuple(iter_bits(s)) for s in unit]
+    terms = [(c, [i for i in range(len(keys))
+                  for _ in range(mono >> width * i & (1 << width) - 1)])
+             for mono, c in poly.items() if c]
 
+    # anchors with equal N(S) tuples are common (every anchor in a complete
+    # host), so a bounded memo skips re-summing the terms
+    @lru_cache(maxsize=4096)
+    def evaluate(sizes):
+        return sum(c * prod(map(sizes.__getitem__, idx)) for c, idx in terms)
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    def placements(free, images):
+        sizes = []
+        for positions in keys:
+            mask = free
+            for p in positions:
+                mask &= images[p]
+            sizes.append(mask.bit_count())
+        return evaluate(tuple(sizes))
 
-
-def enumerate_flows(inst: FlowInstance) -> Iterator[dict]:
-    """Every flow {(Y, X): amount} meeting each demand exactly, respecting
-    the X <= Y compatibility rule.  Zero entries are kept so the example
-    splits of a demand of 2 over two supplies read (2,0), (1,1), (0,2)."""
-    def rec(i, acc):
-        if i == len(inst.demands):
-            yield dict(acc)
-            return
-        x, d = inst.demands[i]
-        targets = [y for (y, _m) in inst.supplies if x <= y]
-        if not targets and d > 0:
-            return
-        for comp in _compositions(d, len(targets)):
-            step = acc + [((y, x), c) for y, c in zip(targets, comp)]
-            yield from rec(i + 1, step)
-    yield from rec(0, [])
-
-
-def flow_weight(inst: FlowInstance, flow: dict) -> int:
-    """Multinomial-times-falling-factorial weight of one flow."""
-    weight = 1
-    for x, d in inst.demands:
-        rem = d
-        for (y, xx), c in flow.items():
-            if xx == x:
-                weight = weight * factorial(rem) // (factorial(c) * factorial(rem - c))
-                rem -= c
-        if rem != 0:
-            raise PreconditionError("flow does not meet its demands")
-    for y, m in inst.supplies:
-        inflow = sum(c for (yy, _x), c in flow.items() if yy == y)
-        weight *= falling_factorial(m, inflow)
-    return weight
-
-
-def _grouped_count(inst: FlowInstance) -> int:
-    """sum of flow_weight over enumerate_flows, computed by direct recursion
-    (same tree, without materializing the flow dicts)."""
-    supplies = list(inst.supplies)
-
-    def rec(i, caps):
-        if i == len(inst.demands):
-            return 1
-        x, d = inst.demands[i]
-        targets = [t for t, (y, _m) in enumerate(supplies) if x <= y]
-        if not targets and d > 0:
-            return 0
-        total = 0
-        for comp in _compositions(d, len(targets)):
-            w = 1
-            rem = d
-            new_caps = list(caps)
-            for t, c in zip(targets, comp):
-                w = w * factorial(rem) // (factorial(c) * factorial(rem - c))
-                rem -= c
-                w *= falling_factorial(new_caps[t], c)
-                new_caps[t] -= c
-                if w == 0:
-                    break
-            if w:
-                total += w * rec(i + 1, new_caps)
-        return total
-
-    return rec(0, [m for (_y, m) in supplies])
+    return placements
 
 
 def anchored_embedding_count(h: Graph, cover: tuple[int, ...], g: Graph,
@@ -135,7 +109,7 @@ def anchored_embedding_count(h: Graph, cover: tuple[int, ...], g: Graph,
     """Embeddings of h into g that send cover[i] to image[i].
 
     The cover must touch every edge of h; the non-cover remainder is then
-    placed by the grouped flow count.
+    placed by the partition-lattice sum of the module docstring.
     """
     cset = set(cover)
     for (u, v) in h.edges:
@@ -149,46 +123,67 @@ def anchored_embedding_count(h: Graph, cover: tuple[int, ...], g: Graph,
         if u in cset and v in cset:
             if not g.has_edge(image[pos[u]], image[pos[v]]):
                 return 0
-    demands: dict[ClassKey, int] = {}
-    for u in range(h.n):
-        if u in cset:
-            continue
-        key = frozenset(pos[w] for w in h.neighbors(u))
-        demands[key] = demands.get(key, 0) + 1
-    used = set(image)
-    supplies: dict[ClassKey, int] = {}
-    for v in range(g.n):
-        if v in used:
-            continue
-        key = frozenset(i for i, gi in enumerate(image) if g.has_edge(v, gi))
-        supplies[key] = supplies.get(key, 0) + 1
-    return _grouped_count(FlowInstance.build(demands, supplies))
+    free = (1 << g.n) - 1 - sum(1 << v for v in image)
+    return _placement_counter(_demand(h, cover))(
+        free, [g.adj_mask(v) for v in image])
 
 
-def count_emb_vc(h: Graph, g: Graph, *, threads: int = 1) -> int:
-    """#Emb(h -> g) by summing anchored counts over all injective placements
-    of a minimum vertex cover of h."""
+def count_emb_vc(h: Graph, g: Graph) -> int:
+    """#Emb(h -> g) by summing anchored counts over the injective images of
+    a minimum vertex cover of h that keep the cover's internal edges."""
     if h.directed or g.directed:
         raise PreconditionError("embedding counting is for undirected graphs")
     if h.n > g.n:
         return 0
-    tau, cover = min_vertex_cover(h)
-    anchors = list(permutations(range(g.n), tau))
-    if threads <= 1 or len(anchors) < 64:
-        return sum(anchored_embedding_count(h, cover, g, a) for a in anchors)
-    chunk = (len(anchors) + threads - 1) // threads
-    blocks = [anchors[i:i + chunk] for i in range(0, len(anchors), chunk)]
+    # isolated pattern vertices go injectively to whatever host vertices the
+    # rest leaves free: one falling factorial, outside the plan
+    core = [u for u in range(h.n) if h.degree(u)]
+    loose = falling_factorial(g.n - len(core), h.n - len(core))
+    h = h.induced(core)
+    _tau, cover = min_vertex_cover(h)
+    demand = _demand(h, cover)
+    placements = _placement_counter(demand)
+    # cover positions j < i adjacent to position i in h
+    earlier = [[j for j in range(i) if h.has_edge(cover[i], cover[j])]
+               for i in range(len(cover))]
+    # Hall's condition, checked once position max(K) is placed: the vertices
+    # u with K(u) >= K need distinct free common neighbours of K's images,
+    # and later positions only take free vertices away
+    halls: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in cover]
+    for key in demand:
+        need = sum(d for k, d in demand.items() if k & key == key)
+        halls[key.bit_length() - 1].append((tuple(iter_bits(key)), need))
+    adj = [g.adj_mask(v) for v in range(g.n)]
+    images: list[int] = []
 
-    def total(block):
-        return sum(anchored_embedding_count(h, cover, g, a) for a in block)
+    def extend(free):
+        i = len(images)
+        if i == len(cover):
+            return placements(free, images)
+        cand = free
+        for j in earlier[i]:
+            cand &= images[j]
+        total = 0
+        for v in iter_bits(cand):
+            images.append(adj[v])
+            rest = free & ~(1 << v)
+            for positions, need in halls[i]:
+                mask = rest
+                for p in positions:
+                    mask &= images[p]
+                if mask.bit_count() < need:
+                    break
+            else:
+                total += extend(rest)
+            images.pop()
+        return total
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(total, blocks))
+    return loose * extend((1 << g.n) - 1)
 
 
-def count_sub_vc(h: Graph, g: Graph, *, threads: int = 1) -> int:
+def count_sub_vc(h: Graph, g: Graph) -> int:
     """#Sub(h -> g) via the cover-driven embedding count."""
-    emb = count_emb_vc(h, g, threads=threads)
+    emb = count_emb_vc(h, g)
     aut = automorphism_count(h)
     if emb % aut:
         raise InconsistencyError(f"#Emb={emb} not divisible by #Aut={aut}")

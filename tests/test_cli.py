@@ -90,32 +90,6 @@ def test_verify_mode(capsys, files):
     assert rec["algorithm"] == "brute+vc" and rec["oracle_calls"] == 2
 
 
-def test_threads_do_not_change_output(capsys, files):
-    tri = files("tri.g", Graph.cycle(3))
-    pet = files("pet.g", Graph.cycle(9))
-    results = []
-    for t in ("1", "3"):
-        code, rec = run(capsys, "count-sub", "-p", tri, "-H", pet,
-                        "--algo", "vc", "--threads", t)
-        assert code == 0
-        results.append(rec["count"])
-    assert results[0] == results[1]
-
-
-def test_threads_env_fallback(capsys, files, monkeypatch):
-    tri = files("tri.g", Graph.cycle(3))
-    k4 = files("k4.g", Graph.complete(4))
-    monkeypatch.setenv("SUBCOUNT_THREADS", "2")
-    code, rec = run(capsys, "count-sub", "-p", tri, "-H", k4, "--algo", "vc")
-    assert code == 0 and rec["count"] == "4"
-    monkeypatch.setenv("SUBCOUNT_THREADS", "zero")
-    code, _ = run(capsys, "count-sub", "-p", tri, "-H", k4, "--algo", "vc")
-    assert code == 2
-    monkeypatch.setenv("SUBCOUNT_THREADS", "0")
-    code, _ = run(capsys, "count-sub", "-p", tri, "-H", k4, "--algo", "vc")
-    assert code == 2
-
-
 def test_count_subpart_routes_agree(capsys, files):
     rng = random.Random(5)
     h = Graph.cycle(4).with_vertex_colors([0, 1, 2, 3])

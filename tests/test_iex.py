@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from subcount.brute import (count_colorful_matchings,
                             count_colorpreserving_subgraphs, count_matchings,
                             count_subgraphs)
-from subcount.graphs import Graph, PreconditionError
+from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.iex import (colmatch_via_match_oracle, prune_useless_edges,
                           subpart_via_sub_oracle)
 from helpers import colorful, rand_edge_colored, rand_graph, rand_vertex_colored
@@ -50,6 +50,15 @@ def test_subpart_transfer_requires_colorful_pattern():
         subpart_via_sub_oracle(h, g, count_subgraphs)
 
 
+def test_subpart_transfer_rejects_lying_oracle():
+    # 0 copies in the whole host but 1 in every proper color part: the
+    # signed sum is 1 - 1 - 1 + 0 = -1, which no consistent oracle gives
+    h = colorful(Graph.path(2))
+    g = Graph.path(2).with_vertex_colors([1, 2])
+    with pytest.raises(InconsistencyError):
+        subpart_via_sub_oracle(h, g, lambda hh, gg: 0 if gg.n == g.n else 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 28 - 1))
 def test_subpart_transfer_exhaustive_small(seed):
@@ -82,6 +91,12 @@ def test_colmatch_transfer_small_cases():
     assert colmatch_via_match_oracle(g, [1, 2], count_matchings) == 0
     assert colmatch_via_match_oracle(g, [], count_matchings) == 1
     assert oracle.calls == 2
+
+
+def test_colmatch_transfer_rejects_lying_oracle():
+    g = Graph.path(3).with_edge_colors([1, 2])
+    with pytest.raises(InconsistencyError):
+        colmatch_via_match_oracle(g, [1, 2], lambda gg, k: 0 if gg.m == g.m else 1)
 
 
 def test_colmatch_transfer_call_budget():

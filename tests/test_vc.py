@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,36 +7,8 @@ from hypothesis import given, settings, strategies as st
 from subcount.brute import count_embeddings, count_subgraphs
 from subcount.graphs import Graph, PreconditionError, min_vertex_cover
 from subcount.polynomials import falling_factorial
-from subcount.vc import (FlowInstance, anchored_embedding_count, count_emb_vc,
-                         count_sub_vc, enumerate_flows, flow_weight)
+from subcount.vc import anchored_embedding_count, count_emb_vc, count_sub_vc
 from helpers import petersen, rand_graph
-
-
-def test_enumerate_flows_example():
-    # one demand class of size 2, two compatible supplies: splits 2+0, 1+1, 0+2
-    x = frozenset({0})
-    y1, y2 = frozenset({0}), frozenset({0, 1})
-    inst = FlowInstance.build({x: 2}, {y1: 3, y2: 1})
-    flows = list(enumerate_flows(inst))
-    splits = sorted((f[(y1, x)], f[(y2, x)]) for f in flows)
-    assert splits == [(0, 2), (1, 1), (2, 0)]
-
-
-def test_flow_weight_multinomial_and_falling():
-    x = frozenset({0})
-    y1, y2 = frozenset({0}), frozenset({0, 1})
-    inst = FlowInstance.build({x: 2}, {y1: 3, y2: 2})
-    by_split = {}
-    for f in enumerate_flows(inst):
-        by_split[(f[(y1, x)], f[(y2, x)])] = flow_weight(inst, f)
-    assert by_split[(2, 0)] == 1 * falling_factorial(3, 2)
-    assert by_split[(0, 2)] == 1 * falling_factorial(2, 2)
-    assert by_split[(1, 1)] == 2 * 3 * 2  # multinomial(2;1,1) * 3 * 2
-
-
-def test_incompatible_demand_kills_flow():
-    inst = FlowInstance.build({frozenset({0, 1}): 1}, {frozenset({0}): 5})
-    assert list(enumerate_flows(inst)) == []
 
 
 def test_anchored_count_requires_a_cover():
@@ -55,30 +28,57 @@ def test_anchored_count_matches_brute():
 
 
 def test_multinomial_is_required():
-    """The instance where the naive weight (falling factorials alone)
+    """The instance where counting a demand class without its labels
     undercounts: pattern = one edge plus two isolated vertices, host = P3
-    plus an isolated vertex, cover image = the path's center."""
+    plus an isolated vertex, cover image = the path's center.  The two
+    isolated pattern vertices share a path end and the isolated host vertex
+    in either order, so 4, not 2."""
     h = Graph(4, [(0, 1)])
     g = Graph(4, [(0, 1), (1, 2)])
     direct = count_embeddings(h, g, anchor={0: 1})
     assert direct == 4
     assert anchored_embedding_count(h, (0,), g, (1,)) == 4
 
-    # same computation with the multinomial dropped comes out at 2
-    x_edge, x_iso = frozenset({0}), frozenset()
-    inst = FlowInstance.build({x_edge: 1, x_iso: 2},
-                              {frozenset({0}): 2, frozenset(): 1})
-    naive = 0
-    for f in enumerate_flows(inst):
-        w = 1
-        inflow = {}
-        for (y, _x), c in f.items():
-            inflow[y] = inflow.get(y, 0) + c
-        for y, m in inst.supplies:
-            w *= falling_factorial(m, inflow.get(y, 0))
-        naive += w
-    assert naive == 2  # wrong on purpose: this is what "no multinomial" gives
-    assert sum(flow_weight(inst, f) for f in enumerate_flows(inst)) == 4
+
+def test_demand_class_splits_across_supply_classes():
+    """Leaves 2, 3 of cover vertex 0 may land on host vertices that also see
+    the image of cover vertex 1 (x1, x2) or only the image of 0 (y1, y2);
+    vertex 4 sees both cover vertices and must take an x."""
+    h = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 4)])
+    a, b, x1, x2, y1, y2 = range(6)
+    g = Graph(6, [(a, b), (a, x1), (a, x2), (b, x1), (b, x2), (a, y1), (a, y2)])
+    # 4 takes one of 2 x's, the leaves take 2 of the other 3 in order
+    assert anchored_embedding_count(h, (0, 1), g, (a, b)) == 2 * 3 * 2
+    assert count_embeddings(h, g, anchor={0: a, 1: b}) == 12
+    for image in permutations(range(6), 2):
+        assert anchored_embedding_count(h, (0, 1), g, image) == \
+            count_embeddings(h, g, anchor={0: image[0], 1: image[1]})
+    assert count_emb_vc(h, g) == count_embeddings(h, g)
+
+
+def test_many_non_cover_vertices():
+    """12 non-cover vertices: partitions of one demand class of size 12,
+    not the 4.2 million set partitions of 12 labeled vertices."""
+    g = rand_graph(random.Random(12), 30, 0.3)
+    assert count_emb_vc(Graph.star(12), g) == \
+        sum(falling_factorial(g.degree(v), 12) for v in range(g.n))
+    assert count_emb_vc(Graph.empty(12), g) == falling_factorial(30, 12)
+    assert anchored_embedding_count(Graph.empty(12), (), g, ()) == \
+        falling_factorial(30, 12)
+
+
+def test_complete_host_closed_form():
+    """Every injective map into K_n is an embedding, so #Emb = (n)_{h.n}.
+    The 8 non-cover vertices see 8 different sets of the 4 cover vertices
+    (the path 0-1-2-3), so every demand class is a singleton."""
+    subsets = [(0, 1, 2, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+               (0, 1), (0, 2), (1, 3)]
+    edges = [(0, 1), (1, 2), (2, 3)]
+    edges += [(c, 4 + j) for j, s in enumerate(subsets) for c in s]
+    h = Graph(12, edges)
+    assert min_vertex_cover(h)[0] == 4
+    assert count_emb_vc(h, Graph.complete(12)) == falling_factorial(12, 12)
+    assert count_emb_vc(h, Graph.complete(13)) == falling_factorial(13, 12)
 
 
 def test_counts_on_standard_graphs():
@@ -103,14 +103,6 @@ def test_edgeless_pattern():
     assert count_sub_vc(h, g) == 4  # choose 3 of 4 vertices
 
 
-def test_threads_do_not_change_the_answer():
-    h = Graph.path(4)
-    g = petersen()
-    lone = count_emb_vc(h, g)
-    assert count_emb_vc(h, g, threads=4) == lone
-    assert lone == count_embeddings(h, g)
-
-
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2 ** 28 - 1))
 def test_vc_count_equals_brute(seed):
@@ -127,3 +119,19 @@ def test_sub_vc_equals_brute(seed):
     h = rand_graph(rng, rng.randint(1, 5), rng.random())
     g = rand_graph(rng, rng.randint(1, 8), rng.random())
     assert count_sub_vc(h, g) == count_subgraphs(h, g)
+
+
+def test_vc_count_equals_networkx_monomorphisms():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(1407)
+    for _ in range(30):
+        h = rand_graph(rng, rng.randint(1, 6), rng.random())
+        g = rand_graph(rng, rng.randint(1, 14), rng.random())
+        nh, ng = nx.Graph(), nx.Graph()
+        nh.add_nodes_from(range(h.n))
+        nh.add_edges_from(h.edges)
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        monos = sum(1 for _ in GraphMatcher(ng, nh).subgraph_monomorphisms_iter())
+        assert count_emb_vc(h, g) == monos
