@@ -34,17 +34,20 @@ alignment types:
 The residue graph R_s normalizes type s to exactly three touched gadgets, so
 a class of n gadgets in state s is R_s plus (n-3) intact six-cycles, and the
 query polynomial p_{s,t} is evaluated at n-3.
+
+The structured evaluator never builds the gadget host: per host it folds the
+census of link-matching types with the five-by-five class extension matrix
+into a table of all 5^k answers, and each query is a lookup in that table.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from .brute import count_colorful_matchings, count_walk_patterns
-from .graphs import Graph, InconsistencyError, PreconditionError, iter_bits
+from .graphs import Graph, InconsistencyError, PreconditionError
 from .polynomials import (IntPolynomial, determinant_polynomial,
                           interpolate_int_polynomial, solve_fraction_system)
 
@@ -71,6 +74,12 @@ TYPE_DAMAGE = {
 }
 
 TYPES = (1, 2, 3, 4, 5)
+
+#: A_t as the sorted color tuple the extension tables are keyed by
+_A_COLORS = {t: tuple(sorted(A_SETS[t])) for t in TYPES}
+
+#: A-set as a bitmask over delta colors (bit d-1 for color d) -> its type
+_MASK_TYPE = {sum(1 << (d - 1) for d in A_SETS[t]): t for t in TYPES}
 
 
 def gadget_graph(missing_slots=frozenset()) -> Graph:
@@ -102,14 +111,14 @@ def residue_graph(s: int) -> Graph:
 @lru_cache(maxsize=None)
 def pst_polynomial(s: int, t: int) -> IntPolynomial:
     """p_{s,t}: number of A_t-colorful matchings of R_s plus x intact
-    six-cycles, as an exact polynomial of degree at most six."""
+    six-cycles, as an exact polynomial of degree at most six.
+
+    Interpolated from the extension tables the structured counter uses: a
+    class of x + 3 gadgets in state s is exactly R_s plus x intact cycles.
+    """
     if s not in TYPES or t not in TYPES:
         raise PreconditionError("type indices range over 1..5")
-    pts = []
-    g = residue_graph(s)
-    for m in range(7):
-        pts.append((m, count_colorful_matchings(g, A_SETS[t])))
-        g = g.disjoint_union(gadget_graph())
+    pts = [(m, _class_extension_count(s, _A_COLORS[t], m + 3)) for m in range(7)]
     return interpolate_int_polynomial(pts, max_degree=6)
 
 
@@ -143,8 +152,8 @@ class TriangleGraph:
 
     Numeric edge colors: link color of pattern edge e = its index in sorted
     edge order (0..m-1); delta color (class i, delta) = m + 6i + delta - 1.
-    The materialized graph is built lazily; the structured counter never
-    needs it.
+    The materialized graph and the answer table are built lazily; the
+    structured counter never needs the graph.
     """
 
     def __init__(self, h: Graph, g: Graph, padding: int):
@@ -175,7 +184,19 @@ class TriangleGraph:
                      for u in self.members[a] for v in self.members[b]
                      if g.has_edge(u, v)]
             self.realizations.append(sorted(pairs))
+        # color -> (slot, bit): slot i < k, bit d-1 for delta d of class i;
+        # slot k, bit c for link color c
+        self._color_slot = {c: (self.k, 1 << c) for c in self.link_colors()}
+        self._color_slot.update(
+            (self.delta_color(i, d), (i, 1 << (d - 1)))
+            for i in range(self.k) for d in range(1, 7))
+        # query color sets: the link colors, and each class's under each type
+        self._link_set = frozenset(self.link_colors())
+        self._class_colors = [
+            {t: frozenset(self.delta_color(i, d) for d in A_SETS[t]) for t in TYPES}
+            for i in range(self.k)]
         self._theta_counts = None
+        self._answers = None
         self._graph = None
 
     # -- color bookkeeping ------------------------------------------------
@@ -191,10 +212,8 @@ class TriangleGraph:
         plus each class's A_{t_i} in that class's delta colors."""
         if len(t) != self.k:
             raise PreconditionError("type vector length must equal the class count")
-        cols = set(self.link_colors())
-        for i, ti in enumerate(t):
-            cols.update(self.delta_color(i, d) for d in A_SETS[ti])
-        return frozenset(cols)
+        return self._link_set.union(
+            *[cls[ti] for cls, ti in zip(self._class_colors, t)])
 
     # -- materialization ---------------------------------------------------
 
@@ -246,7 +265,8 @@ class TriangleGraph:
 
         Link choices are independent across pattern edges (each w-slot
         belongs to exactly one pattern edge), so this enumerates the product
-        of the realization lists and classifies each combination.
+        of the realization lists and classifies each combination.  Cached;
+        the answer table reads it once per host.
         """
         if self._theta_counts is not None:
             return self._theta_counts
@@ -272,6 +292,50 @@ class TriangleGraph:
                 counts[theta] = counts.get(theta, 0) + 1
         self._theta_counts = counts
         return counts
+
+    def answer_table(self) -> list[int]:
+        """Every structured query value, b = (E x ... x E) . census, as one
+        list indexed by ``_type_index`` of the query's type vector.
+
+        E[t][s] counts the A_t-colorful matchings inside one class of n
+        gadgets in state s; it is the same five-by-five matrix for every
+        class, so b comes from k mode products of the dense census.
+        """
+        if self._answers is None:
+            ext = [[_class_extension_count(s, _A_COLORS[t], self.n) for s in TYPES]
+                   for t in TYPES]
+            vec = [0] * 5 ** self.k
+            for theta, cnt in self.theta_counts().items():
+                vec[_type_index(theta)] += cnt
+            for _ in range(self.k):
+                vec = _kron_step(vec, ext)
+            self._answers = vec
+        return self._answers
+
+
+def _type_index(types) -> int:
+    """A type vector read as a base-5 number, first entry most significant:
+    the position of that vector in ``product(TYPES, repeat=k)``."""
+    index = 0
+    for t in types:
+        index = 5 * index + t - 1
+    return index
+
+
+def _kron_step(vec: list[int], rows) -> list[int]:
+    """Contract the leading base-5 digit of ``vec``'s index with each row of
+    ``rows`` and append the row number as the trailing digit.
+
+    k steps apply the same rows to every digit and leave the digits in their
+    original order: with five rows that is one Kronecker mode product per
+    axis, with one row a full contraction down to a single entry.
+    """
+    size = len(vec) // 5
+    out = []
+    for v0, v1, v2, v3, v4 in zip(*(vec[j * size:(j + 1) * size] for j in range(5))):
+        out.extend([r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
+                    for r0, r1, r2, r3, r4 in rows])
+    return out
 
 
 def _slot_type(u1, u2, u3) -> int:
@@ -316,7 +380,12 @@ def build_triangle_graph(h: Graph, g: Graph, padding: int | None = None) -> Tria
 
 
 # ---------------------------------------------------------------------------
-# the structured matching counter (independent of the p-polynomials)
+# the structured matching counter
+#
+# One class's matchings depend only on its alignment state and query set, so
+# the extension tables below give both the per-host answer table and the
+# p_{s,t} polynomials.  Brute counts on the residue graphs check them in the
+# tests.
 
 
 def _submask_fold(f: list[int], g: list[int]) -> list[int]:
@@ -387,44 +456,32 @@ def _class_extension_count(s: int, colors: tuple[int, ...], n: int) -> int:
 
 
 def structured_colmatch_count(tg: TriangleGraph, colors) -> int:
-    """Colorful matching count on the gadget host, computed from the link
-    census and per-class extension tables instead of the explicit graph.
+    """Colorful matching count on the gadget host, read from the host's
+    answer table instead of the explicit graph.
 
     Only supports the query shapes the reduction asks for: all link colors
     plus one A-set per class.  Anything else belongs to the generic counter.
     """
-    want = set(colors)
-    for c in tg.link_colors():
-        if c not in want:
-            raise PreconditionError("structured queries must include every link color")
-        want.discard(c)
-    t = []
-    for i in range(tg.k):
-        mine = {c - tg.delta_color(i, 1) + 1 for c in want
-                if tg.delta_color(i, 1) <= c <= tg.delta_color(i, 6)}
-        match = [ti for ti in TYPES if A_SETS[ti] == mine]
-        if not match:
+    masks, foreign = [0] * (tg.k + 1), set()
+    for c in colors:
+        slot = tg._color_slot.get(c)
+        if slot is None:
+            foreign.add(c)
+        else:
+            masks[slot[0]] |= slot[1]
+    if masks.pop() != (1 << tg.m) - 1:
+        raise PreconditionError("structured queries must include every link color")
+    types = []
+    for i, mask in enumerate(masks):
+        t = _MASK_TYPE.get(mask)
+        if t is None:
+            mine = [d + 1 for d in range(6) if mask >> d & 1]
             raise PreconditionError(
-                f"class {i} color set {sorted(mine)} is not one of the query sets")
-        t.append(match[0])
-        want -= {tg.delta_color(i, d) for d in mine}
-    if want:
-        raise PreconditionError(f"unrecognized colors in query: {sorted(want)}")
-
-    counts = tg.theta_counts()
-    per_class = []
-    for ti in t:
-        cols = tuple(sorted(A_SETS[ti]))
-        per_class.append({s: _class_extension_count(s, cols, tg.n) for s in TYPES})
-    total = 0
-    for theta, cnt in counts.items():
-        term = cnt
-        for i, s in enumerate(theta):
-            term *= per_class[i][s]
-            if term == 0:
-                break
-        total += term
-    return total
+                f"class {i} color set {mine} is not one of the query sets")
+        types.append(t)
+    if foreign:
+        raise PreconditionError(f"unrecognized colors in query: {sorted(foreign)}")
+    return tg.answer_table()[_type_index(types)]
 
 
 def default_colmatch_oracle(host, colors) -> int:
@@ -445,7 +502,9 @@ def solve_theta_star(b: dict, n: int, k: int) -> int:
     matching count on a host with class padding n.  The count of link
     matchings of type theta* = (1,...,1) is the theta*-entry of the inverse
     Kronecker system, i.e. sum_t prod_i y[t_i] b[t] where y solves
-    M^T y = e_1 for the five-by-five matrix M = state_matrix(n-3).
+    M^T y = e_1 for the five-by-five matrix M = state_matrix(n-3).  y is
+    scaled to integers by the lcm L of its denominators, so the sum is an
+    integer contraction divided by L^k at the end.
     """
     if n < 3:
         raise PreconditionError("padding must be at least 3")
@@ -458,19 +517,24 @@ def solve_theta_star(b: dict, n: int, k: int) -> int:
     matrix = state_matrix(x)
     transposed = [[matrix[t][s] for t in range(5)] for s in range(5)]
     y = solve_fraction_system(transposed, [1, 0, 0, 0, 0])
-    total = Fraction(0)
+    scale = math.lcm(*(yi.denominator for yi in y))
+    row = [yi.numerator * (scale // yi.denominator) for yi in y]
+    vec = []
     for t in product(TYPES, repeat=k):
         bt = b.get(t)
         if bt is None:
             raise PreconditionError(f"missing query value for type vector {t}")
-        coeff = Fraction(1)
-        for ti in t:
-            coeff *= y[ti - 1]
-        total += coeff * bt
-    if total.denominator != 1 or total < 0:
+        vec.append(bt)
+    for _ in range(k):
+        vec = _kron_step(vec, [row])
+    num, den = vec[0], scale ** k
+    count, rem = divmod(num, den)
+    if rem or count < 0:
+        g = math.gcd(num, den)
+        shown = f"{num // g}/{den // g}" if rem else str(count)
         raise InconsistencyError(
-            f"aligned count came out as {total}; the query values are inconsistent")
-    return int(total)
+            f"aligned count came out as {shown}; the query values are inconsistent")
+    return count
 
 
 def subpart_via_colmatch_oracle(h: Graph, g: Graph, oracle=None,

@@ -8,7 +8,7 @@ from subcount.brute import (count_colorful_matchings,
                             count_colorpreserving_subgraphs,
                             count_matchings, count_walk_patterns,
                             iter_colorful_matchings)
-from subcount.graphs import Graph, PreconditionError
+from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
                                build_triangle_graph, default_colmatch_oracle,
                                directed_cycles_via_undirected, gadget_graph,
@@ -76,15 +76,15 @@ def test_determinant_is_certified():
 
 
 def test_pst_polynomials_extrapolate():
-    # interpolation used m = 0..6; check the polynomial keeps matching brute
+    # the polynomials come from the extension tables; brute counts on R_s
+    # plus m intact cycles check them at the interpolation points m = 0..6
+    # and beyond them
     for s in TYPES:
         for t in TYPES:
             p = pst_polynomial(s, t)
             assert p.degree <= 6
             g = residue_graph(s)
-            for _ in range(7):
-                g = g.disjoint_union(gadget_graph())
-            for m in (7, 8):
+            for m in range(9):
                 assert p(m) == count_colorful_matchings(g, A_SETS[t])
                 g = g.disjoint_union(gadget_graph())
 
@@ -141,21 +141,24 @@ def test_structured_counter_agrees_with_generic():
     h = colorful_k33()
     host = Graph(7, list(Graph.complete_bipartite(3, 3).edges) + [(0, 6), (1, 6), (2, 6)],
                  vcolors=[1, 2, 3, 4, 5, 6, 6])
-    tg = build_triangle_graph(h, host, padding=3)
-    rng = random.Random(11)
-    # all five query sets appear, at most two of the big ones per vector
-    vectors = [(1,) * 6, (2,) * 6, (3, 2, 1, 3, 2, 1)]
-    for _ in range(8):
-        t = [rng.choice((1, 2, 3)) for _ in range(6)]
-        spots = rng.sample(range(6), 2)
-        t[spots[0]] = rng.choice((4, 5))
-        if rng.random() < 0.5:
-            t[spots[1]] = rng.choice((4, 5))
-        vectors.append(tuple(t))
-    for t in vectors:
-        cols = tg.query_colors(t)
-        assert structured_colmatch_count(tg, cols) == \
-            count_colorful_matchings(tg.graph, cols)
+    # two host vertices per class, so every split alignment type occurs
+    doubled = colorful_k33().disjoint_union(colorful_k33())
+    for g in (host, doubled):
+        tg = build_triangle_graph(h, g, padding=3)
+        rng = random.Random(11)
+        # all five query sets appear, at most two of the big ones per vector
+        vectors = [(1,) * 6, (2,) * 6, (3, 2, 1, 3, 2, 1)]
+        for _ in range(8):
+            t = [rng.choice((1, 2, 3)) for _ in range(6)]
+            spots = rng.sample(range(6), 2)
+            t[spots[0]] = rng.choice((4, 5))
+            if rng.random() < 0.5:
+                t[spots[1]] = rng.choice((4, 5))
+            vectors.append(tuple(t))
+        for t in vectors:
+            cols = tg.query_colors(t)
+            assert structured_colmatch_count(tg, cols) == \
+                count_colorful_matchings(tg.graph, cols)
 
 
 def test_structured_counter_rejects_foreign_queries():
@@ -166,6 +169,10 @@ def test_structured_counter_rejects_foreign_queries():
     bad.discard(tg.delta_color(0, 4))
     with pytest.raises(PreconditionError):
         structured_colmatch_count(tg, bad)
+    # one past the last delta color of the last class
+    beyond = tg.query_colors((1,) * 6) | {tg.m + 6 * tg.k}
+    with pytest.raises(PreconditionError, match="unrecognized"):
+        structured_colmatch_count(tg, beyond)
 
 
 def test_query_identity_term_by_term():
@@ -204,6 +211,21 @@ def test_solve_theta_star_roundtrip():
                    * pst_polynomial(theta[1], t[1])(x)
                    for theta, cnt in census.items())
     assert solve_theta_star(b, n, k) == census[(1, 1)]
+
+
+def test_solve_theta_star_rejects_inconsistent_values():
+    n, x = 5, 2
+    aligned = {(t,): pst_polynomial(1, t)(x) for t in TYPES}  # one aligned copy
+    assert solve_theta_star(aligned, n, 1) == 1
+    # one more on the first query adds y[1] = 425/61 to the aligned count
+    off = dict(aligned)
+    off[(1,)] += 1
+    with pytest.raises(InconsistencyError):
+        solve_theta_star(off, n, 1)
+    # the negated values solve to -1 copies
+    negative = {t: -v for t, v in aligned.items()}
+    with pytest.raises(InconsistencyError):
+        solve_theta_star(negative, n, 1)
 
 
 def test_solve_theta_star_refuses_incomplete_queries():
@@ -245,16 +267,28 @@ def test_pipeline_default_padding():
 def test_pipeline_matches_brute_on_random_hosts():
     rng = random.Random(20250814)
     h = colorful_k33()
-    hits = 0
+    hosts = []
     for _ in range(6):
         host = rand_graph(rng, rng.randint(6, 9), 0.35)
-        host = host.with_vertex_colors([rng.randint(1, 6) for _ in range(host.n)])
+        hosts.append(host.with_vertex_colors([rng.randint(1, 6) for _ in range(host.n)]))
+    # the random hosts above all count 0: add one and two planted copies,
+    # each with two extra colored vertices and four seeded noise edges
+    for base in (colorful_k33(), colorful_k33().disjoint_union(colorful_k33())):
+        n = base.n + 2
+        edges = set(base.edges)
+        while len(edges) < base.m + 4:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        hosts.append(Graph(n, sorted(edges), vcolors=list(base.vcolors)
+                           + [rng.randint(1, 6) for _ in range(2)]))
+    hits = 0
+    for host in hosts:
         want = count_colorpreserving_subgraphs(h, host)
         got = subpart_via_colmatch_oracle(h, host, padding=max(3, host.n))
         assert got == want
         hits += want
     # the corpus should not be all-zero for the comparison to mean much
-    assert hits >= 0
+    assert hits > 0
 
 
 def test_pipeline_with_injected_generic_oracle():
