@@ -2,8 +2,10 @@
 
 These are the ground-truth oracles everything else in the package is checked
 against, so they favor obviousness over speed: plain backtracking over
-adjacency bitmasks, no clever algebra.  They are fast enough for the graph
-sizes the test corpus and the reductions feed them (a couple dozen vertices).
+adjacency bitmasks, no clever algebra.  The search is exhaustive; only its
+last level is not walked one candidate at a time but counted by one popcount
+of the candidate mask.  They are fast enough for the graph sizes the test
+corpus and the reductions feed them (a couple dozen vertices).
 
 Counting conventions
 --------------------
@@ -40,6 +42,36 @@ def _search_order(h: Graph, pinned=()):
     return order
 
 
+def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
+    """The search order, and a function giving the host candidates for each
+    position: ``candidates(i, image, used)`` is the host vertices allowed for
+    pattern vertex ``order[i]`` (its color class under ``respect_colors``),
+    not in ``used`` and adjacent to the images ``image[j]`` of its pattern
+    neighbors at earlier positions j."""
+    if respect_colors and (h.vcolors is None or g.vcolors is None):
+        raise PreconditionError("respect_colors needs vertex colors on both graphs")
+    order = _search_order(h, pinned)
+    position = {v: i for i, v in enumerate(order)}
+    back = [[position[u] for u in h.neighbors(v) if position[u] < i]
+            for i, v in enumerate(order)]
+    if respect_colors:
+        by_color: dict[int, int] = {}
+        for gv, c in enumerate(g.vcolors):
+            by_color[c] = by_color.get(c, 0) | 1 << gv
+        allowed = [by_color.get(h.vcolors[v], 0) for v in order]
+    else:
+        allowed = [(1 << g.n) - 1] * h.n
+    adj = [g.adj_mask(v) for v in range(g.n)]
+
+    def candidates(i, image, used):
+        cand = allowed[i] & ~used
+        for j in back[i]:
+            cand &= adj[image[j]]
+        return cand
+
+    return order, candidates
+
+
 def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -> int:
     """Number of injective adjacency-preserving maps V(h) -> V(g).
 
@@ -51,51 +83,32 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
     if h.n > g.n:
         return 0
     anchor = dict(anchor or {})
-    if respect_colors and (h.vcolors is None or g.vcolors is None):
-        raise PreconditionError("respect_colors needs vertex colors on both graphs")
+    order, candidates = _search_plan(h, g, respect_colors, pinned=sorted(anchor))
     for hv, gv in anchor.items():
         if respect_colors and h.vcolors[hv] != g.vcolors[gv]:
             return 0
     if len(set(anchor.values())) != len(anchor):
         return 0
-    order = _search_order(h, pinned=sorted(anchor))
-    image = [-1] * h.n
+    # image[i] is the host vertex at search position i; anchors come first
+    image = [anchor.get(v, 0) for v in order]
     used = 0
-    for hv, gv in anchor.items():
-        image[hv] = gv
-        used |= 1 << gv
+    for i in range(len(anchor)):  # each anchor must be a candidate at its position
+        if not candidates(i, image, used) >> image[i] & 1:
+            return 0
+        used |= 1 << image[i]
+    last = h.n - 1
 
-    full = (1 << g.n) - 1
-    n_h = h.n
-
-    def extend(pos, used):
-        if pos == n_h:
-            return 1
-        hv = order[pos]
-        if image[hv] != -1:  # anchored; just validate adjacency
-            gv = image[hv]
-            for u in h.neighbors(hv):
-                im = image[u]
-                if im != -1 and not g.adj_mask(gv) & (1 << im):
-                    return 0
-            return extend(pos + 1, used)
-        cand = full & ~used
-        for u in h.neighbors(hv):
-            im = image[u]
-            if im != -1:
-                cand &= g.adj_mask(im)
-                if not cand:
-                    return 0
+    def extend(i, used):
+        cand = candidates(i, image, used)
+        if i == last:
+            return cand.bit_count()
         total = 0
         for gv in iter_bits(cand):
-            if respect_colors and h.vcolors[hv] != g.vcolors[gv]:
-                continue
-            image[hv] = gv
-            total += extend(pos + 1, used | (1 << gv))
-            image[hv] = -1
+            image[i] = gv
+            total += extend(i + 1, used | 1 << gv)
         return total
 
-    return extend(0, used)
+    return extend(len(anchor), used) if len(anchor) < h.n else 1
 
 
 def find_embedding(h: Graph, g: Graph, *, respect_colors=False):
@@ -104,30 +117,24 @@ def find_embedding(h: Graph, g: Graph, *, respect_colors=False):
         raise PreconditionError("embedding search is for undirected graphs")
     if h.n > g.n:
         return None
-    order = _search_order(h)
-    image = [-1] * h.n
-    full = (1 << g.n) - 1
+    order, candidates = _search_plan(h, g, respect_colors)
+    image = [0] * h.n
 
-    def extend(pos, used):
-        if pos == h.n:
-            return tuple(image)
-        hv = order[pos]
-        cand = full & ~used
-        for u in h.neighbors(hv):
-            im = image[u]
-            if im != -1:
-                cand &= g.adj_mask(im)
-        for gv in iter_bits(cand):
-            if respect_colors and h.vcolors[hv] != g.vcolors[gv]:
-                continue
-            image[hv] = gv
-            got = extend(pos + 1, used | (1 << gv))
-            if got is not None:
-                return got
-            image[hv] = -1
+    def extend(i, used):
+        if i == h.n:
+            return True
+        for gv in iter_bits(candidates(i, image, used)):
+            image[i] = gv
+            if extend(i + 1, used | 1 << gv):
+                return True
+        return False
+
+    if not extend(0, 0):
         return None
-
-    return extend(0, 0)
+    found = [0] * h.n
+    for i, v in enumerate(order):
+        found[v] = image[i]
+    return tuple(found)
 
 
 def automorphism_count(h: Graph) -> int:
@@ -173,6 +180,16 @@ def count_colorpreserving_subgraphs(h: Graph, g: Graph) -> int:
     return count_embeddings(h, g, respect_colors=True)
 
 
+def _edge_clashes(g: Graph) -> list[int]:
+    """Per edge index, the bitmask of edge indices sharing an endpoint with
+    it (itself included)."""
+    incident = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    return [incident[u] | incident[v] for (u, v) in g.edges]
+
+
 def count_colorful_matchings(g: Graph, colors) -> int:
     """Edge subsets that are matchings and hit each color of ``colors``
     exactly once.  Edges of other colors are simply not usable."""
@@ -181,70 +198,48 @@ def count_colorful_matchings(g: Graph, colors) -> int:
     want = list(colors)
     if len(set(want)) != len(want):
         raise PreconditionError("color set has repeats")
-    by_color: dict[int, list[tuple[int, int]]] = {c: [] for c in want}
-    for (u, v), c in zip(g.edges, g.ecolors):
+    if not want:
+        return 1
+    by_color = dict.fromkeys(want, 0)
+    for i, c in enumerate(g.ecolors):
         if c in by_color:
-            by_color[c].append((u, v))
-    groups = sorted(by_color.values(), key=len)
+            by_color[c] |= 1 << i
+    groups = sorted(by_color.values(), key=int.bit_count)
+    clash = _edge_clashes(g)
+    last = len(groups) - 1
 
-    def branch(i, used):
-        if i == len(groups):
-            return 1
+    def branch(i, blocked):
+        cand = groups[i] & ~blocked
+        if i == last:
+            return cand.bit_count()
         total = 0
-        for (u, v) in groups[i]:
-            mask = (1 << u) | (1 << v)
-            if used & mask == 0:
-                total += branch(i + 1, used | mask)
+        for e in iter_bits(cand):
+            total += branch(i + 1, blocked | clash[e])
         return total
 
     return branch(0, 0)
-
-
-def iter_colorful_matchings(g: Graph, colors):
-    """Yield each colorful matching as a tuple of edges, one per color of
-    ``colors`` in the iteration order of the sorted color list."""
-    if g.ecolors is None:
-        raise PreconditionError("host must be edge-colored")
-    want = sorted(set(colors))
-    by_color = {c: [] for c in want}
-    for (u, v), c in zip(g.edges, g.ecolors):
-        if c in by_color:
-            by_color[c].append((u, v))
-    groups = [by_color[c] for c in want]
-
-    def branch(i, used, acc):
-        if i == len(groups):
-            yield tuple(acc)
-            return
-        for (u, v) in groups[i]:
-            mask = (1 << u) | (1 << v)
-            if used & mask == 0:
-                acc.append((u, v))
-                yield from branch(i + 1, used | mask, acc)
-                acc.pop()
-
-    yield from branch(0, 0, [])
 
 
 def count_matchings(g: Graph, k: int) -> int:
     """Number of k-edge matchings (equivalently #Sub of a k-matching)."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    edges = g.edges
+    if k == 0:
+        return 1
+    clash = _edge_clashes(g)
 
-    def branch(i, used, need):
-        if need == 0:
-            return 1
-        if len(edges) - i < need:
-            return 0
-        (u, v) = edges[i]
-        total = branch(i + 1, used, need)
-        mask = (1 << u) | (1 << v)
-        if used & mask == 0:
-            total += branch(i + 1, used | mask, need - 1)
+    def branch(avail, need):
+        # edges are taken in rising index order, so each matching once
+        if need == 1:
+            return avail.bit_count()
+        total = 0
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            total += branch(avail & ~clash[low.bit_length() - 1], need - 1)
         return total
 
-    return branch(0, 0, k)
+    return branch((1 << g.m) - 1, k)
 
 
 def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
@@ -265,35 +260,34 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
         if not g.directed and k < 3:
             raise PreconditionError("undirected cycles need k >= 3")
 
-    step = g.out_mask if g.directed else g.adj_mask
-    total = 0
+    step = [(g.out_mask if g.directed else g.adj_mask)(v) for v in range(g.n)]
 
-    if kind == "path":
-        def walk(v, seen, left, first):
-            nonlocal total
-            if left == 0:
-                if g.directed or first < v:
-                    total += 1
-                return
-            for w in iter_bits(step(v) & ~seen):
-                walk(w, seen | (1 << w), left - 1, first)
-        for s in range(g.n):
-            walk(s, 1 << s, k, s)
+    def walk(v, seen, left, last_ok):
+        """Number of ``left``-step walks from v through vertices not in
+        ``seen``, visiting none twice, that end in ``last_ok``."""
+        nxt = step[v] & ~seen
+        if left == 1:
+            return (nxt & last_ok).bit_count()
+        total = 0
+        for w in iter_bits(nxt):
+            total += walk(w, seen | 1 << w, left - 1, last_ok)
         return total
 
-    # cycles: anchor at the minimum vertex of the subgraph
-    def cyc(v, seen, left, start, second):
-        nonlocal total
-        if left == 0:
-            if step(v) & (1 << start):
-                if g.directed or second < v:
-                    total += 1
-            return
-        for w in iter_bits(step(v) & ~seen):
-            if w <= start:
-                continue
-            cyc(w, seen | (1 << w), left - 1, start, second if second >= 0 else w)
+    if kind == "path":
+        # undirected: the last vertex lies above the first
+        return sum(walk(s, 1 << s, k, -1 if g.directed else -1 << (s + 1))
+                   for s in range(g.n))
 
+    # cycles: s is the minimum vertex, so every vertex up to s counts as seen,
+    # and the last vertex must step back into s
+    total = 0
     for s in range(g.n):
-        cyc(s, 1 << s, k - 1, s, -1)
+        below = (1 << (s + 1)) - 1
+        if g.directed:
+            total += walk(s, below, k - 1, g.in_mask(s))
+            continue
+        # undirected: the last vertex lies above the second, so each cycle
+        # is walked in one direction only
+        for w in iter_bits(step[s] & ~below):
+            total += walk(w, below | 1 << w, k - 2, g.adj_mask(s) & (-1 << (w + 1)))
     return total

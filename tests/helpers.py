@@ -81,3 +81,26 @@ def subgraph_copies(h: Graph, g: Graph):
         )
         seen.add((verts, edges))
     return seen
+
+
+def iter_colorful_matchings(g: Graph, colors):
+    """Yield each colorful matching of the edge-colored g as a tuple of
+    edges, one per color of ``colors`` in sorted color order.
+
+    Test-side reference enumerator, one edge per color at a time.
+    """
+    want = sorted(set(colors))
+    groups = [[e for e, c in zip(g.edges, g.ecolors) if c == col] for col in want]
+
+    def branch(i, used, acc):
+        if i == len(groups):
+            yield tuple(acc)
+            return
+        for (u, v) in groups[i]:
+            mask = (1 << u) | (1 << v)
+            if used & mask == 0:
+                acc.append((u, v))
+                yield from branch(i + 1, used | mask, acc)
+                acc.pop()
+
+    yield from branch(0, 0, [])

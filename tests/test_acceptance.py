@@ -15,7 +15,7 @@ from subcount import brute, gadgets, hardness, iex, structural, vc
 from subcount.brute import (automorphism_count, count_colorful_matchings,
                             count_colorpreserving_subgraphs, count_embeddings,
                             count_matchings, count_subgraphs,
-                            count_walk_patterns, iter_colorful_matchings)
+                            count_walk_patterns)
 from subcount.gadgets import (MatchingGadget, check_matching_gadget,
                               count_matchings_via_gadget, is_matching_gadget,
                               is_strong_set, nocommon_sufficient,
@@ -33,7 +33,8 @@ from subcount.structural import (audit_star_neighbors, build_grid_instance,
                                  minor_lift_instance, nice_matching,
                                  select_subcollection)
 
-from helpers import rand_bipartite, rand_digraph, rand_graph
+from helpers import (iter_colorful_matchings, rand_bipartite, rand_digraph,
+                     rand_graph)
 
 APPENDIX_MATRIX = [[2, 2, 3, 3, 3],
                    [2, 3, 2, 3, 3],

@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from subcount.brute import (automorphism_count, count_colorful_matchings,
                             count_matchings, count_subgraphs,
                             count_walk_patterns, find_embedding, is_isomorphic)
 from subcount.graphs import Graph, PreconditionError
-from helpers import colorful, petersen, rand_edge_colored, rand_graph
+from helpers import (colorful, petersen, rand_digraph, rand_edge_colored,
+                     rand_graph, rand_vertex_colored)
 
 
 def test_automorphisms_of_standard_graphs():
@@ -164,3 +167,126 @@ def test_colorful_matchings_vs_direct_enumeration(seed):
 def test_embedding_color_respect_requires_colors():
     with pytest.raises(PreconditionError):
         count_embeddings(Graph.path(2), Graph.path(3), respect_colors=True)
+
+
+# -- edge cases of the last search level ---------------------------------------
+
+
+def test_empty_and_one_vertex_patterns():
+    g = Graph.path(4).with_vertex_colors([1, 2, 2, 3])
+    assert count_embeddings(Graph.empty(0), g) == 1
+    assert count_embeddings(Graph.empty(0), Graph.empty(0)) == 1
+    # position 0 is also the last level
+    assert count_embeddings(Graph.empty(1), g) == 4
+    assert count_embeddings(Graph.empty(1).with_vertex_colors([2]), g,
+                            respect_colors=True) == 2
+    assert count_embeddings(Graph.empty(1), g, anchor={0: 3}) == 1
+
+
+def test_fully_anchored_pattern():
+    # every search position is pinned, so the last one is anchored too
+    p3, k4 = Graph.path(3), Graph.complete(4)
+    assert count_embeddings(p3, k4, anchor={0: 3, 1: 0, 2: 2}) == 1
+    assert count_embeddings(p3, Graph.path(4), anchor={0: 0, 1: 1, 2: 2}) == 1
+    assert count_embeddings(p3, Graph.path(4), anchor={0: 0, 1: 1, 2: 3}) == 0
+    assert count_embeddings(p3, Graph.path(4), anchor={0: 0, 1: 2, 2: 3}) == 0
+
+
+def test_pattern_color_missing_from_host():
+    g = Graph.complete(4).with_vertex_colors([1, 1, 2, 2])
+    h = Graph.path(3).with_vertex_colors([1, 3, 2])
+    assert count_embeddings(h, g, respect_colors=True) == 0
+    assert count_embeddings(h.with_vertex_colors([1, 2, 1]), g, respect_colors=True) == 4
+    assert find_embedding(h, g, respect_colors=True) is None
+
+
+def test_matching_sizes_at_the_ends():
+    for g in (Graph.cycle(6), petersen(), Graph.empty(3), Graph.complete(5)):
+        assert count_matchings(g, 0) == 1
+        assert count_matchings(g, g.n // 2 + 1) == 0
+    assert count_matchings(Graph.complete(5), 3) == 0  # above the maximum of 2
+    with pytest.raises(PreconditionError):
+        count_matchings(Graph.cycle(4), -1)
+
+
+def test_colorful_matchings_with_an_edgeless_color():
+    g = Graph.cycle(6).with_edge_colors([0, 1, 0, 1, 0, 2])
+    assert count_colorful_matchings(g, [0, 1]) == 2
+    assert count_colorful_matchings(g, [0, 1, 7]) == 0
+    assert count_colorful_matchings(g, [7, 0]) == 0
+    with pytest.raises(PreconditionError):
+        count_colorful_matchings(g, [0, 0])
+
+
+def test_walk_pattern_leaf_bounds():
+    # the closing step of a directed 2-cycle is the first step
+    one_way = Graph(2, [(0, 1)], directed=True)
+    assert count_walk_patterns(one_way, "cycle", 2) == 0
+    mixed = Graph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)], directed=True)
+    assert count_walk_patterns(mixed, "cycle", 2) == 2
+    assert count_walk_patterns(mixed, "cycle", 3) == 1
+    # an undirected triangle is counted once, not once per direction
+    assert count_walk_patterns(Graph.complete(3), "cycle", 3) == 1
+    assert count_walk_patterns(Graph.complete(3), "path", 2) == 3
+
+
+# -- an outside oracle: networkx -------------------------------------------------
+
+
+def _to_nx(nx, g):
+    G = nx.DiGraph() if g.directed else nx.Graph()
+    G.add_nodes_from(range(g.n))
+    for v, c in enumerate(g.vcolors or ()):
+        G.nodes[v]["color"] = c
+    G.add_edges_from(g.edges)
+    return G
+
+
+def test_embeddings_agree_with_networkx_monomorphisms():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    same_color = lambda a, b: a["color"] == b["color"]
+    rng = random.Random(2024)
+    for _ in range(80):
+        g = rand_vertex_colored(rng, rng.randint(3, 9), rng.uniform(0.2, 0.8), 3)
+        h = rand_vertex_colored(rng, rng.randint(1, 5), rng.uniform(0.3, 0.9), 3)
+        G, H = _to_nx(nx, g), _to_nx(nx, h)
+        plain = sum(1 for _ in GraphMatcher(G, H).subgraph_monomorphisms_iter())
+        colored = sum(1 for _ in GraphMatcher(G, H, node_match=same_color)
+                      .subgraph_monomorphisms_iter())
+        assert count_embeddings(h, g) == plain
+        assert count_embeddings(h, g, respect_colors=True) == colored
+        assert (find_embedding(h, g) is not None) == (plain > 0)
+        hv = rng.randrange(h.n)
+        for respect in (False, True):
+            split = sum(count_embeddings(h, g, respect_colors=respect, anchor={hv: gv})
+                        for gv in range(g.n))
+            assert split == (colored if respect else plain)
+
+
+def test_cycles_agree_with_networkx_simple_cycles():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        for g, ks in ((rand_graph(rng, n, rng.uniform(0.3, 0.9)), range(3, 8)),
+                      (rand_digraph(rng, n, rng.uniform(0.2, 0.6)), range(2, 7))):
+            lengths = Counter(len(c) for c in nx.simple_cycles(_to_nx(nx, g),
+                                                               length_bound=max(ks)))
+            for k in ks:
+                assert count_walk_patterns(g, "cycle", k) == lengths[k]
+
+
+def test_matchings_agree_with_direct_enumeration():
+    rng = random.Random(5)
+    for trial in range(60):
+        n = rng.randint(2, 9)
+        g = (rand_digraph(rng, n, rng.uniform(0.2, 0.6)) if trial % 2
+             else rand_graph(rng, n, rng.uniform(0.2, 0.8)))
+        for k in range(5):
+            direct = sum(1 for combo in combinations(g.edges, k)
+                         if len({v for e in combo for v in e}) == 2 * k)
+            assert count_matchings(g, k) == direct
+    # antiparallel arcs share both endpoints
+    assert count_matchings(Graph(2, [(0, 1), (1, 0)], directed=True), 1) == 2
+    assert count_matchings(Graph(4, [(0, 1), (1, 0), (2, 3)], directed=True), 2) == 2

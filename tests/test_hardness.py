@@ -6,8 +6,7 @@ import pytest
 
 from subcount.brute import (count_colorful_matchings,
                             count_colorpreserving_subgraphs,
-                            count_matchings, count_walk_patterns,
-                            iter_colorful_matchings)
+                            count_matchings, count_walk_patterns)
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
                                build_triangle_graph, default_colmatch_oracle,
@@ -17,7 +16,8 @@ from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
                                solve_theta_star, state_determinant_polynomial,
                                state_matrix, structured_colmatch_count,
                                subpart_via_colmatch_oracle)
-from helpers import rand_bipartite, rand_digraph, rand_graph
+from helpers import (iter_colorful_matchings, rand_bipartite, rand_digraph,
+                     rand_graph)
 
 # the published evaluation matrix at argument 0: rows are query sets t=1..5,
 # columns alignment types s=1..5
