@@ -48,11 +48,12 @@ def _elapsed_ms(t0):
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _pick_algo(args, pattern):
+def _pick_algo(args, tau):
+    """--algo, or under auto vc when the pattern's vertex cover number,
+    computed by ``tau()`` only then, is at most --tau-max."""
     if args.algo != "auto":
         return args.algo
-    tau, _ = min_vertex_cover(pattern)
-    return "vc" if tau <= args.tau_max else "brute"
+    return "vc" if tau() <= args.tau_max else "brute"
 
 
 def _emit(count, algorithm, calls, t0):
@@ -60,50 +61,10 @@ def _emit(count, algorithm, calls, t0):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# counting commands
-
-
-def _cmd_count_sub(args):
-    return _pattern_count(args, "sub")
-
-
-def _cmd_count_emb(args):
-    return _pattern_count(args, "emb")
-
-
-def _pattern_count(args, kind):
-    h = read_graph(args.pattern)
-    g = read_graph(args.host)
-    if kind == "sub":
-        run_brute = lambda: brute.count_subgraphs(h, g)
-        run_vc = lambda: vc.count_sub_vc(h, g)
-    else:
-        run_brute = lambda: brute.count_embeddings(h, g)
-        run_vc = lambda: vc.count_emb_vc(h, g)
-    t0 = time.perf_counter()
-    if args.verify:
-        nb = run_brute()
-        nv = run_vc()
-        if nb != nv:
-            raise InconsistencyError(f"cross-check failed: brute={nb} vc={nv}")
-        return _emit(nb, "brute+vc", 2, t0)
-    algo = _pick_algo(args, h)
-    count = run_vc() if algo == "vc" else run_brute()
-    return _emit(count, algo, 1, t0)
-
-
-def _cmd_count_subpart(args):
-    h = read_graph(args.pattern)
-    g = read_graph(args.host)
-
-    def run_brute():
-        return brute.count_colorpreserving_subgraphs(h, g), 1
-
-    def run_vc():
-        oracle = _Counted(vc.count_sub_vc)
-        return iex.subpart_via_sub_oracle(h, g, oracle), oracle.calls
-
+def _count(args, tau, run_brute, run_vc):
+    """Run the backend _pick_algo chooses, or under --verify both and
+    require agreement, and print the record.  Each run returns (count,
+    oracle calls)."""
     t0 = time.perf_counter()
     if args.verify:
         nb, cb = run_brute()
@@ -111,9 +72,43 @@ def _cmd_count_subpart(args):
         if nb != nv:
             raise InconsistencyError(f"cross-check failed: brute={nb} vc={nv}")
         return _emit(nb, "brute+vc", cb + cv, t0)
-    algo = _pick_algo(args, h)
+    algo = _pick_algo(args, tau)
     count, calls = run_vc() if algo == "vc" else run_brute()
     return _emit(count, algo, calls, t0)
+
+
+def _pattern_tau(h):
+    return lambda: min_vertex_cover(h)[0]
+
+
+# ---------------------------------------------------------------------------
+# counting commands
+
+
+def _cmd_count_sub(args):
+    h = read_graph(args.pattern)
+    g = read_graph(args.host)
+    return _count(args, _pattern_tau(h), lambda: (brute.count_subgraphs(h, g), 1),
+                  lambda: (vc.count_sub_vc(h, g), 1))
+
+
+def _cmd_count_emb(args):
+    h = read_graph(args.pattern)
+    g = read_graph(args.host)
+    return _count(args, _pattern_tau(h), lambda: (brute.count_embeddings(h, g), 1),
+                  lambda: (vc.count_emb_vc(h, g), 1))
+
+
+def _cmd_count_subpart(args):
+    h = read_graph(args.pattern)
+    g = read_graph(args.host)
+
+    def run_vc():
+        oracle = _Counted(vc.count_sub_vc)
+        return iex.subpart_via_sub_oracle(h, g, oracle), oracle.calls
+
+    return _count(args, _pattern_tau(h),
+                  lambda: (brute.count_colorpreserving_subgraphs(h, g), 1), run_vc)
 
 
 def _cmd_count_colorful_matchings(args):
@@ -133,22 +128,10 @@ def _cmd_count_colorful_matchings(args):
 def _cmd_count_matchings(args):
     g = read_graph(args.host)
     k = args.k
-    run_brute = lambda: brute.count_matchings(g, k)
-    # a k-matching is a subgraph copy of the k-edge matching pattern,
-    # whose vertex cover number is k
-    run_vc = lambda: vc.count_sub_vc(Graph.matching(k), g)
-    t0 = time.perf_counter()
-    if args.verify:
-        nb = run_brute()
-        nv = run_vc()
-        if nb != nv:
-            raise InconsistencyError(f"cross-check failed: brute={nb} vc={nv}")
-        return _emit(nb, "brute+vc", 2, t0)
-    algo = args.algo
-    if algo == "auto":
-        algo = "vc" if k <= args.tau_max else "brute"
-    count = run_vc() if algo == "vc" else run_brute()
-    return _emit(count, algo, 1, t0)
+    # a k-matching is a subgraph copy of the k-edge matching pattern, whose
+    # vertex cover number is k
+    return _count(args, lambda: k, lambda: (brute.count_matchings(g, k), 1),
+                  lambda: (vc.count_sub_vc(Graph.matching(k), g), 1))
 
 
 def _cmd_count_cycles(args):
@@ -205,7 +188,7 @@ def _cmd_reduce_matchings_via_gadget(args):
         raise PreconditionError(
             "gadget too large to verify automatically; pass --trust to use "
             "it unchecked")
-    algo = _pick_algo(args, hg)
+    algo = _pick_algo(args, _pattern_tau(hg))
     if algo == "vc":
         oracle = _Counted(vc.count_sub_vc)
     else:
@@ -276,7 +259,7 @@ def _cmd_minor_lift(args):
     h = read_graph(args.pattern)
     g = read_graph(args.host)
     dagger = read_graph(args.dagger)
-    model = load_model(args.model)
+    model = structural.MinorModel(*load_model(args.model))
     t0 = time.perf_counter()
     lifted = structural.minor_lift_instance(h, dagger, model, g)
     write_graph(lifted, args.out)

@@ -17,7 +17,6 @@ PreconditionError.
 import json
 
 from .graphs import Graph, PreconditionError
-from .structural import MinorModel
 
 
 class GraphParseError(ValueError):
@@ -150,7 +149,11 @@ def format_matching(edges):
 
 
 def load_model(path):
-    """Read a minor model from JSON: {"branch_sets": [[...]], "discard": [...]}."""
+    """Read a minor model from JSON: {"branch_sets": [[...]], "discard": [...]}.
+
+    Returns the validated ``(branch_sets, discard)`` lists; the caller builds
+    the model object from them.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -166,7 +169,7 @@ def load_model(path):
             or not isinstance(discard, list)
             or not all(isinstance(x, int) for x in discard)):
         raise GraphParseError("model file: branch sets must be lists of integers")
-    return MinorModel(branch_sets, discard)
+    return branch_sets, discard
 
 
 def save_model(model, path):

@@ -10,15 +10,16 @@ subgraph-count queries alone: pad the host, glue on a copy of H[C] joined
 completely to the host side, and interpolate away the padding.
 
 Everything here is exhaustive and meant for small H (say up to ~12
-vertices); the checker enumerates candidate cores and isomorphisms
-directly.
+vertices): the checker enumerates candidate cores directly, and every
+isomorphism question runs on brute's embedding search, with the boundary
+(and, for strong sets, membership in x) carried as vertex colors.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .brute import count_subgraphs, is_isomorphic
+from .brute import count_embeddings, count_subgraphs, find_embedding, is_isomorphic
 from .graphs import Graph, InconsistencyError, PreconditionError
 from .polynomials import binomial_coefficients_from_points
 
@@ -86,62 +87,38 @@ class MatchingGadget:
         return f"MatchingGadget(t={self.t}, k={self.k}, matching={self.matching})"
 
 
-def _iter_isomorphisms(a, b, a_tags=None, b_tags=None):
-    """Yield all isomorphisms a -> b as tuples (image of vertex i at slot i).
-
-    Optional integer tags per vertex must be preserved; passing boundary
-    indicators as tags restricts the stream to boundary-preserving maps.
-    """
-    if a.n != b.n or a.m != b.m:
-        return
-    if a_tags is None:
-        a_tags = (0,) * a.n
-    if b_tags is None:
-        b_tags = (0,) * b.n
-    prof_a = sorted(zip((a.degree(v) for v in range(a.n)), a_tags))
-    prof_b = sorted(zip((b.degree(v) for v in range(b.n)), b_tags))
-    if prof_a != prof_b:
-        return
-    order = sorted(range(a.n), key=lambda v: -a.degree(v))
-    image = [-1] * a.n
-    used = [False] * b.n
-
-    def place(i):
-        if i == a.n:
-            yield tuple(image)
-            return
-        u = order[i]
-        du = a.degree(u)
-        for w in range(b.n):
-            if used[w] or b.degree(w) != du or b_tags[w] != a_tags[u]:
-                continue
-            ok = True
-            for prev in order[:i]:
-                if a.has_edge(u, prev) != b.has_edge(w, image[prev]):
-                    ok = False
-                    break
-            if ok:
-                image[u] = w
-                used[w] = True
-                yield from place(i + 1)
-                used[w] = False
-                image[u] = -1
-
-    yield from place(0)
-
-
-def _is_perfect_matching_graph(g):
-    # a k-matching as a standalone graph: every vertex has degree exactly one
-    return all(g.degree(v) == 1 for v in range(g.n))
-
-
-def _core_view(h, core):
-    """Induced core subgraph plus boundary tags, in sorted(core) order."""
-    cs = sorted(core)
-    sub = h.induced(cs)
+def _core_view(h, verts, marked=()):
+    """H[verts] in sorted order, v colored 2 * (v on the boundary) + (v in
+    marked).  Between two views of equal order and size, a color-respecting
+    embedding is an isomorphism keeping the boundary and the marked set."""
+    if h.directed:
+        raise PreconditionError("matching gadgets are undirected graphs")
+    cs = sorted(verts)
     bset = set(boundary(h, cs))
-    tags = tuple(1 if v in bset else 0 for v in cs)
-    return cs, sub, tags
+    return h.induced(cs).with_vertex_colors(
+        [2 * (v in bset) + (v in marked) for v in cs])
+
+
+def _impostor_cores(gadget, wanted=lambda rest: True):
+    """Yield (C', H - C') for every candidate core C', in lexicographic
+    order, whose rest is bipartite and passes `wanted`, and onto which H[C]
+    maps by a boundary-preserving isomorphism.  The tests on the rest run
+    first, as they are cheaper than the isomorphism search."""
+    h = gadget.h
+    core = _core_view(h, gadget.core)
+    for cand in combinations(range(h.n), len(gadget.core)):
+        rest = h.without_vertices(cand)
+        if not wanted(rest) or not rest.is_bipartite():
+            continue
+        view = _core_view(h, cand)
+        # an empty core embeds as (), so test against None
+        if view.m == core.m and find_embedding(core, view, respect_colors=True) is not None:
+            yield cand, rest
+
+
+def _counterexample_rest(rest):
+    # isolated-free, so all degrees are one (a perfect matching) iff 2m == n
+    return not rest.isolated_vertices() and 2 * rest.m != rest.n
 
 
 def check_matching_gadget(h, matching):
@@ -150,23 +127,7 @@ def check_matching_gadget(h, matching):
     rest is bipartite and isolated-vertex-free yet not a k-matching.
     """
     gadget = matching if isinstance(matching, MatchingGadget) else MatchingGadget(h, matching)
-    h = gadget.h
-    core = gadget.core
-    cs, core_sub, core_tags = _core_view(h, core)
-    for cand in combinations(range(h.n), len(core)):
-        rest = [v for v in range(h.n) if v not in set(cand)]
-        rest_graph = h.induced(rest)
-        if _is_perfect_matching_graph(rest_graph):
-            continue
-        # conditions on the rest: no isolated vertex, bipartite
-        if any(rest_graph.degree(v) == 0 for v in range(rest_graph.n)):
-            continue
-        if not rest_graph.is_bipartite():
-            continue
-        _, cand_sub, cand_tags = _core_view(h, cand)
-        for _f in _iter_isomorphisms(core_sub, cand_sub, core_tags, cand_tags):
-            return tuple(cand)
-    return None
+    return next((cand for cand, _ in _impostor_cores(gadget, _counterexample_rest)), None)
 
 
 def is_matching_gadget(h, matching):
@@ -209,6 +170,9 @@ def restrict_gadget(gadget, sub_matching):
 def is_strong_set(h, core, x):
     """Whether x is fixed setwise by every boundary-preserving isomorphism
     from H[core] to H[C'], over all candidate cores C'.
+
+    Such an isomorphism fixes x exactly when it keeps membership in x, so
+    per candidate the isomorphisms keeping membership must be all of them.
     """
     xset = set(x)
     cset = set(core)
@@ -218,14 +182,14 @@ def is_strong_set(h, core, x):
         raise PreconditionError("core out of range")
     if not xset:
         return True
-    cs, core_sub, core_tags = _core_view(h, core)
-    xidx = [i for i, v in enumerate(cs) if v in xset]
-    for cand in combinations(range(h.n), len(cs)):
-        cand_list, cand_sub, cand_tags = _core_view(h, cand)
-        for f in _iter_isomorphisms(core_sub, cand_sub, core_tags, cand_tags):
-            image = {cand_list[f[i]] for i in xidx}
-            if image != xset:
-                return False
+    plain, marked = _core_view(h, core), _core_view(h, core, xset)
+    for cand in combinations(range(h.n), len(core)):
+        view = _core_view(h, cand)
+        if view.m != plain.m:
+            continue
+        isos = count_embeddings(plain, view, respect_colors=True)
+        if isos != count_embeddings(marked, _core_view(h, cand, xset), respect_colors=True):
+            return False
     return True
 
 
@@ -363,27 +327,13 @@ def residue_classes_and_alphas(gadget):
     isomorphic to the gadget matching, otherwise the gadget was never valid
     and we refuse to continue.
     """
-    h = gadget.h
     k = gadget.k
-    core = gadget.core
-    cs, core_sub, core_tags = _core_view(h, core)
     reps = []
-    for cand in combinations(range(h.n), len(core)):
-        rest = [v for v in range(h.n) if v not in set(cand)]
-        rest_graph = h.induced(rest)
-        if not rest_graph.is_bipartite():
-            continue
-        _, cand_sub, cand_tags = _core_view(h, cand)
-        hit = False
-        for _f in _iter_isomorphisms(core_sub, cand_sub, core_tags, cand_tags):
-            hit = True
-            break
-        if not hit:
-            continue
-        if rest_graph.n != 2 * k:
+    for _cand, rest in _impostor_cores(gadget):
+        if rest.n != 2 * k:
             raise InconsistencyError("residue does not have 2k vertices")
-        if not any(is_isomorphic(rest_graph, r) for r in reps):
-            reps.append(rest_graph)
+        if not any(is_isomorphic(rest, r) for r in reps):
+            reps.append(rest)
 
     matching_graph = Graph.matching(k)
     classes = []

@@ -495,17 +495,19 @@ def default_colmatch_oracle(host, colors) -> int:
 # solving for the aligned count
 
 
-def solve_theta_star(b: dict, n: int, k: int) -> int:
+def solve_theta_star(b: list, n: int, k: int) -> int:
     """Recover the all-aligned count from the 5^k query values.
 
-    b maps each type vector t in {1..5}^k to the corresponding colorful
-    matching count on a host with class padding n.  The count of link
-    matchings of type theta* = (1,...,1) is the theta*-entry of the inverse
-    Kronecker system, i.e. sum_t prod_i y[t_i] b[t] where y solves
-    M^T y = e_1 for the five-by-five matrix M = state_matrix(n-3).  y is
-    scaled to integers by the lcm L of its denominators, so the sum is an
-    integer contraction divided by L^k at the end.
+    b lists the colorful matching count for each type vector t in {1..5}^k,
+    in product(TYPES, repeat=k) order, on a host with class padding n.  The
+    count of link matchings of type theta* = (1,...,1) is the theta*-entry
+    of the inverse Kronecker system, i.e. sum_t prod_i y[t_i] b[t] where y
+    solves M^T y = e_1 for the five-by-five matrix M = state_matrix(n-3).
+    y is scaled to integers by the lcm L of its denominators, so the sum is
+    an integer contraction divided by L^k at the end.
     """
+    if len(b) != 5 ** k:
+        raise PreconditionError(f"need 5^{k} query values, got {len(b)}")
     if n < 3:
         raise PreconditionError("padding must be at least 3")
     x = n - 3
@@ -519,12 +521,7 @@ def solve_theta_star(b: dict, n: int, k: int) -> int:
     y = solve_fraction_system(transposed, [1, 0, 0, 0, 0])
     scale = math.lcm(*(yi.denominator for yi in y))
     row = [yi.numerator * (scale // yi.denominator) for yi in y]
-    vec = []
-    for t in product(TYPES, repeat=k):
-        bt = b.get(t)
-        if bt is None:
-            raise PreconditionError(f"missing query value for type vector {t}")
-        vec.append(bt)
+    vec = b
     for _ in range(k):
         vec = _kron_step(vec, [row])
     num, den = vec[0], scale ** k
@@ -549,9 +546,7 @@ def subpart_via_colmatch_oracle(h: Graph, g: Graph, oracle=None,
     if oracle is None:
         oracle = default_colmatch_oracle
     tg = build_triangle_graph(h, g, padding)
-    b = {}
-    for t in product(TYPES, repeat=tg.k):
-        b[t] = oracle(tg, tg.query_colors(t))
+    b = [oracle(tg, tg.query_colors(t)) for t in product(TYPES, repeat=tg.k)]
     return solve_theta_star(b, tg.n, tg.k)
 
 

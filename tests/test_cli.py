@@ -267,7 +267,8 @@ def test_make_bicubic_files(capsys, files, tmp_path):
     assert all(dagger.degree(v) == 3 for v in range(dagger.n))
     assert dagger.is_bipartite()
     from subcount.fileio import load_model
-    model = load_model(model_out)
+    from subcount.structural import MinorModel
+    model = MinorModel(*load_model(model_out))
     assert model.contracted(dagger) == Graph(2, [(0, 1)])
 
 

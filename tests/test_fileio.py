@@ -1,6 +1,9 @@
 """Graph file format: parsing, writing, and the exact round-trip promise."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,9 +149,22 @@ def test_model_round_trip(tmp_path):
     model = MinorModel([(0, 1), (2,)], discard=(3, 4))
     path = tmp_path / "m.json"
     save_model(model, path)
-    back = load_model(path)
+    branch_sets, discard = load_model(path)
+    assert branch_sets == [[0, 1], [2]]
+    assert discard == [3, 4]
+    back = MinorModel(branch_sets, discard)
     assert back.branch_sets == model.branch_sets
     assert back.discard == model.discard
+
+
+def test_fileio_loads_only_the_graph_primitives():
+    import subcount
+    code = ("import sys, subcount.fileio; print(sorted(m for m in sys.modules "
+            "if m.startswith('subcount.')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(subcount.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['subcount.fileio', 'subcount.graphs', 'subcount.polynomials']"
 
 
 @pytest.mark.parametrize("payload", [

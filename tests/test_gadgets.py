@@ -1,7 +1,7 @@
 """Gadget verification, residues, and the matching-count reduction."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -266,6 +266,111 @@ def test_remove_strong_property_sampled(seed):
             if is_matching_gadget(trimmed, m_shift):
                 assert is_matching_gadget(h, m)
             return
+
+
+def test_end_edge_of_p6_is_no_impostor():
+    # the core {2,3} and the end edge {0,1} induce one edge each and leave a
+    # P4, but 0 has no neighbor outside {0,1}, so no isomorphism between
+    # them keeps the boundary
+    assert check_matching_gadget(Graph.path(6), [(0, 1), (4, 5)]) is None
+
+
+def test_isolated_core_vertex_cannot_map_to_boundary():
+    # {0} has an empty boundary, {1} and {2} do not
+    assert is_strong_set(Graph(3, [(1, 2)]), [0], [0])
+
+
+def test_strong_set_ignores_candidates_with_more_edges():
+    # H[{0,1}] is edgeless; the candidates {1,2} and {1,3} fix 1, and {0,2},
+    # {0,3} carry an edge, so none of their maps is an isomorphism
+    assert is_strong_set(Graph(4, [(0, 2), (0, 3)]), [0, 1], [1])
+
+
+# -- the isomorphism checks against outside references ---------------------
+
+
+def _bijection_isomorphisms(h, core, cand):
+    """Boundary-preserving isomorphisms H[core] -> H[cand] as dicts, by
+    trying every bijection."""
+    cs = sorted(core)
+    bc, bd = set(boundary(h, core)), set(boundary(h, cand))
+    for image in permutations(sorted(cand)):
+        f = dict(zip(cs, image))
+        if all((f[v] in bd) == (v in bc) for v in cs) and all(
+                h.has_edge(u, v) == h.has_edge(f[u], f[v]) for u, v in combinations(cs, 2)):
+            yield f
+
+
+def _networkx_isomorphisms(h, core, cand):
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def view(verts):
+        bset = set(boundary(h, verts))
+        g = nx.Graph()
+        g.add_nodes_from((v, {"boundary": v in bset}) for v in verts)
+        g.add_edges_from(e for e in combinations(verts, 2) if h.has_edge(*e))
+        return g
+
+    same_side = lambda a, b: a["boundary"] == b["boundary"]
+    yield from GraphMatcher(view(core), view(cand), node_match=same_side).isomorphisms_iter()
+
+
+def _strong_reference(h, core, x, isomorphisms):
+    return all({f[v] for v in x} == set(x)
+               for cand in combinations(range(h.n), len(core))
+               for f in isomorphisms(h, core, cand))
+
+
+def _counterexample_reference(h, matching, isomorphisms):
+    core = MatchingGadget(h, matching).core
+    for cand in combinations(range(h.n), len(core)):
+        rest = h.without_vertices(cand)
+        if (rest.is_bipartite() and not rest.isolated_vertices()
+                and any(rest.degree(v) != 1 for v in range(rest.n))
+                and next(isomorphisms(h, core, cand), None) is not None):
+            return cand
+    return None
+
+
+def _check_against(isomorphisms, seed):
+    rng = random.Random(seed)
+    strong = []
+    for _ in range(150):
+        n = rng.randrange(4, 8)
+        h = rand_graph(rng, n, rng.choice((0.3, 0.45, 0.6)))
+        core = sorted(rng.sample(range(n), rng.randrange(1, n)))
+        x = sorted(rng.sample(core, rng.randrange(1, len(core) + 1)))
+        expect = _strong_reference(h, core, x, isomorphisms)
+        assert is_strong_set(h, core, x) == expect
+        strong.append(expect)
+    bad = []
+    for _ in range(40):
+        h = rand_graph(rng, rng.randrange(4, 8), rng.choice((0.3, 0.45, 0.6)))
+        for k in (1, 2):
+            for m in _induced_matchings(h, k):
+                expect = _counterexample_reference(h, m, isomorphisms)
+                assert check_matching_gadget(h, m) == expect
+                bad.append(expect is not None)
+    # both verdicts occur, so neither check passes by always saying one thing
+    assert set(strong) == {True, False} and set(bad) == {True, False}
+
+
+def test_isomorphism_checks_match_bijection_reference():
+    _check_against(_bijection_isomorphisms, 11)
+
+
+def test_isomorphism_checks_match_networkx():
+    pytest.importorskip("networkx")
+    _check_against(_networkx_isomorphisms, 12)
+
+
+def test_gadgets_refuse_directed_graphs():
+    h = Graph(4, [(0, 1), (1, 2), (2, 3)], directed=True)
+    with pytest.raises(PreconditionError):
+        check_matching_gadget(h, [(0, 1)])
+    with pytest.raises(PreconditionError):
+        is_strong_set(h, [2, 3], [2])
 
 
 # -- instance assembly and the constrained count ---------------------------

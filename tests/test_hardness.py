@@ -205,34 +205,35 @@ def test_solve_theta_star_roundtrip():
     census = {theta: rng.randrange(0, 5) for theta in product(TYPES, repeat=k)}
     n = 5
     x = n - 3
-    b = {}
-    for t in product(TYPES, repeat=k):
-        b[t] = sum(cnt * pst_polynomial(theta[0], t[0])(x)
-                   * pst_polynomial(theta[1], t[1])(x)
-                   for theta, cnt in census.items())
+    b = [sum(cnt * pst_polynomial(theta[0], t[0])(x)
+             * pst_polynomial(theta[1], t[1])(x)
+             for theta, cnt in census.items())
+         for t in product(TYPES, repeat=k)]
     assert solve_theta_star(b, n, k) == census[(1, 1)]
 
 
 def test_solve_theta_star_rejects_inconsistent_values():
     n, x = 5, 2
-    aligned = {(t,): pst_polynomial(1, t)(x) for t in TYPES}  # one aligned copy
+    aligned = [pst_polynomial(1, t)(x) for t in TYPES]  # one aligned copy
     assert solve_theta_star(aligned, n, 1) == 1
     # one more on the first query adds y[1] = 425/61 to the aligned count
-    off = dict(aligned)
-    off[(1,)] += 1
+    off = list(aligned)
+    off[0] += 1
     with pytest.raises(InconsistencyError):
         solve_theta_star(off, n, 1)
     # the negated values solve to -1 copies
-    negative = {t: -v for t, v in aligned.items()}
+    negative = [-v for v in aligned]
     with pytest.raises(InconsistencyError):
         solve_theta_star(negative, n, 1)
 
 
 def test_solve_theta_star_refuses_incomplete_queries():
     with pytest.raises(PreconditionError):
-        solve_theta_star({}, 5, 1)
+        solve_theta_star([], 5, 1)
     with pytest.raises(PreconditionError):
-        solve_theta_star({(t,): 0 for t in TYPES}, 2, 1)
+        solve_theta_star([0] * 24, 5, 2)
+    with pytest.raises(PreconditionError):
+        solve_theta_star([0] * 5, 2, 1)
 
 
 # -- the full pipeline -----------------------------------------------------
