@@ -27,18 +27,17 @@ def _search_order(h: Graph, pinned=()):
     """Vertex order for backtracking: pinned first, then greedily prefer
     vertices with many already-placed neighbors (ties: higher degree)."""
     order = list(pinned)
-    placed = set(order)
-    while len(order) < h.n:
-        best, best_key = None, None
-        for v in range(h.n):
-            if v in placed:
-                continue
-            back = sum(1 for u in h.neighbors(v) if u in placed)
-            key = (back, h.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
+    back = [0] * h.n  # placed neighbors, kept up to date as vertices are placed
+    for v in order:
+        for u in h.neighbors(v):
+            back[u] += 1
+    rest = set(range(h.n)).difference(order)
+    while rest:
+        best = max(rest, key=lambda v: (back[v], h.degree(v), -v))
+        rest.remove(best)
         order.append(best)
-        placed.add(best)
+        for u in h.neighbors(best):
+            back[u] += 1
     return order
 
 

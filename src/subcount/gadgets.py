@@ -15,7 +15,7 @@ isomorphism question runs on brute's embedding search, with the boundary
 (and, for strong sets, membership in x) carried as vertex colors.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -193,8 +193,8 @@ def is_strong_set(h, core, x):
     return True
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(namedtuple("ReductionInstance", "graph host_vertices "
+                                   "core_vertices boundary_vertices join_edges")):
     """Host graph padded and glued to a copy of the gadget core.
 
     graph: the assembled instance
@@ -204,11 +204,7 @@ class ReductionInstance:
     join_edges: the boundary-to-host edges
     """
 
-    graph: Graph
-    host_vertices: tuple
-    core_vertices: tuple
-    boundary_vertices: tuple
-    join_edges: tuple
+    __slots__ = ()
 
 
 def build_G_ell(gadget, g, ell):
@@ -286,14 +282,10 @@ def count_T_ell(gadget, g, ell, oracle=None):
     return total
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(namedtuple("ResidueClass", "graph isolated pure alpha")):
     """Isomorphism class of a possible host-side trace of a gadget copy."""
 
-    graph: Graph
-    isolated: tuple
-    pure: Graph
-    alpha: int
+    __slots__ = ()
 
 
 def _completion_count(gadget, residue):

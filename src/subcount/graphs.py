@@ -9,7 +9,7 @@ helpers.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class PreconditionError(ValueError):
@@ -42,8 +42,8 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), *,
                  directed: bool = False,
-                 vcolors: Optional[Sequence[int]] = None,
-                 ecolors: Optional[Sequence[int]] = None):
+                 vcolors: Sequence[int] | None = None,
+                 ecolors: Sequence[int] | None = None):
         if n < 0:
             raise PreconditionError("vertex count must be nonnegative")
         self.n = n
@@ -64,13 +64,13 @@ class Graph:
         if vcolors is not None:
             if len(vcolors) != n:
                 raise PreconditionError("vcolors length must equal n")
-            self.vcolors: Optional[tuple[int, ...]] = tuple(vcolors)
+            self.vcolors: tuple[int, ...] | None = tuple(vcolors)
         else:
             self.vcolors = None
         if ecolors is not None:
             if len(tuple(ecolors)) != len(self.edges):
                 raise PreconditionError("ecolors must align with edges")
-            self.ecolors: Optional[tuple[int, ...]] = tuple(ecolors)
+            self.ecolors: tuple[int, ...] | None = tuple(ecolors)
         else:
             self.ecolors = None
 
@@ -213,7 +213,7 @@ class Graph:
             out.append(sorted(comp))
         return out
 
-    def bipartition(self) -> Optional[tuple[list[int], list[int]]]:
+    def bipartition(self) -> tuple[list[int], list[int]] | None:
         """(left, right) with the minimum vertex of each component on the
         left, or None if some odd cycle exists.  Arc directions are ignored."""
         side = [-1] * self.n

@@ -124,7 +124,10 @@ def pst_polynomial(s: int, t: int) -> IntPolynomial:
 
 def state_matrix(x: int) -> list[list[int]]:
     """The five-by-five matrix [t][s] = p_{s,t}(x); rows are query sets,
-    columns alignment types, matching the published layout at x = 0."""
+    columns alignment types, matching the published layout at x = 0.  The
+    padding x counts intact six-cycles, so it must be nonnegative."""
+    if x < 0:
+        raise PreconditionError(f"state matrix needs padding x >= 0, got {x}")
     return [[pst_polynomial(s, t)(x) for s in TYPES] for t in TYPES]
 
 

@@ -2,15 +2,17 @@
 
 Everything here is exact: coefficients are Python ints, intermediate division
 happens in ``fractions.Fraction``, and any step that is supposed to produce an
-integer asserts that it did.
+integer asserts that it did.  The four routines that build Fractions import
+``fractions`` themselves; plain integer polynomial arithmetic never needs it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
+# ``fractions`` pulls in ``decimal`` and ``numbers``; importing it only where a
+# Fraction is built keeps it off the start-up path of every CLI command
 from .graphs import InconsistencyError, PreconditionError
 
 
@@ -102,6 +104,7 @@ class IntPolynomial:
 
     def cauchy_root_bound(self) -> Fraction:
         """Every root z satisfies |z| <= 1 + max_i |a_i| / |a_lead|."""
+        from fractions import Fraction
         if not self.coeffs:
             raise PreconditionError("zero polynomial has no root bound")
         lead = abs(self.coeffs[-1])
@@ -116,6 +119,7 @@ def interpolate_fraction_coefficients(points: Sequence[tuple[int, int]]) -> list
     polynomial through the given (x, y) points.  Newton's divided
     differences, then expansion.
     """
+    from fractions import Fraction
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
         raise PreconditionError("interpolation nodes must be distinct")
@@ -176,6 +180,7 @@ def binomial_basis_coefficients(poly) -> list[int]:
     binom(x+i, i) has degree i with leading coefficient 1/i!, so repeatedly
     stripping the top term is exact.  Non-integer c_i is an error.
     """
+    from fractions import Fraction
     raw = poly.coeffs if isinstance(poly, IntPolynomial) else poly
     work = [Fraction(c) for c in raw]
     while work and work[-1] == 0:
@@ -235,6 +240,7 @@ def binomial_basis_value(x: int, i: int) -> int:
 def solve_fraction_system(matrix: Sequence[Sequence[int]],
                           rhs: Sequence[int]) -> list[Fraction]:
     """Solve a square nonsingular system exactly by Gaussian elimination."""
+    from fractions import Fraction
     n = len(matrix)
     aug = [[Fraction(matrix[r][c]) for c in range(n)] + [Fraction(rhs[r])]
            for r in range(n)]

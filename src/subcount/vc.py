@@ -25,11 +25,11 @@ is cut once Hall's condition fails for a demand class whose K(u) is placed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache, reduce
 from itertools import compress, product
 from math import comb, factorial, prod
 from operator import or_
-from typing import Callable
 
 from .brute import automorphism_count
 from .graphs import (Graph, InconsistencyError, PreconditionError, iter_bits,

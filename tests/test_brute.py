@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcount.brute import (automorphism_count, count_colorful_matchings,
+from subcount.brute import (_search_order, automorphism_count,
+                            count_colorful_matchings,
                             count_colorpreserving_subgraphs, count_embeddings,
                             count_matchings, count_subgraphs,
                             count_walk_patterns, find_embedding, is_isomorphic)
@@ -46,6 +47,29 @@ def test_anchored_embeddings():
 def test_embedding_is_not_induced():
     # P3 embeds into K3 even though K3 has the extra closing edge.
     assert count_embeddings(Graph.path(3), Graph.complete(3)) == 6
+
+
+def _reference_search_order(h, pinned=()):
+    # the direct formula: rescan every unplaced vertex's neighbors per step
+    order = list(pinned)
+    placed = set(order)
+    while len(order) < h.n:
+        best = max((v for v in range(h.n) if v not in placed),
+                   key=lambda v: (sum(1 for u in h.neighbors(v) if u in placed),
+                                  h.degree(v), -v))
+        order.append(best)
+        placed.add(best)
+    return order
+
+
+def test_search_order_matches_direct_formula():
+    rng = random.Random(606)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        h = rand_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.9]))
+        assert _search_order(h) == _reference_search_order(h)
+        pinned = rng.sample(range(n), rng.randint(0, n))
+        assert _search_order(h, pinned) == _reference_search_order(h, pinned)
 
 
 def test_find_embedding_and_isomorphism():

@@ -1,7 +1,11 @@
 """End-to-end checks of the command line tool, driven through cli.main."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,12 @@ def test_state_matrix_other_padding(capsys):
     code, rec = run(capsys, "state-matrix", "--n", "3")
     assert code == 0
     assert int(rec["det"]) == hardness.state_determinant_polynomial()(3)
+
+
+def test_state_matrix_rejects_negative_padding(capsys):
+    assert main(["state-matrix", "--n", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "padding" in err
 
 
 def test_count_emb(capsys, files):
@@ -363,3 +373,29 @@ def test_written_graphs_reparse_identically(capsys, files, tmp_path):
     d2 = read_graph(tmp_path / "again.g")
     assert d1.n == d2.n and d1.edges == d2.edges
     assert d1.vcolors == d2.vcolors and d1.ecolors == d2.ecolors
+
+
+def test_startup_imports_stay_light(files):
+    # each CLI command is a fresh ``python3 -S -m subcount.cli`` process, so
+    # the import path must not load typing, dataclasses (which pulls in
+    # inspect) or fractions (which pulls in decimal); every backend must still
+    # be loaded by ``import subcount.cli`` so outside wrappers can find it
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    script = (
+        "import sys, json, subcount.cli\n"
+        f"code = subcount.cli.main(['count-sub', '-p', {tri!r}, '-H', {k4!r}])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    record, tail = proc.stdout.strip().splitlines()
+    code, loaded = json.loads(tail)
+    assert code == 0 and json.loads(record)["count"] == "4"
+    heavy = {"typing", "dataclasses", "inspect", "fractions", "decimal"}
+    assert heavy.isdisjoint(loaded)
+    backends = {f"subcount.{m}" for m in ("brute", "cli", "fileio", "gadgets",
+                                          "graphs", "hardness", "iex",
+                                          "polynomials", "structural", "vc")}
+    assert backends <= set(loaded)

@@ -66,6 +66,12 @@ def test_state_matrix_matches_published_values():
     assert state_matrix(0) == PUBLISHED_MATRIX
 
 
+def test_state_matrix_rejects_negative_padding():
+    # p_{s,t}(x) counts R_s plus x intact six-cycles; x < 0 means nothing
+    with pytest.raises(PreconditionError):
+        state_matrix(-1)
+
+
 def test_determinant_is_certified():
     det = state_determinant_polynomial()
     assert det(0) == 12
@@ -73,6 +79,16 @@ def test_determinant_is_certified():
     # all coefficients positive: nonsingular for every padding n >= 3
     assert all(c > 0 for c in det.coeffs)
     assert singularity_padding_bound() == 23
+
+
+def test_determinant_polynomial_agrees_with_sympy():
+    # an outside oracle: sympy expands the determinant of the 25 p_{s,t}
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    entries = [[sum(c * x**i for i, c in enumerate(pst_polynomial(s, t).coeffs))
+                for s in TYPES] for t in TYPES]
+    det = sympy.Poly(sympy.Matrix(entries).det(), x)
+    assert det.all_coeffs()[::-1] == list(state_determinant_polynomial().coeffs)
 
 
 def test_pst_polynomials_extrapolate():

@@ -9,6 +9,7 @@ from subcount.graphs import InconsistencyError, PreconditionError
 from subcount.polynomials import (IntPolynomial, binomial_basis_coefficients,
                                   binomial_basis_value,
                                   determinant_polynomial, falling_factorial,
+                                  interpolate_fraction_coefficients,
                                   interpolate_int_polynomial,
                                   solve_fraction_system)
 
@@ -95,3 +96,28 @@ def test_determinant_polynomial():
     assert d == IntPolynomial([-1, 0, 1])
     ident3 = [[one if i == j else IntPolynomial() for j in range(3)] for i in range(3)]
     assert determinant_polynomial(ident3) == one
+
+
+def test_interpolation_agrees_with_sympy():
+    # an outside oracle: sympy.interpolate on seeded integer point sets, both
+    # through integer polynomials and through arbitrary integer values
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2929)
+    for trial in range(60):
+        xs = rng.sample(range(-12, 13), rng.randint(1, 7))
+        if trial % 2:
+            truth = IntPolynomial([rng.randint(-9, 9) for _ in range(len(xs))])
+            pts = [(a, truth(a)) for a in xs]
+        else:
+            pts = [(a, rng.randint(-50, 50)) for a in xs]
+        expected = sympy.Poly(sympy.interpolate(pts, x), x).all_coeffs()[::-1]
+        expected = [Fraction(int(c.p), int(c.q)) for c in expected]
+        while expected and expected[-1] == 0:
+            expected.pop()
+        assert interpolate_fraction_coefficients(pts) == expected
+        if all(c.denominator == 1 for c in expected):
+            assert list(interpolate_int_polynomial(pts).coeffs) == expected
+        else:
+            with pytest.raises(InconsistencyError):
+                interpolate_int_polynomial(pts)
