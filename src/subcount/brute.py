@@ -145,6 +145,8 @@ def automorphism_count(h: Graph) -> int:
 def count_subgraphs(h: Graph, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to h (copies, not embeddings)."""
     emb = count_embeddings(h, g)
+    if not emb:
+        return 0  # Aut(h) can be huge (a k-matching has 2^k k! of them)
     aut = automorphism_count(h)
     if emb % aut:
         raise InconsistencyError(f"#Emb={emb} not divisible by #Aut={aut}")
@@ -225,6 +227,8 @@ def count_matchings(g: Graph, k: int) -> int:
         raise PreconditionError("k must be nonnegative")
     if k == 0:
         return 1
+    if 2 * k > g.n:
+        return 0
     clash = _edge_clashes(g)
 
     def branch(avail, need):
@@ -258,6 +262,8 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
             raise PreconditionError("directed cycles need k >= 2")
         if not g.directed and k < 3:
             raise PreconditionError("undirected cycles need k >= 3")
+    if (k if kind == "cycle" else k + 1) > g.n:
+        return 0  # more vertices than the host has
 
     step = [(g.out_mask if g.directed else g.adj_mask)(v) for v in range(g.n)]
 

@@ -21,6 +21,12 @@ equal key multisets are merged: K_{1,12} gets 12 terms, not 4.2 million.
 Anchors are enumerated by backtracking over the cover positions, each taking
 a free vertex adjacent to the images of its earlier cover neighbours; a branch
 is cut once Hall's condition fails for a demand class whose K(u) is placed.
+H is first relabelled by descending degree, so the lexicographically least
+minimum cover takes hubs, whose internal edges tie anchors to host edges.
+Cover positions are twins when swapping them keeps those edges and the
+demand multiset (a matching, an even cycle).  Twin swaps keep the anchored
+count and act freely on injective anchors, so only anchors whose images
+rise along each twin class are visited, and the sum is scaled by prod |class|!.
 """
 
 from __future__ import annotations
@@ -128,24 +134,61 @@ def anchored_embedding_count(h: Graph, cover: tuple[int, ...], g: Graph,
         free, [g.adj_mask(v) for v in image])
 
 
+def _degree_first_core(h: Graph) -> Graph:
+    """h without its isolated vertices, relabelled by descending degree."""
+    core = sorted((u for u in range(h.n) if h.degree(u)), key=h.degree,
+                  reverse=True)  # stable: ties keep their order
+    idx = {u: i for i, u in enumerate(core)}
+    return Graph(len(core), [(idx[u], idx[v]) for u, v in h.edges])
+
+
+def _twin_cut(h: Graph, cover: tuple[int, ...],
+             demand: dict[int, int]) -> tuple[list[int], int]:
+    """Per cover position, the previous member of its twin class (-1 for
+    none), and prod |class|!.  Twinship is an equivalence (a swap conjugated
+    by a swap is a swap), so each class is tested against its first member."""
+    pos = {c: i for i, c in enumerate(cover)}
+    inner = [sum(1 << pos[w] for w in h.neighbors(c) if w in pos) for c in cover]
+
+    def twins(i, j):
+        flip = 1 << i | 1 << j
+        return (inner[i] & ~flip == inner[j] & ~flip and all(
+            demand.get(k ^ flip if (k >> i ^ k >> j) & 1 else k) == d
+            for k, d in demand.items()))
+
+    prev, weight, last, size = [], 1, {}, {}  # keyed by a class's first member
+    for i in range(len(cover)):
+        r = next((r for r in last if twins(r, i)), i)
+        prev.append(last.get(r, -1))
+        last[r] = i
+        size[r] = size.get(r, 0) + 1
+        weight *= size[r]
+    return prev, weight
+
+
 def count_emb_vc(h: Graph, g: Graph) -> int:
     """#Emb(h -> g) by summing anchored counts over the injective images of
-    a minimum vertex cover of h that keep the cover's internal edges."""
+    a minimum vertex cover of h that keep the cover's internal edges, one
+    image per orbit of the twin swaps, times the orbit size."""
     if h.directed or g.directed:
         raise PreconditionError("embedding counting is for undirected graphs")
     if h.n > g.n:
         return 0
     # isolated pattern vertices go injectively to whatever host vertices the
     # rest leaves free: one falling factorial, outside the plan
-    core = [u for u in range(h.n) if h.degree(u)]
-    loose = falling_factorial(g.n - len(core), h.n - len(core))
-    h = h.induced(core)
+    core = _degree_first_core(h)
+    loose = falling_factorial(g.n - core.n, h.n - core.n)
+    h = core
     _tau, cover = min_vertex_cover(h)
     demand = _demand(h, cover)
     placements = _placement_counter(demand)
     # cover positions j < i adjacent to position i in h
     earlier = [[j for j in range(i) if h.has_edge(cover[i], cover[j])]
                for i in range(len(cover))]
+    # one anchor per orbit of the twin swaps: images rise along each class;
+    # low[i] masks the vertices above position i's image, low[-1] all of them
+    prev, weight = _twin_cut(h, cover, demand)
+    low = [-1] * (len(cover) + 1)
     # Hall's condition, checked once position max(K) is placed: the vertices
     # u with K(u) >= K need distinct free common neighbours of K's images,
     # and later positions only take free vertices away
@@ -160,12 +203,13 @@ def count_emb_vc(h: Graph, g: Graph) -> int:
         i = len(images)
         if i == len(cover):
             return placements(free, images)
-        cand = free
+        cand = free & low[prev[i]]
         for j in earlier[i]:
             cand &= images[j]
         total = 0
         for v in iter_bits(cand):
             images.append(adj[v])
+            low[i] = -2 << v
             rest = free & ~(1 << v)
             for positions, need in halls[i]:
                 mask = rest
@@ -178,12 +222,14 @@ def count_emb_vc(h: Graph, g: Graph) -> int:
             images.pop()
         return total
 
-    return loose * extend((1 << g.n) - 1)
+    return weight * loose * extend((1 << g.n) - 1)
 
 
 def count_sub_vc(h: Graph, g: Graph) -> int:
     """#Sub(h -> g) via the cover-driven embedding count."""
     emb = count_emb_vc(h, g)
+    if not emb:
+        return 0  # Aut(h) can be huge (a k-matching has 2^k k! of them)
     aut = automorphism_count(h)
     if emb % aut:
         raise InconsistencyError(f"#Emb={emb} not divisible by #Aut={aut}")

@@ -113,6 +113,7 @@ def test_count_matchings_values():
     assert count_matchings(Graph.empty(5), 0) == 1
     assert count_matchings(Graph.empty(5), 1) == 0
     assert count_matchings(petersen(), 5) == 6  # perfect matchings of Petersen
+    assert count_matchings(petersen(), 6) == 0  # 12 vertices > 10
 
 
 def test_walk_pattern_counts():
@@ -121,6 +122,9 @@ def test_walk_pattern_counts():
     assert count_walk_patterns(k4, "path", 2) == 12
     assert count_walk_patterns(k4, "cycle", 3) == 4
     assert count_walk_patterns(k4, "cycle", 4) == 3
+    assert count_walk_patterns(k4, "cycle", 5) == 0  # more vertices than k4
+    assert count_walk_patterns(k4, "path", 3) == 12
+    assert count_walk_patterns(k4, "path", 4) == 0
     assert count_walk_patterns(Graph.path(4), "path", 3) == 1
     assert count_walk_patterns(Graph.cycle(5), "cycle", 5) == 1
     with pytest.raises(PreconditionError):
@@ -141,6 +145,7 @@ def test_directed_walk_patterns():
                  directed=True)
     assert count_walk_patterns(full, "cycle", 3) == 2
     assert count_walk_patterns(full, "cycle", 2) == 3
+    assert count_walk_patterns(full, "cycle", 4) == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -399,3 +399,25 @@ def test_startup_imports_stay_light(files):
                                           "graphs", "hardness", "iex",
                                           "polynomials", "structural", "vc")}
     assert backends <= set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count-sub", "-p", "@m14", "-H", "@g26", "--algo", "brute"],
+    ["count-matchings", "-H", "@g26", "-k", "14", "--algo", "vc"],
+    ["count-matchings", "-H", "@g26", "-k", "14"],
+    ["count-cycles", "-H", "@g25", "-k", "26"],
+])
+def test_patterns_larger_than_the_host_count_zero_at_once(files, argv):
+    # a pattern with more vertices than the host has no copy, and the answer
+    # must come without searching every matching or simple path, or walking
+    # the 2^14 14! automorphisms of the 14-matching
+    rng = random.Random(26)
+    paths = {"@m14": files("m14.g", Graph.matching(14)),
+             "@g26": files("g26.g", rand_graph(rng, 26, 0.3)),
+             "@g25": files("g25.g", rand_graph(rng, 25, 0.3))}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "subcount.cli", *(paths.get(a, a) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=5)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["count"] == "0"

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from subcount.brute import count_embeddings, count_subgraphs
 from subcount.graphs import Graph, PreconditionError, min_vertex_cover
 from subcount.polynomials import falling_factorial
-from subcount.vc import anchored_embedding_count, count_emb_vc, count_sub_vc
+from subcount.vc import (_degree_first_core, _demand, _twin_cut,
+                         anchored_embedding_count, count_emb_vc, count_sub_vc)
 from helpers import petersen, rand_graph
 
 
@@ -135,3 +136,88 @@ def test_vc_count_equals_networkx_monomorphisms():
         ng.add_edges_from(g.edges)
         monos = sum(1 for _ in GraphMatcher(ng, nh).subgraph_monomorphisms_iter())
         assert count_emb_vc(h, g) == monos
+
+
+# -- the degree-first cover and the twin cut ---------------------------------
+
+BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+# cover path b-a-c-d (after the degree-first relabel) with one private leaf
+# per cover vertex: every swap keeps the demand, no swap keeps the cover edges
+COMB = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7)])
+# cover {a, b}, no cover edges, two demand classes of size 2: a's private
+# leaves {a} and the common neighbours {a, b}; a swap keeps the cover edges
+# and the class sizes but not the keys
+LEAVES_AND_SQUARE = Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5)])
+
+
+def twin_plan(h):
+    core = _degree_first_core(h)
+    _, cover = min_vertex_cover(core)
+    prev, weight = _twin_cut(core, cover, _demand(core, cover))
+    return core, cover, prev, weight
+
+
+def test_degree_first_cover_takes_hubs():
+    core, cover, _, _ = twin_plan(Graph.path(4))
+    assert [core.degree(c) for c in cover] == [2, 2]
+    assert core.has_edge(*cover)
+
+
+@pytest.mark.parametrize("h, weight", [
+    (Graph.matching(3), 6), (Graph.cycle(6), 6), (Graph.path(4), 2),
+    (Graph.star(5), 1), (Graph.complete(3), 2),
+    (COMB, 1), (LEAVES_AND_SQUARE, 1)])
+def test_twin_weight(h, weight):
+    assert twin_plan(h)[3] == weight
+
+
+PLAN_PATTERNS = [Graph.matching(3), Graph.cycle(6), Graph.path(4),
+                 Graph.complete(3), Graph.complete_bipartite(2, 3), BOWTIE,
+                 COMB, LEAVES_AND_SQUARE]
+
+
+def test_anchored_count_is_constant_under_twin_swaps():
+    rng = random.Random(7)
+    patterns = PLAN_PATTERNS + [rand_graph(rng, rng.randint(2, 7), 0.5)
+                                for _ in range(20)]
+    for h in patterns:
+        core, cover, prev, _ = twin_plan(h)
+        g = rand_graph(rng, 8, 0.6)
+        for _ in range(40):
+            image = rng.sample(range(g.n), len(cover))
+            for j, i in enumerate(prev):
+                if i < 0:
+                    continue
+                swapped = list(image)
+                swapped[i], swapped[j] = image[j], image[i]
+                assert anchored_embedding_count(core, cover, g, tuple(image)) == \
+                    anchored_embedding_count(core, cover, g, tuple(swapped))
+
+
+def test_count_is_invariant_under_pattern_relabelling():
+    rng = random.Random(29)
+    patterns = PLAN_PATTERNS + [rand_graph(rng, rng.randint(2, 7), 0.5)
+                                for _ in range(10)]
+    for h in patterns:
+        g = rand_graph(rng, 9, 0.5)
+        want = count_embeddings(h, g)
+        for _ in range(4):
+            perm = rng.sample(range(h.n), h.n)
+            relabelled = Graph(h.n, [(perm[u], perm[v]) for u, v in h.edges])
+            assert count_emb_vc(relabelled, g) == want
+
+
+def test_twin_patterns_equal_networkx_monomorphisms():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    g = rand_graph(random.Random(2), 9, 0.4)
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges)
+    patterns = ([Graph.matching(k) for k in (2, 3, 4)]
+                + [Graph.cycle(k) for k in range(4, 9)]
+                + [Graph.complete_bipartite(2, 3), BOWTIE])
+    for h in patterns:
+        nh = nx.Graph(h.edges)
+        monos = sum(1 for _ in GraphMatcher(ng, nh).subgraph_monomorphisms_iter())
+        assert monos > 0 and count_emb_vc(h, g) == monos
