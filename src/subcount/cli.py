@@ -128,6 +128,8 @@ def _cmd_count_colorful_matchings(args):
 def _cmd_count_matchings(args):
     g = read_graph(args.host)
     k = args.k
+    if k < 0:
+        raise PreconditionError("k must be nonnegative")
     # a k-matching is a subgraph copy of the k-edge matching pattern, whose
     # vertex cover number is k
     return _count(args, lambda: k, lambda: (brute.count_matchings(g, k), 1),
@@ -454,8 +456,8 @@ def build_parser():
     p.set_defaults(run=_cmd_minor_lift)
 
     p = sub.add_parser("extract",
-                       help="extract a clique, biclique or induced matching "
-                            "from an induced matching")
+                       help="look for a clique, biclique or induced matching "
+                            "among the edges of a matching")
     p.add_argument("-H", "--host", required=True, metavar="FILE")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--matching", required=True, metavar="SPEC")

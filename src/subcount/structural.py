@@ -1,5 +1,5 @@
-"""Structural helpers: star numbers, Ramsey extraction, matching thinning,
-tree decompositions, and the instance-lifting constructions.
+"""Structural helpers: Ramsey extraction, tree decompositions, and the
+instance-lifting constructions.
 
 Everything in here is constructive and self-auditing.  Procedures that search
 for a witness either return one that has been re-verified from first
@@ -12,45 +12,9 @@ rather than bad input.
 from collections import Counter
 from itertools import combinations
 
-from .graphs import (Graph, InconsistencyError, PreconditionError,
-                     max_matching_size, min_vertex_cover)
+from .graphs import Graph, InconsistencyError, PreconditionError
 from .gadgets import validate_induced_matching
 from .brute import is_colorful
-
-
-# -- subdivided stars ------------------------------------------------------
-
-def psi(g, v):
-    """Largest number of length-2 paths leaving v that share nothing but v.
-
-    Each path v-u-w consumes two distinct vertices, and paths may not touch
-    each other outside v, so this is a maximum matching among the edges of
-    g - v that have at least one endpoint next to v.
-    """
-    if not 0 <= v < g.n:
-        raise PreconditionError(f"vertex {v} out of range")
-    nb = set(g.neighbors(v))
-    edges = [e for e in g.edges
-             if v not in e and (e[0] in nb or e[1] in nb)]
-    return max_matching_size(Graph(g.n, edges))
-
-
-def psi_max(g):
-    """max over all vertices of psi(g, v); 0 for the empty graph."""
-    return max((psi(g, v) for v in range(g.n)), default=0)
-
-
-def audit_star_neighbors(g):
-    """Check that no vertex v has more than psi(v) neighbors of degree
-    >= 2*psi(v) + 2.  This holds in every graph; a violation is a bug in
-    psi, so it raises InconsistencyError rather than returning False.
-    """
-    for v in range(g.n):
-        s = psi(g, v)
-        heavy = [u for u in g.neighbors(v) if g.degree(u) >= 2 * s + 2]
-        if len(heavy) > s:
-            raise InconsistencyError(
-                f"vertex {v} has {len(heavy)} heavy neighbors but psi={s}")
 
 
 # -- monochromatic cliques by pigeonhole chains ----------------------------
@@ -151,8 +115,8 @@ def extract_clique_biclique_or_matching(g, k, matching):
 
     Returns ("clique", vertices), ("biclique", (left, right)) or
     ("matching", edges), all independently re-verified, or None when the
-    chain fails (guaranteed to succeed for astronomically large matchings;
-    in practice it succeeds far earlier).
+    chain fails (it is guaranteed to succeed only for astronomically large
+    matchings, and on k^2-edge matchings it usually fails).
     """
     if k < 1:
         raise PreconditionError("need k >= 1")
@@ -195,198 +159,6 @@ def extract_clique_biclique_or_matching(g, k, matching):
     edges = tuple(pairs[i] for i in picked[:k])
     validate_induced_matching(g, edges)
     return ("matching", edges)
-
-
-# -- greedy matching refinement --------------------------------------------
-
-def _ball(g, verts, radius):
-    """Vertices within the given distance of the seed set (seed included)."""
-    seen = set(verts)
-    frontier = set(verts)
-    for _ in range(radius):
-        frontier = {w for u in frontier for w in g.neighbors(u)} - seen
-        seen |= frontier
-    return seen
-
-
-def _ceil_div(a, b):
-    return -(-a // b)
-
-
-def greedy_induced_matching(g, f_edges, mode="induced"):
-    """Thin an edge set down to an induced matching, greedily.
-
-    mode "induced" keeps edges whose endpoints avoid the closed neighborhood
-    of everything already picked; with max degree D each pick wipes out at
-    most 2*D**2 candidates, so at least ceil(|F|/(2 D^2)) survive.  mode
-    "separated" insists on distance at least 3 between picked edges (no
-    vertex sees two of them) at the cost of one more degree factor.
-    """
-    if mode not in ("induced", "separated"):
-        raise PreconditionError(f"unknown mode {mode!r}")
-    pool = []
-    seen = set()
-    for (u, v) in f_edges:
-        if not g.has_edge(u, v):
-            raise PreconditionError(f"({u},{v}) is not an edge of the graph")
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise PreconditionError(f"duplicate edge {e}")
-        seen.add(e)
-        pool.append(e)
-    pool.sort()
-    total = len(pool)
-    radius = 1 if mode == "induced" else 2
-
-    chosen = []
-    while pool:
-        e = pool[0]
-        chosen.append(e)
-        ball = _ball(g, e, radius)
-        pool = [f for f in pool[1:] if f[0] not in ball and f[1] not in ball]
-
-    if total:
-        d = max(g.degree(v) for v in range(g.n))
-        need = _ceil_div(total, 2 * d ** (2 if mode == "induced" else 3))
-        if len(chosen) < need:
-            raise InconsistencyError(
-                f"greedy kept {len(chosen)} edges, guarantee was {need}")
-    validate_induced_matching(g, chosen)
-    if mode == "separated":
-        _audit_separated(g, chosen)
-    return tuple(chosen)
-
-
-def _audit_separated(g, edges):
-    """No vertex of g may be in the closed neighborhood of two edges."""
-    touched = Counter()
-    for e in edges:
-        for w in _ball(g, e, 1):
-            touched[w] += 1
-    bad = [w for w, c in touched.items() if c > 1]
-    if bad:
-        raise InconsistencyError(f"vertices {bad} touch two matching edges")
-
-
-def induced_matching_separated_by_stars(g, matching, star_bound, k):
-    """Pick k edges of an induced matching that are pairwise far apart.
-
-    Requires psi(g, v) <= star_bound everywhere.  Greedy selection: take the
-    first surviving edge, discard every edge within distance 2 of it.  Each
-    pick discards at most 2*star_bound**2 others, so |matching| >= about
-    2*k*star_bound**2 makes success likely; when the greedy run comes up
-    short it returns None instead of pretending.
-    """
-    pairs = list(validate_induced_matching(g, matching))
-    if k < 0:
-        raise PreconditionError("k must be nonnegative")
-    bad = [v for v in range(g.n) if psi(g, v) > star_bound]
-    if bad:
-        raise PreconditionError(
-            f"psi exceeds {star_bound} at vertices {bad[:4]}")
-    chosen = []
-    pool = sorted(pairs)
-    while pool and len(chosen) < k:
-        e = pool[0]
-        chosen.append(e)
-        ball = _ball(g, e, 2)
-        pool = [f for f in pool[1:] if f[0] not in ball and f[1] not in ball]
-    if len(chosen) < k:
-        return None
-    _audit_separated(g, chosen)
-    return tuple(chosen)
-
-
-def degree_gap_filter(g, matching, low, width, star_bound):
-    """Shrink an induced matching so its neighborhood dodges a degree band.
-
-    Scans windows [low + j*width, low + (j+1)*width) for j = 0 .. 4*(2L+2)
-    and takes the first window crossed by at most |F|/2 edges between
-    window-degree vertices and matched endpoints; edges of F with an
-    endpoint next to such a vertex are dropped.  Averaging over the windows
-    guarantees one of them works, because a matched endpoint has at most
-    psi(v) <= L neighbors of degree >= 2L+2.  Returns (kept_edges, gap_lo),
-    with no vertex of degree in [gap_lo, gap_lo + width) adjacent to a kept
-    endpoint.
-    """
-    pairs = validate_induced_matching(g, matching)
-    if width < 1:
-        raise PreconditionError("window width must be at least 1")
-    if low < 2 * star_bound + 2:
-        raise PreconditionError(
-            f"window base {low} below 2*{star_bound}+2")
-    endpoints = sorted({v for e in pairs for v in e})
-    bad = [v for v in endpoints if psi(g, v) > star_bound]
-    if bad:
-        raise PreconditionError(
-            f"psi exceeds {star_bound} at matched vertices {bad[:4]}")
-
-    deg = [g.degree(v) for v in range(g.n)]
-    gap_lo = None
-    for j in range(4 * (2 * star_bound + 2) + 1):
-        lo = low + j * width
-        hits = sum(1 for v in endpoints for u in g.neighbors(v)
-                   if lo <= deg[u] < lo + width)
-        if 2 * hits <= len(pairs):
-            gap_lo = lo
-            break
-    if gap_lo is None:
-        raise InconsistencyError("no light degree window; averaging failed")
-
-    def clear(v):
-        return all(not gap_lo <= deg[u] < gap_lo + width
-                   for u in g.neighbors(v))
-
-    kept = tuple(e for e in pairs if clear(e[0]) and clear(e[1]))
-    if 2 * len(kept) < len(pairs):
-        raise InconsistencyError(
-            f"gap filter kept {len(kept)} of {len(pairs)} edges")
-    return kept, gap_lo
-
-
-# -- subcollection selection ------------------------------------------------
-
-def select_subcollection(family, k, spare, max_size):
-    """Choose k sets so every element is nearly private or well covered.
-
-    Given at least (1 + spare*max_size)*k sets of size <= max_size, returns
-    indices of k of them such that each element either lies in at most one
-    chosen set or lies in at least ``spare`` unchosen ones.  Construction:
-    take the first available set, and for each of its elements retire up to
-    ``spare`` later sets containing that element from future consideration
-    (retired sets stay unchosen, which is exactly what the guarantee needs).
-    """
-    sets = [frozenset(s) for s in family]
-    if k < 0 or spare < 0 or max_size < 0:
-        raise PreconditionError("k, spare and max_size must be nonnegative")
-    if any(len(s) > max_size for s in sets):
-        raise PreconditionError(f"a set exceeds size {max_size}")
-    if len(sets) < (1 + spare * max_size) * k:
-        raise PreconditionError(
-            f"need at least {(1 + spare * max_size) * k} sets, "
-            f"got {len(sets)}")
-
-    available = list(range(len(sets)))
-    chosen = []
-    for _ in range(k):
-        head = available.pop(0)
-        chosen.append(head)
-        for x in sorted(sets[head]):
-            holders = [i for i in available if x in sets[i]]
-            for i in holders[:spare]:
-                available.remove(i)
-
-    chosen_set = set(chosen)
-    for x in set().union(*sets) if sets else ():
-        inside = sum(1 for i in chosen if x in sets[i])
-        if inside <= 1:
-            continue
-        outside = sum(1 for i in range(len(sets))
-                      if i not in chosen_set and x in sets[i])
-        if outside < spare:
-            raise InconsistencyError(
-                f"element {x!r}: {inside} chosen but only {outside} spare")
-    return tuple(chosen)
 
 
 # -- tree decompositions -----------------------------------------------------
@@ -445,39 +217,6 @@ class TreeDecomposition:
 
     def children(self, t):
         return tuple(s for s, p in enumerate(self.parent) if p == t)
-
-    def depth(self, t):
-        d = 0
-        while self.parent[t] != -1:
-            t = self.parent[t]
-            d += 1
-        return d
-
-    def is_ancestor(self, a, t):
-        """True when a is t or an ancestor of t."""
-        while t != -1:
-            if t == a:
-                return True
-            t = self.parent[t]
-        return False
-
-    def descendants(self, t):
-        """Node ids in the subtree rooted at t, t included."""
-        out = [t]
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            for c in self.children(cur):
-                out.append(c)
-                stack.append(c)
-        return tuple(sorted(out))
-
-    def vertices_below(self, t):
-        """Union of the bags in the subtree at t."""
-        verts = set()
-        for s in self.descendants(t):
-            verts.update(self.bags[s])
-        return frozenset(verts)
 
     def validate_for(self, h):
         covered = set()
@@ -580,126 +319,6 @@ def exact_tree_decomposition(h):
         raise InconsistencyError(
             f"rebuilt width {td.width} != programmed width {cost[full]}")
     return td
-
-
-# -- induced matchings with small star numbers -------------------------------
-
-def _edges_within(h, allowed):
-    return [e for e in h.edges if e[0] in allowed and e[1] in allowed]
-
-
-def nice_matching(h, td, k):
-    """Find an induced k-matching whose endpoints have small star numbers.
-
-    Walks the tree decomposition bottom-up, repeatedly taking the deepest
-    node whose subtree still contains an uncovered edge.  Either several
-    previously harvested regions merge under one of its children (then only
-    the bookkeeping node set X grows) or each child donates one fresh edge.
-    Every endpoint of the result satisfies psi <= 2*(width+1), and the
-    matching is induced; both facts are re-verified before returning.  Comes
-    back empty-handed (None) when the graph's vertex cover number is too
-    small for k disjoint harvests, which the caller treats as "not found".
-
-    The vertex-cover invariant from the correctness argument is audited on
-    every iteration, so a successful return has survived an exact
-    tau(H[V_i - S_i]) <= (w+1)(3|M|-|X|-|Xhat|) check each round.
-    """
-    td.validate_for(h)
-    if k <= 0:
-        return ()
-    w = td.width
-    nodes = range(len(td))
-    below = {t: td.vertices_below(t) for t in nodes}
-    depth = {t: td.depth(t) for t in nodes}
-
-    matching = []          # harvested edges, insertion order
-    x_nodes = []           # bookkeeping nodes, insertion order
-
-    def maximal_nodes():
-        xs = set(x_nodes)
-        return [t for t in x_nodes
-                if not any(a != t and td.is_ancestor(a, t) for a in xs)]
-
-    while len(matching) < k:
-        s_set = {v for t in x_nodes for v in td.bags[t]}
-        v_set = set().union(*(below[t] for t in x_nodes)) if x_nodes else set()
-        xhat = maximal_nodes()
-
-        def live_edge(t, blocked):
-            allowed = below[t] - blocked - v_set
-            return _edges_within(h, allowed)
-
-        candidates = [t for t in nodes if live_edge(t, set(td.bags[t]))]
-        if not candidates:
-            return None
-        t_star = min(candidates, key=lambda t: (-depth[t], t))
-        block = set(td.bags[t_star])
-        busy = [c for c in td.children(t_star) if live_edge(c, block)]
-        if not busy:
-            raise InconsistencyError("live node with no live child subtree")
-
-        heavy = None
-        for c in busy:
-            inside = [x for x in xhat if td.is_ancestor(c, x)]
-            if len(inside) > 1:
-                heavy = (c, inside)
-                break
-        if heavy is not None:
-            _, inside = heavy
-            mergers = [t for t in nodes
-                       if sum(td.is_ancestor(t, x) for x in inside) >= 2]
-            t_merge = min(mergers, key=lambda t: (-depth[t], t))
-            if t_merge in set(x_nodes):
-                raise InconsistencyError("merge node already tracked")
-            x_nodes.append(t_merge)
-        else:
-            for c in busy:
-                matching.append(min(live_edge(c, block)))
-            if t_star in set(x_nodes):
-                raise InconsistencyError("harvest node already tracked")
-            x_nodes.append(t_star)
-
-        _audit_nice_invariants(h, td, matching, x_nodes, below, w)
-
-    chosen = tuple(matching[:k])
-    validate_induced_matching(h, chosen)
-    cap = 2 * (w + 1)
-    for e in chosen:
-        for v in e:
-            got = psi(h, v)
-            if got > cap:
-                raise InconsistencyError(
-                    f"matched vertex {v} has psi {got} > {cap}")
-    return chosen
-
-
-def _audit_nice_invariants(h, td, matching, x_nodes, below, w):
-    s_set = {v for t in x_nodes for v in td.bags[t]}
-    v_set = set().union(*(below[t] for t in x_nodes))
-    if s_set & {v for e in matching for v in e}:
-        raise InconsistencyError("bookkeeping bags touch the matching")
-    xs = set(x_nodes)
-    xhat = [t for t in x_nodes
-            if not any(a != t and td.is_ancestor(a, t) for a in xs)]
-    region = sorted(v_set - s_set)
-    sub = h.induced(region)
-    tau = min_vertex_cover(sub)[0]
-    cap = (w + 1) * (3 * len(matching) - len(x_nodes) - len(xhat))
-    if tau > cap:
-        raise InconsistencyError(f"cover invariant broken: {tau} > {cap}")
-    back = {v: i for i, v in enumerate(region)}
-    comp_of = {}
-    for ci, comp in enumerate(sub.components()):
-        for v in comp:
-            comp_of[region[v]] = ci
-    seen_comps = set()
-    for (u, v) in matching:
-        if u not in back or v not in back:
-            raise InconsistencyError("matching edge left the tracked region")
-        c = comp_of[u]
-        if comp_of[v] != c or c in seen_comps:
-            raise InconsistencyError("two matching edges share a component")
-        seen_comps.add(c)
 
 
 # -- minor models and the bicubic rebuild ------------------------------------

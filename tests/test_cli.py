@@ -46,6 +46,18 @@ def test_count_matchings_c5(capsys, files):
     assert code == 0 and rec["count"] == "5" and rec["algorithm"] == "brute"
 
 
+def test_count_matchings_negative_k_same_error_on_every_route(capsys, files):
+    c5 = files("c5.g", Graph.cycle(5))
+    errors = set()
+    for route in (["--algo", "brute"], ["--algo", "vc"], ["--algo", "auto"],
+                  ["--verify"]):
+        code = main(["count-matchings", "-H", c5, "-k", "-1", *route])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        errors.add(captured.err)
+    assert errors == {"subcount: error: k must be nonnegative\n"}
+
+
 def test_state_matrix_published_values(capsys):
     code, rec = run(capsys, "state-matrix", "--n", "0")
     assert code == 0
@@ -327,6 +339,12 @@ def test_extract(capsys, files):
     assert code == 0
     if rec["found"]:
         assert rec["kind"] in ("clique", "biclique", "matching")
+    # a K^2-edge matching need not yield a witness: along P8 the pairs of
+    # matching edges get two colors, and neither has a monochromatic 4-set
+    pp = files("p8.g", Graph.path(8))
+    code, rec = run(capsys, "extract", "-H", pp, "-k", "2",
+                    "--matching", "0-1,2-3,4-5,6-7")
+    assert code == 0 and rec["found"] is False
 
 
 def test_exit_code_parse_error(capsys, tmp_path):

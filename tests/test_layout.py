@@ -1,0 +1,83 @@
+"""Static checks on the package layout, read from the source with ``ast``.
+
+The modules under ``src/subcount`` must import each other without a cycle,
+and every name a module imports must be used there or re-exported through
+its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "subcount"
+MODULES = {p.stem: ast.parse(p.read_text(), str(p))
+           for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _package_imports(name, tree):
+    """Names of the sibling modules that ``name`` imports anywhere in its source."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                base = node.module
+            elif node.level == 0 and (node.module or "").startswith("subcount"):
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            if base is None:
+                found.update(a.name for a in node.names if a.name in MODULES)
+            else:
+                found.add(base.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                head, _, rest = a.name.partition(".")
+                if head == "subcount" and rest:
+                    found.add(rest.partition(".")[0])
+    found.discard(name)
+    return found
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {name: _package_imports(name, tree)
+             for name, tree in MODULES.items()}
+    done, active = set(), []
+
+    def visit(name):
+        if name in active:
+            cycle = active[active.index(name):] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        active.append(name)
+        for dep in sorted(graph[name]):
+            visit(dep)
+        active.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = []
+    for name, tree in MODULES.items():
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    bound.add(a.asname or a.name.partition(".")[0])
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{name}.{b}" for b in sorted(bound - used - _exported(tree))]
+    assert not unused, f"imported but never used: {unused}"

@@ -3,88 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from subcount.graphs import Graph, InconsistencyError, PreconditionError
+from subcount.graphs import Graph, PreconditionError
 from subcount.brute import (count_colorpreserving_subgraphs, count_subgraphs,
                             is_colorful)
 from subcount.structural import (MinorModel, TreeDecomposition,
-                                 audit_star_neighbors, build_grid_instance,
-                                 degree_gap_filter,
-                                 exact_tree_decomposition,
+                                 build_grid_instance, exact_tree_decomposition,
                                  extract_clique_biclique_or_matching,
-                                 greedy_induced_matching, grid_pattern,
-                                 induced_matching_separated_by_stars,
-                                 make_bicubic, minor_lift_instance,
-                                 nice_matching, psi, psi_max,
-                                 ramsey_monochromatic_clique,
-                                 select_subcollection)
+                                 grid_pattern, make_bicubic,
+                                 minor_lift_instance,
+                                 ramsey_monochromatic_clique)
 from helpers import rand_graph
-
-
-def subdivided_star(arms):
-    edges = []
-    for a in range(arms):
-        edges.append((0, 1 + 2 * a))
-        edges.append((1 + 2 * a, 2 + 2 * a))
-    return Graph(1 + 2 * arms, edges)
-
-
-# -- psi and the star-neighbor bound ----------------------------------------
-
-
-def test_psi_subdivided_star_center():
-    assert psi(subdivided_star(3), 0) == 3
-    assert psi(subdivided_star(5), 0) == 5
-
-
-def test_psi_star_center_has_no_second_step():
-    assert psi(Graph.star(3), 0) == 0
-    assert psi(Graph.star(7), 0) == 0
-
-
-def test_psi_cycle_six():
-    c6 = Graph.cycle(6)
-    assert [psi(c6, v) for v in range(6)] == [2] * 6
-
-
-def test_psi_leaf_of_star_sees_other_leaves():
-    # from a leaf, the center is the only neighbor and it has 2 spare leaves,
-    # but the paths through it share the center, so only one fits
-    assert psi(Graph.star(3), 1) == 1
-
-
-def test_psi_complete_graph():
-    assert psi(Graph.complete(5), 0) == 2
-    assert psi(Graph.complete(4), 2) == 1
-
-
-def test_psi_range_check():
-    with pytest.raises(PreconditionError):
-        psi(Graph.path(3), 3)
-
-
-def test_psi_max_empty():
-    assert psi_max(Graph.empty(0)) == 0
-    assert psi_max(Graph.empty(4)) == 0
-
-
-@settings(max_examples=120, deadline=None)
-@given(hst.integers(1, 9), hst.randoms(use_true_random=False))
-def test_psi_bounded_by_degree(n, rng):
-    g = rand_graph(rng, n, 0.5)
-    for v in range(n):
-        assert 0 <= psi(g, v) <= g.degree(v)
-
-
-@settings(max_examples=150, deadline=None)
-@given(hst.integers(1, 10), hst.randoms(use_true_random=False))
-def test_star_neighbor_bound_on_randoms(n, rng):
-    audit_star_neighbors(rand_graph(rng, n, 0.4))
-
-
-def test_star_neighbor_bound_on_stock_graphs():
-    for g in (Graph.complete(6), Graph.star(8), Graph.cycle(9),
-              Graph.complete_bipartite(3, 5), subdivided_star(4)):
-        audit_star_neighbors(g)
 
 
 # -- pigeonhole chains -------------------------------------------------------
@@ -238,203 +166,6 @@ def test_extract_verdicts_are_sound(n, rng):
         assert len(payload) == 1 and g.has_edge(*payload[0])
 
 
-# -- greedy induced matchings -------------------------------------------------
-
-
-def test_greedy_single_edge_is_kept():
-    g = Graph.complete(4)
-    assert greedy_induced_matching(g, [(0, 1)]) == ((0, 1),)
-
-
-def test_greedy_on_disjoint_union_keeps_everything():
-    g = Graph.matching(6)
-    f = list(g.edges)
-    for mode in ("induced", "separated"):
-        assert greedy_induced_matching(g, f, mode=mode) == tuple(sorted(f))
-
-
-def test_greedy_path_frozen_picks():
-    p = Graph.path(10)
-    f = list(p.edges)
-    assert greedy_induced_matching(p, f) == ((0, 1), (3, 4), (6, 7))
-    assert greedy_induced_matching(p, f, mode="separated") == \
-        ((0, 1), (4, 5), (8, 9))
-
-
-def test_greedy_rejects_bad_input():
-    g = Graph.path(4)
-    with pytest.raises(PreconditionError):
-        greedy_induced_matching(g, [(0, 2)])
-    with pytest.raises(PreconditionError):
-        greedy_induced_matching(g, [(0, 1), (1, 0)])
-    with pytest.raises(PreconditionError):
-        greedy_induced_matching(g, [(0, 1)], mode="loose")
-
-
-def _independent_check(g, edges):
-    verts = [v for e in edges for v in e]
-    assert len(set(verts)) == len(verts)
-    for i, e in enumerate(edges):
-        for f in edges[i + 1:]:
-            for a in e:
-                for b in f:
-                    assert not g.has_edge(a, b)
-
-
-@settings(max_examples=120, deadline=None)
-@given(hst.integers(2, 11), hst.randoms(use_true_random=False))
-def test_greedy_bounds_on_randoms(n, rng):
-    g = rand_graph(rng, n, 0.35)
-    if not g.edges:
-        return
-    d = max(g.degree(v) for v in range(g.n))
-    out = greedy_induced_matching(g, g.edges)
-    _independent_check(g, out)
-    assert len(out) >= -(-g.m // (2 * d * d))
-    sep = greedy_induced_matching(g, g.edges, mode="separated")
-    assert len(sep) >= -(-g.m // (2 * d ** 3))
-
-
-# -- separation by star numbers -----------------------------------------------
-
-
-def test_separated_by_stars_trims_ready_input():
-    g = Graph.matching(5)
-    out = induced_matching_separated_by_stars(g, g.edges, 0, 3)
-    assert out == ((0, 1), (2, 3), (4, 5))
-
-
-def test_separated_by_stars_thins_a_path():
-    p = Graph.path(10)
-    out = induced_matching_separated_by_stars(
-        p, [(0, 1), (3, 4), (6, 7)], 2, 2)
-    assert out == ((0, 1), (6, 7))
-
-
-def test_separated_by_stars_honest_none():
-    p = Graph.path(10)
-    assert induced_matching_separated_by_stars(
-        p, [(0, 1), (3, 4), (6, 7)], 2, 3) is None
-
-
-def test_separated_by_stars_checks_psi_bound():
-    g = subdivided_star(4)
-    with pytest.raises(PreconditionError):
-        induced_matching_separated_by_stars(g, [(1, 2)], 1, 1)
-
-
-def test_separated_by_stars_rejects_non_induced():
-    p = Graph.path(5)
-    with pytest.raises(PreconditionError):
-        induced_matching_separated_by_stars(p, [(0, 1), (2, 3)], 2, 1)
-
-
-@settings(max_examples=80, deadline=None)
-@given(hst.integers(2, 10), hst.randoms(use_true_random=False))
-def test_separated_by_stars_output_property(n, rng):
-    g = rand_graph(rng, n, 0.3)
-    base = greedy_induced_matching(g, g.edges) if g.edges else ()
-    if not base:
-        return
-    bound = psi_max(g)
-    out = induced_matching_separated_by_stars(g, base, bound, 1)
-    if out is None:
-        return
-    (e,) = out
-    assert e in base
-
-
-# -- degree gap filtering ------------------------------------------------------
-
-
-def test_degree_gap_trivial_when_all_degrees_low():
-    g = Graph.matching(4)
-    kept, gap = degree_gap_filter(g, g.edges, 2, 3, 0)
-    assert kept == g.edges and gap == 2
-
-
-def test_degree_gap_two_level_instance():
-    # four matching edges, a hub of degree six next to two of them: the first
-    # window [6,7) is crossed by exactly two edges, which is within budget,
-    # so those two edges are dropped
-    edges = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 0), (8, 2),
-             (8, 9), (8, 10), (8, 11), (8, 12)]
-    g = Graph(13, edges)
-    f = [(0, 1), (2, 3), (4, 5), (6, 7)]
-    kept, gap = degree_gap_filter(g, f, 6, 1, 1)
-    assert gap == 6
-    assert kept == ((4, 5), (6, 7))
-
-
-def test_degree_gap_parameter_checks():
-    g = Graph.matching(3)
-    with pytest.raises(PreconditionError):
-        degree_gap_filter(g, g.edges, 2, 0, 0)
-    with pytest.raises(PreconditionError):
-        degree_gap_filter(g, g.edges, 1, 1, 0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(hst.integers(2, 10), hst.randoms(use_true_random=False))
-def test_degree_gap_postcondition_on_randoms(n, rng):
-    g = rand_graph(rng, n, 0.35)
-    f = greedy_induced_matching(g, g.edges) if g.edges else ()
-    if not f:
-        return
-    bound = psi_max(g)
-    width = 1 + rng.randrange(3)
-    kept, gap = degree_gap_filter(g, f, 2 * bound + 2, width, bound)
-    assert 2 * len(kept) >= len(f)
-    for e in kept:
-        for v in e:
-            for u in g.neighbors(v):
-                assert not gap <= g.degree(u) < gap + width
-
-
-# -- subcollection selection ---------------------------------------------------
-
-
-def test_select_disjoint_family_takes_first_k():
-    fam = [{i} for i in range(9)]
-    assert select_subcollection(fam, 3, 2, 1) == (0, 1, 2)
-
-
-def test_select_k_one():
-    fam = [{1, 2}, {2, 3}, {3, 4}]
-    assert select_subcollection(fam, 1, 1, 2) == (0,)
-
-
-def test_select_identical_singletons():
-    fam = [{9}] * 9
-    picked = select_subcollection(fam, 3, 2, 1)
-    assert len(picked) == 3
-    # element 9 sits in all three picked sets, but six stay unchosen
-    assert picked == (0, 3, 6)
-
-
-def test_select_precondition_checks():
-    with pytest.raises(PreconditionError):
-        select_subcollection([{1}], 2, 1, 1)
-    with pytest.raises(PreconditionError):
-        select_subcollection([{1, 2, 3}], 1, 0, 2)
-
-
-@settings(max_examples=80, deadline=None)
-@given(hst.integers(1, 4), hst.integers(0, 3), hst.integers(1, 3),
-       hst.randoms(use_true_random=False))
-def test_select_postcondition_on_random_families(k, spare, r, rng):
-    count = (1 + spare * r) * k + rng.randrange(3)
-    fam = [frozenset(rng.randrange(6) for _ in range(rng.randint(1, r)))
-           for _ in range(count)]
-    picked = select_subcollection(fam, k, spare, r)
-    assert len(picked) == k and len(set(picked)) == k
-    for x in range(6):
-        inside = sum(1 for i in picked if x in fam[i])
-        outside = sum(1 for i in range(count)
-                      if i not in picked and x in fam[i])
-        assert inside <= 1 or outside >= spare
-
-
 # -- tree decompositions --------------------------------------------------------
 
 
@@ -463,10 +194,6 @@ def test_td_navigation():
     assert td.root == 0
     assert td.width == 1
     assert td.children(0) == (1, 2)
-    assert td.depth(3) == 2
-    assert td.descendants(1) == (1, 3)
-    assert td.vertices_below(1) == {0, 1, 3}
-    assert td.is_ancestor(0, 3) and not td.is_ancestor(2, 3)
 
 
 def test_td_validation_rules():
@@ -513,71 +240,6 @@ def test_exact_treewidth_outputs_validate(n, rng):
     td = exact_tree_decomposition(g)
     td.validate_for(g)
     assert td.width <= n - 1
-
-
-# -- induced matchings from tree decompositions ----------------------------------
-
-
-def test_nice_matching_on_long_path():
-    path = Graph.path(20)
-    td = path_decomposition(20)
-    got = nice_matching(path, td, 2)
-    assert got == ((18, 19), (14, 15))
-    for e in got:
-        for v in e:
-            assert psi(path, v) <= 4
-
-
-def test_nice_matching_on_plain_matching_graph():
-    g = Graph.matching(20)
-    bags = [(2 * i, 2 * i + 1) for i in range(20)]
-    td = TreeDecomposition([-1] + list(range(19)), bags)
-    got = nice_matching(g, td, 2)
-    assert got is not None and len(got) == 2
-
-
-def test_nice_matching_none_when_no_induced_matching_exists():
-    # P4 has no induced 2-matching at all, so None is the only right answer
-    path = Graph.path(4)
-    assert nice_matching(path, path_decomposition(4), 2) is None
-
-
-def test_nice_matching_k_zero():
-    assert nice_matching(Graph.path(3), path_decomposition(3), 0) == ()
-
-
-def test_nice_matching_runs_out_honestly():
-    g = Graph.star(5)
-    td = exact_tree_decomposition(g)
-    assert nice_matching(g, td, 2) is None
-
-
-@settings(max_examples=50, deadline=None)
-@given(hst.integers(2, 9), hst.randoms(use_true_random=False))
-def test_nice_matching_output_properties(n, rng):
-    g = rand_graph(rng, n, 0.4)
-    td = exact_tree_decomposition(g)
-    got = nice_matching(g, td, 1)
-    if got is None:
-        return
-    (e,) = got
-    assert g.has_edge(*e)
-    cap = 2 * (td.width + 1)
-    assert psi(g, e[0]) <= cap and psi(g, e[1]) <= cap
-
-
-def test_nice_matching_larger_k_on_double_path():
-    # two long disjoint paths under one decomposition; tau = 20 clears the
-    # 3k(w+1) = 18 threshold for k = 3, so success is guaranteed
-    g = Graph.path(20).disjoint_union(Graph.path(20))
-    bags = [(i, i + 1) for i in range(19)] + \
-           [(20 + i, 21 + i) for i in range(19)]
-    parent = [-1] + list(range(18)) + [0] + [19 + i for i in range(18)]
-    td = TreeDecomposition(parent, bags)
-    td.validate_for(g)
-    got = nice_matching(g, td, 3)
-    assert got is not None and len(got) == 3
-    _independent_check(g, list(got))
 
 
 # -- minor models -----------------------------------------------------------------
