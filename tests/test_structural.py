@@ -10,9 +10,64 @@ from subcount.structural import (MinorModel, TreeDecomposition,
                                  build_grid_instance, exact_tree_decomposition,
                                  extract_clique_biclique_or_matching,
                                  grid_pattern, make_bicubic,
-                                 minor_lift_instance,
+                                 minor_lift_instance, psi, psi_max,
                                  ramsey_monochromatic_clique)
 from helpers import rand_graph
+
+
+def subdivided_star(arms):
+    edges = []
+    for a in range(arms):
+        edges.append((0, 1 + 2 * a))
+        edges.append((1 + 2 * a, 2 + 2 * a))
+    return Graph(1 + 2 * arms, edges)
+
+
+# -- psi ---------------------------------------------------------------------
+
+
+def test_psi_subdivided_star_center():
+    assert psi(subdivided_star(3), 0) == 3
+    assert psi(subdivided_star(5), 0) == 5
+
+
+def test_psi_star_center_has_no_second_step():
+    assert psi(Graph.star(3), 0) == 0
+    assert psi(Graph.star(7), 0) == 0
+
+
+def test_psi_cycle_six():
+    c6 = Graph.cycle(6)
+    assert [psi(c6, v) for v in range(6)] == [2] * 6
+
+
+def test_psi_leaf_of_star_sees_other_leaves():
+    # from a leaf, the center is the only neighbor and it has 2 spare leaves,
+    # but the paths through it share the center, so only one fits
+    assert psi(Graph.star(3), 1) == 1
+
+
+def test_psi_complete_graph():
+    assert psi(Graph.complete(5), 0) == 2
+    assert psi(Graph.complete(4), 2) == 1
+
+
+def test_psi_range_check():
+    with pytest.raises(PreconditionError):
+        psi(Graph.path(3), 3)
+
+
+def test_psi_max_empty():
+    assert psi_max(Graph.empty(0)) == 0
+    assert psi_max(Graph.empty(4)) == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(hst.integers(1, 9), hst.randoms(use_true_random=False))
+def test_psi_bounded_by_degree(n, rng):
+    g = rand_graph(rng, n, 0.5)
+    for v in range(n):
+        assert 0 <= psi(g, v) <= g.degree(v)
 
 
 # -- pigeonhole chains -------------------------------------------------------
