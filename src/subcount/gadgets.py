@@ -21,7 +21,7 @@ from math import comb
 
 from .brute import count_embeddings, count_subgraphs, find_embedding, is_isomorphic
 from .graphs import Graph, InconsistencyError, PreconditionError
-from .polynomials import binomial_coefficients_from_points
+from .polynomials import binomial_basis_from_values
 
 
 def boundary(h, verts):
@@ -356,23 +356,22 @@ def matching_alpha(gadget):
 def count_matchings_via_gadget(g, k, gadget, oracle=None):
     """Count k-matchings of a bipartite host through subgraph-count queries.
 
-    Evaluates the constrained-copy count at paddings 0..2k, interpolates the
-    degree-at-most-2k polynomial in x = n + padding - 2k, rewrites it over
-    the basis C(x+i, i), and reads off the constant coefficient; dividing by
-    the matching's completion multiplicity gives the answer exactly.
+    Evaluates the constrained-copy count at paddings 0..2k, a polynomial of
+    degree at most 2k in x = n + padding - 2k, reads its coefficients over
+    the basis C(x+i, i) from integer differences of those 2k+1 values, and
+    takes the constant one; dividing by the matching's completion
+    multiplicity gives the answer exactly.  A host with fewer than 2k
+    vertices starts at a negative x and comes out 0.
     """
     if gadget.k != k:
         raise PreconditionError(f"gadget is for k={gadget.k}, asked for k={k}")
     if not g.is_bipartite():
         raise PreconditionError("host graph must be bipartite")
-    n = g.n
-    points = []
-    for ell in range(2 * k + 1):
-        points.append((n + ell - 2 * k, count_T_ell(gadget, g, ell, oracle)))
-    coeffs = binomial_coefficients_from_points(points, max_degree=2 * k)
+    values = [count_T_ell(gadget, g, ell, oracle) for ell in range(2 * k + 1)]
+    coeffs = binomial_basis_from_values(g.n - 2 * k, values)
     if any(c < 0 for c in coeffs):
         raise InconsistencyError(f"negative binomial-basis coefficient: {coeffs}")
-    c0 = coeffs[0] if coeffs else 0
+    c0 = coeffs[0]
     alpha = matching_alpha(gadget)
     if c0 % alpha:
         raise InconsistencyError(

@@ -113,12 +113,6 @@ class Graph:
             return bool(self._out[u] & (1 << v))
         return bool(self._adj[u] & (1 << v))
 
-    def edge_color(self, u: int, v: int) -> int:
-        if self.ecolors is None:
-            raise PreconditionError("graph has no edge colors")
-        e = _norm_edge(u, v, self.directed)
-        return self.ecolors[self.edges.index(e)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -35,9 +35,11 @@ The residue graph R_s normalizes type s to exactly three touched gadgets, so
 a class of n gadgets in state s is R_s plus (n-3) intact six-cycles, and the
 query polynomial p_{s,t} is evaluated at n-3.
 
-The structured evaluator never builds the gadget host: per host it folds the
-census of link-matching types with the five-by-five class extension matrix
-into a table of all 5^k answers, and each query is a lookup in that table.
+Without an injected oracle the gadget host is never built: per host the
+census of link-matching types, folded with the five-by-five class extension
+matrix, gives the table of all 5^k query values, and the solve reads that
+table as its query vector.  An injected oracle instead answers each query
+on the explicit edge-colored host.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 from functools import lru_cache
 from itertools import product
 
-from .brute import count_colorful_matchings, count_walk_patterns
+from .brute import count_walk_patterns
 from .graphs import Graph, InconsistencyError, PreconditionError
 from .polynomials import (IntPolynomial, determinant_polynomial,
                           interpolate_int_polynomial, solve_fraction_system)
@@ -77,9 +79,6 @@ TYPES = (1, 2, 3, 4, 5)
 
 #: A_t as the sorted color tuple the extension tables are keyed by
 _A_COLORS = {t: tuple(sorted(A_SETS[t])) for t in TYPES}
-
-#: A-set as a bitmask over delta colors (bit d-1 for color d) -> its type
-_MASK_TYPE = {sum(1 << (d - 1) for d in A_SETS[t]): t for t in TYPES}
 
 
 def gadget_graph(missing_slots=frozenset()) -> Graph:
@@ -113,13 +112,13 @@ def pst_polynomial(s: int, t: int) -> IntPolynomial:
     """p_{s,t}: number of A_t-colorful matchings of R_s plus x intact
     six-cycles, as an exact polynomial of degree at most six.
 
-    Interpolated from the extension tables the structured counter uses: a
-    class of x + 3 gadgets in state s is exactly R_s plus x intact cycles.
+    Interpolated from the extension tables the answer table uses: a class
+    of x + 3 gadgets in state s is exactly R_s plus x intact cycles.
     """
     if s not in TYPES or t not in TYPES:
         raise PreconditionError("type indices range over 1..5")
     pts = [(m, _class_extension_count(s, _A_COLORS[t], m + 3)) for m in range(7)]
-    return interpolate_int_polynomial(pts, max_degree=6)
+    return interpolate_int_polynomial(pts)
 
 
 def state_matrix(x: int) -> list[list[int]]:
@@ -156,7 +155,8 @@ class TriangleGraph:
     Numeric edge colors: link color of pattern edge e = its index in sorted
     edge order (0..m-1); delta color (class i, delta) = m + 6i + delta - 1.
     The materialized graph and the answer table are built lazily; the
-    structured counter never needs the graph.
+    answer table never needs the graph, which only an injected oracle
+    queries.
     """
 
     def __init__(self, h: Graph, g: Graph, padding: int):
@@ -187,12 +187,6 @@ class TriangleGraph:
                      for u in self.members[a] for v in self.members[b]
                      if g.has_edge(u, v)]
             self.realizations.append(sorted(pairs))
-        # color -> (slot, bit): slot i < k, bit d-1 for delta d of class i;
-        # slot k, bit c for link color c
-        self._color_slot = {c: (self.k, 1 << c) for c in self.link_colors()}
-        self._color_slot.update(
-            (self.delta_color(i, d), (i, 1 << (d - 1)))
-            for i in range(self.k) for d in range(1, 7))
         # query color sets: the link colors, and each class's under each type
         self._link_set = frozenset(self.link_colors())
         self._class_colors = [
@@ -297,8 +291,9 @@ class TriangleGraph:
         return counts
 
     def answer_table(self) -> list[int]:
-        """Every structured query value, b = (E x ... x E) . census, as one
-        list indexed by ``_type_index`` of the query's type vector.
+        """Every query value, b = (E x ... x E) . census, as one list indexed
+        by ``_type_index`` of the query's type vector: entry t is the number
+        of colorful matchings of ``graph`` on ``query_colors(t)``.
 
         E[t][s] counts the A_t-colorful matchings inside one class of n
         gadgets in state s; it is the same five-by-five matrix for every
@@ -383,7 +378,7 @@ def build_triangle_graph(h: Graph, g: Graph, padding: int | None = None) -> Tria
 
 
 # ---------------------------------------------------------------------------
-# the structured matching counter
+# per-class matching counts
 #
 # One class's matchings depend only on its alignment state and query set, so
 # the extension tables below give both the per-host answer table and the
@@ -458,42 +453,6 @@ def _class_extension_count(s: int, colors: tuple[int, ...], n: int) -> int:
     return table[len(table) - 1]
 
 
-def structured_colmatch_count(tg: TriangleGraph, colors) -> int:
-    """Colorful matching count on the gadget host, read from the host's
-    answer table instead of the explicit graph.
-
-    Only supports the query shapes the reduction asks for: all link colors
-    plus one A-set per class.  Anything else belongs to the generic counter.
-    """
-    masks, foreign = [0] * (tg.k + 1), set()
-    for c in colors:
-        slot = tg._color_slot.get(c)
-        if slot is None:
-            foreign.add(c)
-        else:
-            masks[slot[0]] |= slot[1]
-    if masks.pop() != (1 << tg.m) - 1:
-        raise PreconditionError("structured queries must include every link color")
-    types = []
-    for i, mask in enumerate(masks):
-        t = _MASK_TYPE.get(mask)
-        if t is None:
-            mine = [d + 1 for d in range(6) if mask >> d & 1]
-            raise PreconditionError(
-                f"class {i} color set {mine} is not one of the query sets")
-        types.append(t)
-    if foreign:
-        raise PreconditionError(f"unrecognized colors in query: {sorted(foreign)}")
-    return tg.answer_table()[_type_index(types)]
-
-
-def default_colmatch_oracle(host, colors) -> int:
-    """Structured counting for gadget hosts, brute force for plain graphs."""
-    if isinstance(host, TriangleGraph):
-        return structured_colmatch_count(host, colors)
-    return count_colorful_matchings(host, colors)
-
-
 # ---------------------------------------------------------------------------
 # solving for the aligned count
 
@@ -540,16 +499,19 @@ def solve_theta_star(b: list, n: int, k: int) -> int:
 def subpart_via_colmatch_oracle(h: Graph, g: Graph, oracle=None,
                                 padding: int | None = None) -> int:
     """#color-preserving copies of the cubic bipartite colorful pattern h in
-    the colored host g, from 5^|V(h)| colorful-matching queries.
+    the colored host g, from 5^|V(h)| colorful-matching query values.
 
     Copies correspond exactly to complete link matchings aligned at every
     class (all three slots of each class on a single gadget), and the
-    aligned count is solved out of the query values.
+    aligned count is solved out of the query values.  Without an oracle
+    they are the host's answer table; an oracle is called as
+    ``oracle(graph, colors)`` on the explicit edge-colored gadget host.
     """
-    if oracle is None:
-        oracle = default_colmatch_oracle
     tg = build_triangle_graph(h, g, padding)
-    b = [oracle(tg, tg.query_colors(t)) for t in product(TYPES, repeat=tg.k)]
+    if oracle is None:
+        b = tg.answer_table()
+    else:
+        b = [oracle(tg.graph, tg.query_colors(t)) for t in product(TYPES, repeat=tg.k)]
     return solve_theta_star(b, tg.n, tg.k)
 
 

@@ -2,8 +2,9 @@
 
 Everything here is exact: coefficients are Python ints, intermediate division
 happens in ``fractions.Fraction``, and any step that is supposed to produce an
-integer asserts that it did.  The four routines that build Fractions import
-``fractions`` themselves; plain integer polynomial arithmetic never needs it.
+integer asserts that it did.  The three routines that build Fractions import
+``fractions`` themselves; plain integer polynomial arithmetic and the
+binomial-basis read-out from integer values never need it.
 """
 
 from __future__ import annotations
@@ -154,87 +155,36 @@ def interpolate_fraction_coefficients(points: Sequence[tuple[int, int]]) -> list
     return coeffs
 
 
-def interpolate_int_polynomial(points: Sequence[tuple[int, int]],
-                               max_degree: int | None = None) -> IntPolynomial:
+def interpolate_int_polynomial(points: Sequence[tuple[int, int]]) -> IntPolynomial:
     """Exact polynomial through the given (x, y) points.
 
-    Fails if the values force non-integer coefficients, and (optionally) if
-    the degree exceeds ``max_degree``.
+    Fails if the values force non-integer coefficients.
     """
     coeffs = interpolate_fraction_coefficients(points)
     for c in coeffs:
         if c.denominator != 1:
             raise InconsistencyError("interpolated coefficients are not integers")
-    poly = IntPolynomial([int(c) for c in coeffs])
-    if max_degree is not None and poly.degree > max_degree:
-        raise InconsistencyError(
-            f"interpolated degree {poly.degree} exceeds the certified bound {max_degree}")
-    return poly
+    return IntPolynomial([int(c) for c in coeffs])
 
 
-def binomial_basis_coefficients(poly) -> list[int]:
-    """Rewrite p(x) = sum_i c_i * binom(x+i, i); returns [c_0, ..., c_d].
+def binomial_basis_from_values(x0: int, values: Sequence[int]) -> list[int]:
+    """[c_0, ..., c_d] with p(x) = sum_i c_i * binom(x+i, i), for the
+    polynomial p of degree at most d = len(values) - 1 that takes
+    values[j] at x0 + j.
 
-    Accepts an IntPolynomial or a plain sequence of (possibly fractional)
-    ascending coefficients; integrality is only required of the c_i.
-    binom(x+i, i) has degree i with leading coefficient 1/i!, so repeatedly
-    stripping the top term is exact.  Non-integer c_i is an error.
+    binom(x+i, i) - binom(x-1+i, i) = binom(x+i-1, i-1), so c_i is the i-th
+    backward difference of p at -1, which is the i-th forward difference at
+    -1-i.  Newton's series at x0 gives it from the forward differences
+    D_j = (Delta^j p)(x0) as c_i = sum_{j>=i} D_j * binom(-1-i-x0, j-i),
+    with the binomial extended to negative tops; all of it is integer.
     """
-    from fractions import Fraction
-    raw = poly.coeffs if isinstance(poly, IntPolynomial) else poly
-    work = [Fraction(c) for c in raw]
-    while work and work[-1] == 0:
-        work.pop()
-    d = len(work) - 1
-    out = [0] * (d + 1) if d >= 0 else [0]
-    if d < 0:
-        return [0]
-    for i in range(d, -1, -1):
-        while len(work) - 1 > i:
-            raise InconsistencyError("degree bookkeeping broke")  # pragma: no cover
-        if len(work) - 1 < i:
-            out[i] = 0
-            continue
-        ci = work[-1] * math.factorial(i)
-        if ci.denominator != 1:
-            raise InconsistencyError("binomial-basis coefficient is not an integer")
-        out[i] = int(ci)
-        # subtract c_i * binom(x+i, i) = c_i/i! * (x+1)(x+2)...(x+i)
-        term = [Fraction(1)]
-        for j in range(1, i + 1):
-            nxt = [Fraction(0)] * (len(term) + 1)
-            for t, c in enumerate(term):
-                nxt[t + 1] += c
-                nxt[t] += c * j
-            term = nxt
-        scale = Fraction(out[i], math.factorial(i))
-        for t, c in enumerate(term):
-            work[t] -= scale * c
-        while work and work[-1] == 0:
-            work.pop()
-    if any(c != 0 for c in work):
-        raise InconsistencyError("binomial-basis rewrite left a remainder")
-    return out
-
-
-def binomial_coefficients_from_points(points: Sequence[tuple[int, int]],
-                                      max_degree: int | None = None) -> list[int]:
-    """Interpolate through integer points and express the result over the
-    basis binom(x+i, i) in one step.
-
-    The monomial coefficients may be genuine fractions here; only the
-    binomial-basis coefficients have to come out integral.
-    """
-    coeffs = interpolate_fraction_coefficients(points)
-    if max_degree is not None and len(coeffs) - 1 > max_degree:
-        raise InconsistencyError(
-            f"interpolated degree {len(coeffs) - 1} exceeds the certified bound {max_degree}")
-    return binomial_basis_coefficients(coeffs)
-
-
-def binomial_basis_value(x: int, i: int) -> int:
-    """binom(x+i, i) evaluated as the polynomial, valid for any integer x."""
-    return falling_factorial(x + i, i) // math.factorial(i)
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return [sum(dj * (falling_factorial(-1 - i - x0, r) // math.factorial(r))
+                for r, dj in enumerate(diffs[i:]))
+            for i in range(len(diffs))]
 
 
 def solve_fraction_system(matrix: Sequence[Sequence[int]],

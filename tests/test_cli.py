@@ -366,6 +366,12 @@ def test_exit_code_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+    # the colmatch reduction reads its own answer table; there is no oracle
+    # to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce-subpart-via-colmatch", "-p", "h.g", "-H", "g.g",
+              "--oracle", "brute"])
+    assert exc.value.code == 1
 
 
 def test_exit_code_precondition(capsys, files):
@@ -393,16 +399,12 @@ def test_written_graphs_reparse_identically(capsys, files, tmp_path):
     assert d1.vcolors == d2.vcolors and d1.ecolors == d2.ecolors
 
 
-def test_startup_imports_stay_light(files):
-    # each CLI command is a fresh ``python3 -S -m subcount.cli`` process, so
-    # the import path must not load typing, dataclasses (which pulls in
-    # inspect) or fractions (which pulls in decimal); every backend must still
-    # be loaded by ``import subcount.cli`` so outside wrappers can find it
-    tri = files("tri.g", Graph.cycle(3))
-    k4 = files("k4.g", Graph.complete(4))
+def _modules_after(argv):
+    """Run the CLI on argv in a fresh ``python3 -S`` process; return its
+    exit code, its JSON record and every module it ended with."""
     script = (
         "import sys, json, subcount.cli\n"
-        f"code = subcount.cli.main(['count-sub', '-p', {tri!r}, '-H', {k4!r}])\n"
+        f"code = subcount.cli.main({argv!r})\n"
         "print(json.dumps([code, sorted(sys.modules)]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", script],
@@ -410,13 +412,36 @@ def test_startup_imports_stay_light(files):
                           capture_output=True, text=True, check=True)
     record, tail = proc.stdout.strip().splitlines()
     code, loaded = json.loads(tail)
-    assert code == 0 and json.loads(record)["count"] == "4"
+    return code, json.loads(record), set(loaded)
+
+
+def test_startup_imports_stay_light(files):
+    # each CLI command is a fresh ``python3 -S -m subcount.cli`` process, so
+    # the import path must not load typing, dataclasses (which pulls in
+    # inspect) or fractions (which pulls in decimal); every backend must still
+    # be loaded by ``import subcount.cli`` so outside wrappers can find it
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    code, record, loaded = _modules_after(["count-sub", "-p", tri, "-H", k4])
+    assert code == 0 and record["count"] == "4"
     heavy = {"typing", "dataclasses", "inspect", "fractions", "decimal"}
     assert heavy.isdisjoint(loaded)
     backends = {f"subcount.{m}" for m in ("brute", "cli", "fileio", "gadgets",
                                           "graphs", "hardness", "iex",
                                           "polynomials", "structural", "vc")}
-    assert backends <= set(loaded)
+    assert backends <= loaded
+
+
+def test_gadget_reduction_stays_off_fractions(files):
+    # the gadget read-out takes integer differences of its 2k+1 values, so a
+    # whole reduce-matchings-via-gadget run never loads fractions or decimal
+    host = files("c6.g", Graph.cycle(6))
+    m2 = files("m2.g", Graph.matching(2))
+    code, record, loaded = _modules_after(
+        ["reduce-matchings-via-gadget", "-H", host, "--gadget", m2,
+         "--matching", "0-1,2-3", "-k", "2"])
+    assert code == 0 and record["count"] == str(brute.count_matchings(Graph.cycle(6), 2))
+    assert {"fractions", "decimal"}.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("argv", [

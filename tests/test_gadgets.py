@@ -531,9 +531,18 @@ def test_pipeline_rejects_odd_cycle_host():
 
 
 def test_pipeline_tiny_host():
-    # fewer host vertices than 2k: zero matchings, negative sample points
+    # fewer host vertices than 2k: zero matchings, and the read-out starts
+    # at the negative point x0 = n - 2k, down to -2k for the empty host
     g = MatchingGadget(Graph.matching(2), Graph.matching(2).edges)
     assert count_matchings_via_gadget(Graph.path(3), 2, g) == 0
+    rng = random.Random(14)
+    for k, g in ((1, MatchingGadget(Graph.complete(4), [(0, 1)])),
+                 (2, MatchingGadget(Graph.matching(2), Graph.matching(2).edges)),
+                 (3, MatchingGadget(Graph.matching(3), Graph.matching(3).edges))):
+        for n in range(2 * k):
+            a = rng.randint(0, n)
+            host = rand_bipartite(rng, a, n - a, 0.6)
+            assert count_matchings_via_gadget(host, k, g) == count_matchings(host, k) == 0
 
 
 def test_pipeline_oracle_budget():

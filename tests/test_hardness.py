@@ -9,13 +9,12 @@ from subcount.brute import (count_colorful_matchings,
                             count_matchings, count_walk_patterns)
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
-                               build_triangle_graph, default_colmatch_oracle,
+                               _type_index, build_triangle_graph,
                                directed_cycles_via_undirected, gadget_graph,
                                matchings_via_directed_cycles, pst_polynomial,
                                residue_graph, singularity_padding_bound,
                                solve_theta_star, state_determinant_polynomial,
-                               state_matrix, structured_colmatch_count,
-                               subpart_via_colmatch_oracle)
+                               state_matrix, subpart_via_colmatch_oracle)
 from helpers import (iter_colorful_matchings, rand_bipartite, rand_digraph,
                      rand_graph)
 
@@ -172,23 +171,8 @@ def test_structured_counter_agrees_with_generic():
                 t[spots[1]] = rng.choice((4, 5))
             vectors.append(tuple(t))
         for t in vectors:
-            cols = tg.query_colors(t)
-            assert structured_colmatch_count(tg, cols) == \
-                count_colorful_matchings(tg.graph, cols)
-
-
-def test_structured_counter_rejects_foreign_queries():
-    tg = build_triangle_graph(colorful_k33(), colorful_k33(), padding=3)
-    with pytest.raises(PreconditionError):
-        structured_colmatch_count(tg, [0, 1, 2])  # missing link colors
-    bad = set(tg.query_colors((1,) * 6))
-    bad.discard(tg.delta_color(0, 4))
-    with pytest.raises(PreconditionError):
-        structured_colmatch_count(tg, bad)
-    # one past the last delta color of the last class
-    beyond = tg.query_colors((1,) * 6) | {tg.m + 6 * tg.k}
-    with pytest.raises(PreconditionError, match="unrecognized"):
-        structured_colmatch_count(tg, beyond)
+            assert tg.answer_table()[_type_index(t)] == \
+                count_colorful_matchings(tg.graph, tg.query_colors(t))
 
 
 def test_query_identity_term_by_term():
@@ -204,7 +188,7 @@ def test_query_identity_term_by_term():
         brute_census[theta] = brute_census.get(theta, 0) + 1
     x = tg.n - 3
     for t in product(TYPES, repeat=6):
-        lhs = structured_colmatch_count(tg, tg.query_colors(t))
+        lhs = tg.answer_table()[_type_index(t)]
         rhs = 0
         for theta, cnt in brute_census.items():
             term = cnt
@@ -312,13 +296,14 @@ def test_pipeline_with_injected_generic_oracle():
     h = colorful_k33()
     calls = []
 
-    def oracle(tg, colors):
-        calls.append(1)
-        return count_colorful_matchings(tg.graph, colors)
+    def oracle(host, colors):
+        calls.append(type(host))
+        return count_colorful_matchings(host, colors)
 
     got = subpart_via_colmatch_oracle(h, colorful_k33(), oracle=oracle, padding=3)
     assert got == 1
-    assert len(calls) == 5 ** 6
+    # a plain edge-colored graph per query, as every other oracle gets
+    assert calls == [Graph] * 5 ** 6
 
 
 # -- matchings via cycles ---------------------------------------------------
@@ -371,11 +356,3 @@ def test_full_matching_chain_composes():
         via = matchings_via_directed_cycles(
             g, 2, oracle=lambda dg, length: directed_cycles_via_undirected(dg, length))
         assert via == count_matchings(g, 2)
-
-
-def test_default_oracle_dispatch():
-    tg = build_triangle_graph(colorful_k33(), colorful_k33(), padding=3)
-    cols = tg.query_colors((1,) * 6)
-    assert default_colmatch_oracle(tg, cols) == structured_colmatch_count(tg, cols)
-    plain = Graph.path(3).with_edge_colors([0, 1])
-    assert default_colmatch_oracle(plain, [0, 1]) == 0

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcount.graphs import InconsistencyError, PreconditionError
-from subcount.polynomials import (IntPolynomial, binomial_basis_coefficients,
-                                  binomial_basis_value,
+from subcount.polynomials import (IntPolynomial, binomial_basis_from_values,
                                   determinant_polynomial, falling_factorial,
                                   interpolate_fraction_coefficients,
                                   interpolate_int_polynomial,
@@ -38,11 +37,8 @@ def test_interpolation_recovers_polynomial():
     p = IntPolynomial([3, -1, 0, 7])
     pts = [(x, p(x)) for x in range(-2, 3)]
     assert interpolate_int_polynomial(pts) == p
-    assert interpolate_int_polynomial(pts, max_degree=3) == p
     with pytest.raises(InconsistencyError):
         interpolate_int_polynomial([(0, 0), (2, 1)])  # value 1/2 at x=1
-    with pytest.raises(InconsistencyError):
-        interpolate_int_polynomial([(x, x * x) for x in range(4)], max_degree=1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,22 +59,38 @@ def test_cauchy_bound_dominates_roots():
     assert p.cauchy_root_bound() == 1 + Fraction(17, 1)
 
 
+def _binom(top, i):
+    # C(top, i) for any integer top, as the polynomial in top
+    return falling_factorial(top, i) // math.factorial(i)
+
+
 def test_binomial_basis_identity():
+    # round trip: values of sum_i c_i C(x+i, i) at x0, ..., x0 + 2k give the
+    # c_i back, with x0 = n - 2k from -2k (an empty host) up to 30
     rng = random.Random(7)
-    for _ in range(50):
-        cs = [rng.randrange(-30, 30) for _ in range(rng.randint(1, 6))]
-        p = IntPolynomial(cs)
-        bas = binomial_basis_coefficients(p)
-        assert len(bas) == max(p.degree, 0) + 1
-        for x in range(-3, 8):
-            assert p(x) == sum(c * binomial_basis_value(x, i)
-                               for i, c in enumerate(bas))
+    for trial in range(300):
+        k = rng.randint(0, 4)
+        cs = [rng.randrange(-30, 30) for _ in range(2 * k + 1)]
+        x0 = -2 * k if trial % 5 == 0 else rng.randint(-2 * k, 30)
+        values = [sum(c * _binom(x + i, i) for i, c in enumerate(cs))
+                  for x in range(x0, x0 + 2 * k + 1)]
+        assert binomial_basis_from_values(x0, values) == cs
 
 
-def test_binomial_basis_value_matches_comb():
-    for x in range(0, 9):
-        for i in range(0, 6):
-            assert binomial_basis_value(x, i) == math.comb(x + i, i)
+def test_binomial_basis_agrees_with_sympy():
+    # an outside oracle: sympy.interpolate through the same points as the
+    # expansion of sum_i c_i binomial(x+i, i)
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2014)
+    for _ in range(40):
+        k = rng.randint(0, 3)
+        x0 = rng.randint(-2 * k, 12)
+        pts = [(x0 + j, rng.randint(0, 60)) for j in range(2 * k + 1)]
+        cs = binomial_basis_from_values(x0, [y for _, y in pts])
+        ours = sympy.expand(sum(c * sympy.expand_func(sympy.binomial(x + i, i))
+                                for i, c in enumerate(cs)))
+        assert sympy.expand(ours - sympy.interpolate(pts, x)) == 0
 
 
 def test_solve_fraction_system():
