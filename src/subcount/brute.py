@@ -142,15 +142,19 @@ def automorphism_count(h: Graph) -> int:
     return count_embeddings(h, h)
 
 
-def count_subgraphs(h: Graph, g: Graph) -> int:
-    """Number of subgraphs of g isomorphic to h (copies, not embeddings)."""
-    emb = count_embeddings(h, g)
+def copies_from_embeddings(h: Graph, emb: int) -> int:
+    """#Sub = #Emb / #Aut for the pattern h, given its embedding count."""
     if not emb:
         return 0  # Aut(h) can be huge (a k-matching has 2^k k! of them)
     aut = automorphism_count(h)
     if emb % aut:
         raise InconsistencyError(f"#Emb={emb} not divisible by #Aut={aut}")
     return emb // aut
+
+
+def count_subgraphs(h: Graph, g: Graph) -> int:
+    """Number of subgraphs of g isomorphic to h (copies, not embeddings)."""
+    return copies_from_embeddings(h, count_embeddings(h, g))
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:

@@ -333,10 +333,6 @@ def _add_algo_flags(p):
 def build_parser():
     parser = _Parser(prog="subcount",
                      description="subgraph counting and its hardness toolkit")
-    parser.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="seed for randomized tooling; every current "
-                             "command is deterministic, the flag is accepted "
-                             "for interface stability")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 

@@ -50,8 +50,7 @@ from itertools import product
 
 from .brute import count_walk_patterns
 from .graphs import Graph, InconsistencyError, PreconditionError
-from .polynomials import (IntPolynomial, determinant_polynomial,
-                          interpolate_int_polynomial, solve_fraction_system)
+from .polynomials import IntPolynomial, determinant, interpolate_int_polynomial
 
 # (local u, local v, delta color) along the gadget cycle
 CYCLE_LAYOUT = ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 0, 1))
@@ -117,8 +116,8 @@ def pst_polynomial(s: int, t: int) -> IntPolynomial:
     """
     if s not in TYPES or t not in TYPES:
         raise PreconditionError("type indices range over 1..5")
-    pts = [(m, _class_extension_count(s, _A_COLORS[t], m + 3)) for m in range(7)]
-    return interpolate_int_polynomial(pts)
+    return interpolate_int_polynomial(
+        0, [_class_extension_count(s, _A_COLORS[t], m + 3) for m in range(7)])
 
 
 def state_matrix(x: int) -> list[list[int]]:
@@ -132,15 +131,13 @@ def state_matrix(x: int) -> list[list[int]]:
 
 @lru_cache(maxsize=1)
 def state_determinant_polynomial() -> IntPolynomial:
-    return determinant_polynomial(
-        [[pst_polynomial(s, t) for s in TYPES] for t in TYPES])
+    return determinant([[pst_polynomial(s, t) for s in TYPES] for t in TYPES])
 
 
 def singularity_padding_bound() -> int:
     """Padding n0 such that every n >= n0 makes the type system solvable:
     n - 3 then exceeds the Cauchy bound on the determinant's roots."""
-    bound = state_determinant_polynomial().cauchy_root_bound()
-    return 4 + math.floor(bound)
+    return 4 + state_determinant_polynomial().cauchy_root_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -465,24 +462,26 @@ def solve_theta_star(b: list, n: int, k: int) -> int:
     count of link matchings of type theta* = (1,...,1) is the theta*-entry
     of the inverse Kronecker system, i.e. sum_t prod_i y[t_i] b[t] where y
     solves M^T y = e_1 for the five-by-five matrix M = state_matrix(n-3).
-    y is scaled to integers by the lcm L of its denominators, so the sum is
-    an integer contraction divided by L^k at the end.
+    By Cramer's rule y[t] = C[t] / det M, with C[t] the cofactor of M[t][0]
+    and det M = sum_t M[t][0] C[t].  The cofactors and det M are divided by
+    their gcd, so the sum is an integer contraction of the reduced cofactors
+    divided by the k-th power of the reduced det M.  The determinant
+    polynomial has positive coefficients, so det M > 0 for every n >= 3.
     """
     if len(b) != 5 ** k:
         raise PreconditionError(f"need 5^{k} query values, got {len(b)}")
     if n < 3:
         raise PreconditionError("padding must be at least 3")
-    x = n - 3
-    det = state_determinant_polynomial()(x)
+    matrix = state_matrix(n - 3)
+    cofactors = [(-1) ** t * determinant([r[1:] for r in matrix[:t] + matrix[t + 1:]])
+                 for t in range(5)]
+    det = sum(r[0] * c for r, c in zip(matrix, cofactors))
     if det == 0:
         raise PreconditionError(
             f"type system singular at padding {n}; increase padding "
             f"(any n >= {singularity_padding_bound()} works)")
-    matrix = state_matrix(x)
-    transposed = [[matrix[t][s] for t in range(5)] for s in range(5)]
-    y = solve_fraction_system(transposed, [1, 0, 0, 0, 0])
-    scale = math.lcm(*(yi.denominator for yi in y))
-    row = [yi.numerator * (scale // yi.denominator) for yi in y]
+    common = math.gcd(det, *cofactors)
+    row, scale = [c // common for c in cofactors], det // common
     vec = b
     for _ in range(k):
         vec = _kron_step(vec, [row])

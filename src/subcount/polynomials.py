@@ -1,10 +1,9 @@
 """Exact integer polynomials and the small linear algebra the reductions need.
 
-Everything here is exact: coefficients are Python ints, intermediate division
-happens in ``fractions.Fraction``, and any step that is supposed to produce an
-integer asserts that it did.  The three routines that build Fractions import
-``fractions`` themselves; plain integer polynomial arithmetic and the
-binomial-basis read-out from integer values never need it.
+Everything here is plain ``int`` arithmetic.  Interpolation works from
+forward differences at consecutive nodes, where the only division is by a
+factorial; a division that is supposed to be exact raises
+``InconsistencyError`` when it leaves a remainder.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-# ``fractions`` pulls in ``decimal`` and ``numbers``; importing it only where a
-# Fraction is built keeps it off the start-up path of every CLI command
 from .graphs import InconsistencyError, PreconditionError
 
 
@@ -103,68 +100,46 @@ class IntPolynomial:
     def x() -> "IntPolynomial":
         return IntPolynomial([0, 1])
 
-    def cauchy_root_bound(self) -> Fraction:
-        """Every root z satisfies |z| <= 1 + max_i |a_i| / |a_lead|."""
-        from fractions import Fraction
+    def cauchy_root_bound(self) -> int:
+        """floor(1 + max_i |a_i| / |a_lead|) over the lower coefficients a_i;
+        every root z satisfies |z| < cauchy_root_bound() + 1."""
         if not self.coeffs:
             raise PreconditionError("zero polynomial has no root bound")
         lead = abs(self.coeffs[-1])
         rest = [abs(c) for c in self.coeffs[:-1]]
         if not rest:
-            return Fraction(0)
-        return 1 + Fraction(max(rest), lead)
+            return 0
+        return 1 + max(rest) // lead
 
 
-def interpolate_fraction_coefficients(points: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """Monomial coefficients (ascending, exact rationals) of the unique
-    polynomial through the given (x, y) points.  Newton's divided
-    differences, then expansion.
+def forward_differences(values: Sequence[int]) -> list[int]:
+    """[D_0, ..., D_d] with D_j the j-th forward difference of ``values`` at
+    its first entry, for d = len(values) - 1."""
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return diffs
+
+
+def interpolate_int_polynomial(x0: int, values: Sequence[int]) -> IntPolynomial:
+    """The polynomial p of degree at most d = len(values) - 1 that takes
+    values[j] at x0 + j.
+
+    Newton's series p(x) = sum_j D_j (x - x0)^(j falling) / j!, times d!,
+    has integer coefficients; dividing them by d! leaves a remainder exactly
+    when p is not an integer polynomial, and then this raises.
     """
-    from fractions import Fraction
-    xs = [p[0] for p in points]
-    if len(set(xs)) != len(xs):
-        raise PreconditionError("interpolation nodes must be distinct")
-    ys = [Fraction(p[1]) for p in points]
-    n = len(points)
-    if n == 0:
-        return []
-    # divided differences
-    dd = list(ys)
-    table = [dd[0]]
-    for level in range(1, n):
-        nxt = []
-        for i in range(n - level):
-            nxt.append((dd[i + 1] - dd[i]) / (xs[i + level] - xs[i]))
-        dd = nxt
-        table.append(dd[0])
-    # expand sum_k table[k] * prod_{j<k} (x - xs[j])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # running product, ascending coefficients
-    for k in range(n):
-        for i, b in enumerate(basis):
-            coeffs[i] += table[k] * b
-        if k + 1 < n:
-            # multiply basis by (x - xs[k])
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for i, b in enumerate(basis):
-                nxt[i + 1] += b
-                nxt[i] -= b * xs[k]
-            basis = nxt
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def interpolate_int_polynomial(points: Sequence[tuple[int, int]]) -> IntPolynomial:
-    """Exact polynomial through the given (x, y) points.
-
-    Fails if the values force non-integer coefficients.
-    """
-    coeffs = interpolate_fraction_coefficients(points)
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InconsistencyError("interpolated coefficients are not integers")
-    return IntPolynomial([int(c) for c in coeffs])
+    diffs = forward_differences(values)
+    scale = math.factorial(max(len(diffs) - 1, 0))
+    total, falling = IntPolynomial(), IntPolynomial([1])
+    for j, dj in enumerate(diffs):
+        total += falling * (dj * (scale // math.factorial(j)))
+        falling *= IntPolynomial([-x0 - j, 1])
+    parts = [divmod(c, scale) for c in total.coeffs]
+    if any(r for _, r in parts):
+        raise InconsistencyError("interpolated coefficients are not integers")
+    return IntPolynomial([q for q, _ in parts])
 
 
 def binomial_basis_from_values(x0: int, values: Sequence[int]) -> list[int]:
@@ -178,44 +153,17 @@ def binomial_basis_from_values(x0: int, values: Sequence[int]) -> list[int]:
     D_j = (Delta^j p)(x0) as c_i = sum_{j>=i} D_j * binom(-1-i-x0, j-i),
     with the binomial extended to negative tops; all of it is integer.
     """
-    diffs, row = [], list(values)
-    while row:
-        diffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+    diffs = forward_differences(values)
     return [sum(dj * (falling_factorial(-1 - i - x0, r) // math.factorial(r))
                 for r, dj in enumerate(diffs[i:]))
             for i in range(len(diffs))]
 
 
-def solve_fraction_system(matrix: Sequence[Sequence[int]],
-                          rhs: Sequence[int]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly by Gaussian elimination."""
-    from fractions import Fraction
-    n = len(matrix)
-    aug = [[Fraction(matrix[r][c]) for c in range(n)] + [Fraction(rhs[r])]
-           for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise PreconditionError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
-def determinant_polynomial(entries: Sequence[Sequence[IntPolynomial]]) -> IntPolynomial:
-    """Determinant of a small matrix of integer polynomials, by cofactors."""
-    n = len(entries)
-    if n == 1:
+def determinant(entries: Sequence[Sequence]):
+    """Determinant of a small square matrix of ints or IntPolynomials, by
+    cofactor expansion along the first row."""
+    if len(entries) == 1:
         return entries[0][0]
-    out = IntPolynomial()
-    for j in range(n):
-        minor = [[entries[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = entries[0][j] * determinant_polynomial(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+    return sum((-1) ** j * entries[0][j]
+               * determinant([row[:j] + row[j + 1:] for row in entries[1:]])
+               for j in range(len(entries)))

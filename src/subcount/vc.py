@@ -37,9 +37,8 @@ from itertools import compress, product
 from math import comb, factorial, prod
 from operator import or_
 
-from .brute import automorphism_count
-from .graphs import (Graph, InconsistencyError, PreconditionError, iter_bits,
-                     min_vertex_cover)
+from .brute import copies_from_embeddings
+from .graphs import Graph, PreconditionError, iter_bits, min_vertex_cover
 from .polynomials import falling_factorial
 
 
@@ -227,10 +226,4 @@ def count_emb_vc(h: Graph, g: Graph) -> int:
 
 def count_sub_vc(h: Graph, g: Graph) -> int:
     """#Sub(h -> g) via the cover-driven embedding count."""
-    emb = count_emb_vc(h, g)
-    if not emb:
-        return 0  # Aut(h) can be huge (a k-matching has 2^k k! of them)
-    aut = automorphism_count(h)
-    if emb % aut:
-        raise InconsistencyError(f"#Emb={emb} not divisible by #Aut={aut}")
-    return emb // aut
+    return copies_from_embeddings(h, count_emb_vc(h, g))

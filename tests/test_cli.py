@@ -380,11 +380,13 @@ def test_exit_code_precondition(capsys, files):
     assert code == 2
 
 
-def test_seed_flag_accepted(capsys, files):
+def test_seed_flag_is_a_usage_error(files):
+    # every command is deterministic, so there is no seed to pass
     tri = files("tri.g", Graph.cycle(3))
     k4 = files("k4.g", Graph.complete(4))
-    code, rec = run(capsys, "--seed", "42", "count-sub", "-p", tri, "-H", k4)
-    assert code == 0 and rec["count"] == "4"
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "42", "count-sub", "-p", tri, "-H", k4])
+    assert exc.value.code == 1
 
 
 def test_written_graphs_reparse_identically(capsys, files, tmp_path):
@@ -432,15 +434,30 @@ def test_startup_imports_stay_light(files):
     assert backends <= loaded
 
 
-def test_gadget_reduction_stays_off_fractions(files):
-    # the gadget read-out takes integer differences of its 2k+1 values, so a
-    # whole reduce-matchings-via-gadget run never loads fractions or decimal
-    host = files("c6.g", Graph.cycle(6))
-    m2 = files("m2.g", Graph.matching(2))
-    code, record, loaded = _modules_after(
-        ["reduce-matchings-via-gadget", "-H", host, "--gadget", m2,
-         "--matching", "0-1,2-3", "-k", "2"])
-    assert code == 0 and record["count"] == str(brute.count_matchings(Graph.cycle(6), 2))
+_K33 = Graph.complete_bipartite(3, 3).with_vertex_colors(range(6))
+# two colour-preserving copies: vertex 6 stands in for vertex 0
+_K33_HOST = Graph(7, list(_K33.edges) + [(6, 3), (6, 4), (6, 5)],
+                  vcolors=[0, 1, 2, 3, 4, 5, 0])
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (["reduce-matchings-via-gadget", "-H", "@c6", "--gadget", "@m2",
+      "--matching", "0-1,2-3", "-k", "2"],
+     "count", str(brute.count_matchings(Graph.cycle(6), 2))),
+    (["reduce-subpart-via-colmatch", "-p", "@k33", "-H", "@host"],
+     "count", str(brute.count_colorpreserving_subgraphs(_K33, _K33_HOST))),
+    (["state-matrix", "--n", "0"], "det", "12"),
+], ids=["gadget", "colmatch", "state-matrix"])
+def test_exact_commands_stay_off_fractions(files, argv, key, expected):
+    # the gadget read-out takes integer differences of its 2k+1 values, the
+    # p_{s,t} come from Newton differences and the colmatch solve from
+    # cofactors, so none of these runs loads fractions or decimal
+    paths = {"@c6": files("c6.g", Graph.cycle(6)),
+             "@m2": files("m2.g", Graph.matching(2)),
+             "@k33": files("k33.g", _K33),
+             "@host": files("host.g", _K33_HOST)}
+    code, record, loaded = _modules_after([paths.get(a, a) for a in argv])
+    assert code == 0 and record[key] == expected
     assert {"fractions", "decimal"}.isdisjoint(loaded)
 
 

@@ -1,5 +1,5 @@
+import math
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -199,17 +199,18 @@ def test_query_identity_term_by_term():
 
 
 def test_solve_theta_star_roundtrip():
-    """Push a synthetic census through the forward map and solve it back."""
+    """Push seeded censuses through the forward map and solve them back, at
+    the smallest paddings, at the default one and beyond it."""
     rng = random.Random(3)
-    k = 2
-    census = {theta: rng.randrange(0, 5) for theta in product(TYPES, repeat=k)}
-    n = 5
-    x = n - 3
-    b = [sum(cnt * pst_polynomial(theta[0], t[0])(x)
-             * pst_polynomial(theta[1], t[1])(x)
-             for theta, cnt in census.items())
-         for t in product(TYPES, repeat=k)]
-    assert solve_theta_star(b, n, k) == census[(1, 1)]
+    for n in (3, 4, 5, 23, 40):
+        m = state_matrix(n - 3)
+        for k in (1, 2, 3):
+            types = list(product(TYPES, repeat=k))
+            census = {theta: rng.randrange(0, 5) for theta in types}
+            b = [sum(cnt * math.prod(m[ti - 1][si - 1] for ti, si in zip(t, theta))
+                     for theta, cnt in census.items())
+                 for t in types]
+            assert solve_theta_star(b, n, k) == census[(1,) * k]
 
 
 def test_solve_theta_star_rejects_inconsistent_values():

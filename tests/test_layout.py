@@ -1,8 +1,8 @@
 """Static checks on the package layout, read from the source with ``ast``.
 
 The modules under ``src/subcount`` must import each other without a cycle,
-and every name a module imports must be used there or re-exported through
-its ``__all__``.
+every name a module imports must be used there or re-exported through its
+``__all__``, and no module imports ``fractions`` or ``decimal``.
 """
 
 import ast
@@ -81,3 +81,20 @@ def test_every_imported_name_is_used_or_exported():
                 if isinstance(node, ast.Name)}
         unused += [f"{name}.{b}" for b in sorted(bound - used - _exported(tree))]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_no_module_imports_fractions_or_decimal():
+    # every exact step runs in plain ints; nested imports count too, since
+    # one call would load fractions, decimal and numbers into the process
+    found = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                heads = [a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                heads = [node.module.partition(".")[0]]
+            else:
+                continue
+            found += [f"{name} imports {h}" for h in heads
+                      if h in ("fractions", "decimal")]
+    assert not found, found
