@@ -48,22 +48,16 @@ def _elapsed_ms(t0):
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _pick_algo(args, tau):
-    """--algo, or under auto vc when the pattern's vertex cover number,
-    computed by ``tau()`` only then, is at most --tau-max."""
-    if args.algo != "auto":
-        return args.algo
-    return "vc" if tau() <= args.tau_max else "brute"
-
-
 def _emit(count, algorithm, calls, t0):
     print(result_record(count, algorithm, calls, _elapsed_ms(t0)))
     return 0
 
 
-def _count(args, tau, run_brute, run_vc):
-    """Run the backend _pick_algo chooses, or under --verify both and
-    require agreement, and print the record.  Each run returns (count,
+def _count(args, tau, run_brute, run_vc, label=""):
+    """Run the backend --algo names, or under auto vc when the pattern's
+    vertex cover number, computed by ``tau()`` only then, is at most
+    --tau-max; under --verify run both and require agreement.  Print the
+    record, its algorithm prefixed by ``label``.  Each run returns (count,
     oracle calls)."""
     t0 = time.perf_counter()
     if args.verify:
@@ -71,10 +65,12 @@ def _count(args, tau, run_brute, run_vc):
         nv, cv = run_vc()
         if nb != nv:
             raise InconsistencyError(f"cross-check failed: brute={nb} vc={nv}")
-        return _emit(nb, "brute+vc", cb + cv, t0)
-    algo = _pick_algo(args, tau)
+        return _emit(nb, label + "brute+vc", cb + cv, t0)
+    algo = args.algo
+    if algo == "auto":
+        algo = "vc" if tau() <= args.tau_max else "brute"
     count, calls = run_vc() if algo == "vc" else run_brute()
-    return _emit(count, algo, calls, t0)
+    return _emit(count, label + algo, calls, t0)
 
 
 def _pattern_tau(h):
@@ -190,14 +186,14 @@ def _cmd_reduce_matchings_via_gadget(args):
         raise PreconditionError(
             "gadget too large to verify automatically; pass --trust to use "
             "it unchecked")
-    algo = _pick_algo(args, _pattern_tau(hg))
-    if algo == "vc":
-        oracle = _Counted(vc.count_sub_vc)
-    else:
-        oracle = _Counted(brute.count_subgraphs)
-    t0 = time.perf_counter()
-    count = gadgets.count_matchings_via_gadget(g, args.k, gadget, oracle=oracle)
-    return _emit(count, f"gadget+{algo}", oracle.calls, t0)
+
+    def via(count_sub):
+        oracle = _Counted(count_sub)
+        count = gadgets.count_matchings_via_gadget(g, args.k, gadget, oracle=oracle)
+        return count, oracle.calls
+
+    return _count(args, _pattern_tau(hg), lambda: via(brute.count_subgraphs),
+                  lambda: via(vc.count_sub_vc), label="gadget+")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +285,7 @@ def _cmd_extract(args):
 
 def _det5(rows):
     """Permutation-expansion determinant, the independent cross-check for
-    the polynomial route."""
+    the determinant polynomial."""
     n = len(rows)
     total = 0
     for perm in permutations(range(n)):

@@ -121,23 +121,19 @@ def pst_polynomial(s: int, t: int) -> IntPolynomial:
 
 
 def state_matrix(x: int) -> list[list[int]]:
-    """The five-by-five matrix [t][s] = p_{s,t}(x); rows are query sets,
-    columns alignment types, matching the published layout at x = 0.  The
-    padding x counts intact six-cycles, so it must be nonnegative."""
+    """The five-by-five matrix [t][s] = p_{s,t}(x), read from the extension
+    counts of one class of x + 3 gadgets; rows are query sets, columns
+    alignment types, matching the published layout at x = 0.  The padding x
+    counts intact six-cycles, so it must be nonnegative."""
     if x < 0:
         raise PreconditionError(f"state matrix needs padding x >= 0, got {x}")
-    return [[pst_polynomial(s, t)(x) for s in TYPES] for t in TYPES]
+    return [[_class_extension_count(s, _A_COLORS[t], x + 3) for s in TYPES]
+            for t in TYPES]
 
 
 @lru_cache(maxsize=1)
 def state_determinant_polynomial() -> IntPolynomial:
     return determinant([[pst_polynomial(s, t) for s in TYPES] for t in TYPES])
-
-
-def singularity_padding_bound() -> int:
-    """Padding n0 such that every n >= n0 makes the type system solvable:
-    n - 3 then exceeds the Cauchy bound on the determinant's roots."""
-    return 4 + state_determinant_polynomial().cauchy_root_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +288,12 @@ class TriangleGraph:
         by ``_type_index`` of the query's type vector: entry t is the number
         of colorful matchings of ``graph`` on ``query_colors(t)``.
 
-        E[t][s] counts the A_t-colorful matchings inside one class of n
-        gadgets in state s; it is the same five-by-five matrix for every
-        class, so b comes from k mode products of the dense census.
+        E = state_matrix(n - 3) counts the A_t-colorful matchings inside one
+        class of n gadgets in state s; it is the same five-by-five matrix for
+        every class, so b comes from k mode products of the dense census.
         """
         if self._answers is None:
-            ext = [[_class_extension_count(s, _A_COLORS[t], self.n) for s in TYPES]
-                   for t in TYPES]
+            ext = state_matrix(self.n - 3)
             vec = [0] * 5 ** self.k
             for theta, cnt in self.theta_counts().items():
                 vec[_type_index(theta)] += cnt
@@ -350,9 +345,11 @@ def build_triangle_graph(h: Graph, g: Graph, padding: int | None = None) -> Tria
 
     The pattern must be cubic, bipartite and colorful; the host must be
     vertex-colored (host vertices with colors the pattern does not use are
-    simply never placed in a class).  Padding defaults to
-    max(singularity_padding_bound(), largest class), and may not be smaller
-    than max(3, largest class).
+    simply never placed in a class).  Padding defaults to the smallest valid
+    one, max(3, largest class): every class needs a gadget per member and
+    the three slots of a type-5 state need three gadgets.  Any such padding
+    is safe for the solve, because the determinant of state_matrix(n - 3) is
+    a polynomial in n - 3 with positive coefficients.
     """
     if h.directed or g.directed:
         raise PreconditionError("the reduction is for undirected graphs")
@@ -368,7 +365,7 @@ def build_triangle_graph(h: Graph, g: Graph, padding: int | None = None) -> Tria
                    for a in range(h.n)), default=0)
     floor_n = max(3, biggest)
     if padding is None:
-        padding = max(singularity_padding_bound(), floor_n)
+        padding = floor_n
     if padding < floor_n:
         raise PreconditionError(f"padding must be at least {floor_n}")
     return TriangleGraph(h, g, padding)
@@ -465,8 +462,9 @@ def solve_theta_star(b: list, n: int, k: int) -> int:
     By Cramer's rule y[t] = C[t] / det M, with C[t] the cofactor of M[t][0]
     and det M = sum_t M[t][0] C[t].  The cofactors and det M are divided by
     their gcd, so the sum is an integer contraction of the reduced cofactors
-    divided by the k-th power of the reduced det M.  The determinant
-    polynomial has positive coefficients, so det M > 0 for every n >= 3.
+    divided by the k-th power of the reduced det M.  The determinant is a
+    polynomial in n - 3 with positive coefficients, so det M > 0 for every
+    n >= 3; the check below only guards that identity.
     """
     if len(b) != 5 ** k:
         raise PreconditionError(f"need 5^{k} query values, got {len(b)}")
@@ -477,9 +475,7 @@ def solve_theta_star(b: list, n: int, k: int) -> int:
                  for t in range(5)]
     det = sum(r[0] * c for r, c in zip(matrix, cofactors))
     if det == 0:
-        raise PreconditionError(
-            f"type system singular at padding {n}; increase padding "
-            f"(any n >= {singularity_padding_bound()} works)")
+        raise PreconditionError(f"type system singular at padding {n}")
     common = math.gcd(det, *cofactors)
     row, scale = [c // common for c in cofactors], det // common
     vec = b

@@ -49,10 +49,6 @@ def subpart_via_sub_oracle(h: Graph, g: Graph, oracle) -> int:
     copies whose vertex set meets every color, i.e. the rainbow ones, and
     pruning upgrades rainbow to color-preserving.
     """
-    if not is_colorful(h):
-        raise PreconditionError("pattern must carry pairwise-distinct vertex colors")
-    if g.vcolors is None:
-        raise PreconditionError("host must be vertex-colored")
     gp = prune_useless_edges(h, g)
     colors = sorted(set(h.vcolors))
     plain_h = Graph(h.n, h.edges)

@@ -100,17 +100,6 @@ class IntPolynomial:
     def x() -> "IntPolynomial":
         return IntPolynomial([0, 1])
 
-    def cauchy_root_bound(self) -> int:
-        """floor(1 + max_i |a_i| / |a_lead|) over the lower coefficients a_i;
-        every root z satisfies |z| < cauchy_root_bound() + 1."""
-        if not self.coeffs:
-            raise PreconditionError("zero polynomial has no root bound")
-        lead = abs(self.coeffs[-1])
-        rest = [abs(c) for c in self.coeffs[:-1]]
-        if not rest:
-            return 0
-        return 1 + max(rest) // lead
-
 
 def forward_differences(values: Sequence[int]) -> list[int]:
     """[D_0, ..., D_d] with D_j the j-th forward difference of ``values`` at

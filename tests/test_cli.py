@@ -1,5 +1,6 @@
 """End-to-end checks of the command line tool, driven through cli.main."""
 
+import argparse
 import json
 import os
 import random
@@ -9,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from subcount import brute, gadgets, hardness
-from subcount.cli import main
+from subcount import brute, gadgets, hardness, vc
+from subcount.cli import build_parser, main
 from subcount.fileio import read_graph, write_graph
 from subcount.graphs import Graph
 
@@ -234,6 +235,71 @@ def test_reduce_matchings_via_gadget(capsys, files):
     assert code == 0
     assert int(rec["count"]) == brute.count_matchings(g, 2)
     assert rec["oracle_calls"] >= 5
+
+
+def test_reduce_matchings_via_gadget_verify_runs_both_oracles(capsys, files):
+    c6 = files("c6.g", Graph.cycle(6))
+    k4 = files("k4.g", Graph.complete(4))
+    argv = ["reduce-matchings-via-gadget", "-H", c6, "--gadget", k4,
+            "--matching", "0-1", "-k", "1"]
+    recs = {}
+    for route in ("brute", "vc"):
+        code, recs[route] = run(capsys, *argv, "--algo", route)
+        assert code == 0 and recs[route]["algorithm"] == f"gadget+{route}"
+    code, rec = run(capsys, *argv, "--verify")
+    assert code == 0 and rec["count"] == "6"
+    assert rec["algorithm"] == "gadget+brute+vc"
+    assert rec["oracle_calls"] == (recs["brute"]["oracle_calls"]
+                                   + recs["vc"]["oracle_calls"])
+
+
+@pytest.mark.parametrize("command", ["count-sub", "reduce-matchings-via-gadget"])
+def test_verify_disagreement_exits_3(capsys, files, monkeypatch, command):
+    c6 = files("c6.g", Graph.cycle(6))
+    k4 = files("k4.g", Graph.complete(4))
+    edge = files("edge.g", Graph.matching(1))
+    argv = {"count-sub": ["count-sub", "-p", edge, "-H", c6],
+            "reduce-matchings-via-gadget": [
+                "reduce-matchings-via-gadget", "-H", c6, "--gadget", k4,
+                "--matching", "0-1", "-k", "1"]}[command]
+    # a vc oracle that doubles every count: the gadget read-out would cancel
+    # a constant offset in its differences and reject an offset on a single
+    # query by itself, but a doubled count passes its checks and doubles
+    count_sub_vc = vc.count_sub_vc
+    monkeypatch.setattr(vc, "count_sub_vc", lambda h, g: 2 * count_sub_vc(h, g))
+    assert main([*argv, "--verify"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "cross-check failed" in err
+
+
+# the commands with a brute and a vc route, each on a tiny input
+_TWO_ROUTE_ARGV = {
+    "count-sub": ["-p", "@tri", "-H", "@k4"],
+    "count-emb": ["-p", "@tri", "-H", "@k4"],
+    "count-subpart": ["-p", "@tricol", "-H", "@k4col"],
+    "count-matchings": ["-H", "@k4", "-k", "2"],
+    "reduce-matchings-via-gadget": ["-H", "@c6", "--gadget", "@m2",
+                                    "--matching", "0-1,2-3", "-k", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TWO_ROUTE_ARGV))
+def test_every_verify_flag_runs_both_routes(capsys, files, command):
+    # a command that offers --verify must honour it
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    offered = {name for name, p in sub.choices.items()
+               if "--verify" in p.format_help()}
+    assert offered == set(_TWO_ROUTE_ARGV)
+    paths = {"@tri": files("tri.g", Graph.cycle(3)),
+             "@k4": files("k4.g", Graph.complete(4)),
+             "@tricol": files("tricol.g", Graph.cycle(3).with_vertex_colors([0, 1, 2])),
+             "@k4col": files("k4col.g", Graph.complete(4).with_vertex_colors([0, 1, 2, 0])),
+             "@c6": files("c6.g", Graph.cycle(6)),
+             "@m2": files("m2.g", Graph.matching(2))}
+    argv = [paths.get(a, a) for a in _TWO_ROUTE_ARGV[command]]
+    code, rec = run(capsys, command, *argv, "--verify")
+    assert code == 0 and rec["algorithm"].endswith("brute+vc")
 
 
 def test_reduce_matchings_via_gadget_rejects_bad_gadget(capsys, files):

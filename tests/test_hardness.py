@@ -4,17 +4,19 @@ from itertools import product
 
 import pytest
 
+from subcount import cli
 from subcount.brute import (count_colorful_matchings,
                             count_colorpreserving_subgraphs,
                             count_matchings, count_walk_patterns)
+from subcount.fileio import write_graph
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
                                _type_index, build_triangle_graph,
                                directed_cycles_via_undirected, gadget_graph,
                                matchings_via_directed_cycles, pst_polynomial,
-                               residue_graph, singularity_padding_bound,
-                               solve_theta_star, state_determinant_polynomial,
-                               state_matrix, subpart_via_colmatch_oracle)
+                               residue_graph, solve_theta_star,
+                               state_determinant_polynomial, state_matrix,
+                               subpart_via_colmatch_oracle)
 from helpers import (iter_colorful_matchings, rand_bipartite, rand_digraph,
                      rand_graph)
 
@@ -77,7 +79,14 @@ def test_determinant_is_certified():
     assert list(det.coeffs) == [12, 30, 36, 36, 28, 12, 2]
     # all coefficients positive: nonsingular for every padding n >= 3
     assert all(c > 0 for c in det.coeffs)
-    assert singularity_padding_bound() == 23
+
+
+def test_state_matrix_equals_the_polynomials():
+    # the run path reads the matrix from extension counts, the state-matrix
+    # determinant from the interpolated p_{s,t}: both give the same entries
+    for x in range(41):
+        assert state_matrix(x) == [[pst_polynomial(s, t)(x) for s in TYPES]
+                                   for t in TYPES]
 
 
 def test_determinant_polynomial_agrees_with_sympy():
@@ -121,6 +130,13 @@ def test_build_rejects_bad_patterns():
     with pytest.raises(PreconditionError):  # padding below class size
         host = Graph.empty(5).with_vertex_colors([1, 1, 1, 1, 2])
         build_triangle_graph(colorful_k33(), host, padding=3)
+
+
+def test_default_padding_is_the_smallest_valid_one():
+    # one gadget per class member, and never fewer than three
+    assert build_triangle_graph(colorful_k33(), colorful_k33()).n == 3
+    host = Graph.empty(10).with_vertex_colors([1, 1, 1, 1, 1, 2, 3, 4, 5, 6])
+    assert build_triangle_graph(colorful_k33(), host).n == 5
 
 
 def test_triangle_graph_shape():
@@ -260,10 +276,23 @@ def test_pipeline_counts_two_copies():
 
 
 def test_pipeline_default_padding():
-    # exercises the certified padding (23) end to end
     h = colorful_k33()
-    got = subpart_via_colmatch_oracle(h, colorful_k33())
-    assert got == 1
+    assert subpart_via_colmatch_oracle(h, colorful_k33()) == 1
+    # a padding far above the class sizes solves to the same count
+    assert subpart_via_colmatch_oracle(h, colorful_k33(), padding=23) == 1
+
+
+def test_colmatch_command_builds_no_polynomial(tmp_path, capsys):
+    # the run reads one class matrix from extension counts; the p_{s,t} and
+    # their determinant are for the state-matrix command and the tests
+    pst_polynomial.cache_clear()
+    state_determinant_polynomial.cache_clear()
+    for name in ("h", "g"):
+        write_graph(colorful_k33(), tmp_path / name)
+    code = cli.main(["reduce-subpart-via-colmatch", "-p", str(tmp_path / "h"),
+                     "-H", str(tmp_path / "g")])
+    assert code == 0 and '"count": "1"' in capsys.readouterr().out
+    assert pst_polynomial.cache_info().misses == 0
 
 
 def test_pipeline_matches_brute_on_random_hosts():

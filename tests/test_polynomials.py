@@ -45,18 +45,6 @@ def test_interpolation_roundtrip(coeffs):
     assert interpolate_int_polynomial(0, [p(x) for x in range(deg + 1)]) == p
 
 
-def test_cauchy_bound_dominates_roots():
-    # (x-3)(x+5)(x-1) = x^3 + x^2 - 17x + 15
-    p = IntPolynomial([15, -17, 1, 1])
-    b = p.cauchy_root_bound()
-    for r in (3, -5, 1):
-        assert abs(r) <= b
-    assert p.cauchy_root_bound() == 18
-    # rounded down: (2x - 7)(x + 1) gets floor(1 + 7/2) = 4, and its root 7/2
-    # stays below 4 + 1
-    assert IntPolynomial([-7, -5, 2]).cauchy_root_bound() == 4
-
-
 def _binom(top, i):
     # C(top, i) for any integer top, as the polynomial in top
     return falling_factorial(top, i) // math.factorial(i)
