@@ -9,27 +9,18 @@ ill-formed files), 2 precondition violation, 3 internal inconsistency
 detected by a cross-check.
 """
 
-import argparse
-import json
 import sys
 import time
+from collections import namedtuple
 from itertools import permutations
+from types import SimpleNamespace
 
 from . import brute, gadgets, hardness, iex, structural, vc
-from .fileio import (GraphParseError, format_matching, load_model,
+from .fileio import (GraphParseError, dumps, format_matching, load_model,
                      parse_matching, read_graph, result_record, save_model,
                      write_graph)
 from .graphs import (Graph, InconsistencyError, PreconditionError,
                      min_vertex_cover)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; 2 is reserved for precondition
-    violations here, so command line mistakes map to exit 1 instead."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 class _Counted:
@@ -152,7 +143,7 @@ def _cmd_verify_gadget(args):
     if bad is not None:
         out["counterexample"] = list(bad)
     out["elapsed_ms"] = _elapsed_ms(t0)
-    print(json.dumps(out))
+    print(dumps(out))
     return 0
 
 
@@ -168,7 +159,7 @@ def _cmd_search_gadget(args):
     if found is not None:
         out["matching"] = format_matching(found.matching)
     out["elapsed_ms"] = _elapsed_ms(t0)
-    print(json.dumps(out))
+    print(dumps(out))
     return 0
 
 
@@ -232,8 +223,7 @@ def _cmd_make_bicubic(args):
     write_graph(dagger, args.out)
     if args.model_out:
         save_model(model, args.model_out)
-    print(json.dumps({"vertices": dagger.n, "edges": dagger.m,
-                      "elapsed_ms": _elapsed_ms(t0)}))
+    print(dumps({"vertices": dagger.n, "edges": dagger.m, "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 
@@ -244,8 +234,8 @@ def _cmd_grid_instance(args):
     write_graph(host, args.out)
     if args.pattern_out:
         write_graph(pattern, args.pattern_out)
-    print(json.dumps({"pattern_vertices": pattern.n, "host_vertices": host.n,
-                      "host_edges": host.m, "elapsed_ms": _elapsed_ms(t0)}))
+    print(dumps({"pattern_vertices": pattern.n, "host_vertices": host.n,
+                 "host_edges": host.m, "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 
@@ -257,8 +247,7 @@ def _cmd_minor_lift(args):
     t0 = time.perf_counter()
     lifted = structural.minor_lift_instance(h, dagger, model, g)
     write_graph(lifted, args.out)
-    print(json.dumps({"vertices": lifted.n, "edges": lifted.m,
-                      "elapsed_ms": _elapsed_ms(t0)}))
+    print(dumps({"vertices": lifted.n, "edges": lifted.m, "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 
@@ -279,7 +268,7 @@ def _cmd_extract(args):
         else:
             out["edges"] = format_matching(witness)
     out["elapsed_ms"] = _elapsed_ms(t0)
-    print(json.dumps(out))
+    print(dumps(out))
     return 0
 
 
@@ -308,160 +297,207 @@ def _cmd_state_matrix(args):
     if det != _det5(rows):
         raise InconsistencyError(
             f"determinant polynomial gives {det} but direct expansion disagrees")
-    print(json.dumps({"matrix": rows, "det": str(det),
-                      "elapsed_ms": _elapsed_ms(t0)}))
+    print(dumps({"matrix": rows, "det": str(det), "elapsed_ms": _elapsed_ms(t0)}))
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table and argv parser
+
+# ``kind`` is str, int, bool (a flag, which takes no value) or a tuple of the
+# allowed values; ``dest`` is the attribute the handler reads
+_Option = namedtuple("_Option", "flags dest kind required default metavar help")
 
 
-def _add_algo_flags(p):
-    p.add_argument("--algo", choices=("brute", "vc", "auto"), default="auto",
-                   help="counting backend (auto picks vc for small vertex cover)")
-    p.add_argument("--tau-max", type=int, default=4, metavar="T",
-                   help="auto uses vc when the pattern cover number is at most T")
-    p.add_argument("--verify", action="store_true",
-                   help="run brute and vc and require agreement")
+def _opt(*flags, kind=str, required=False, default=None, metavar=None, help=""):
+    dest = flags[-1].lstrip("-").replace("-", "_")
+    if kind is bool:
+        default = False
+    elif metavar is None:
+        metavar = "{" + ",".join(kind) + "}" if type(kind) is tuple else dest.upper()
+    return _Option(flags, dest, kind, required, default, metavar, help)
 
 
-def build_parser():
-    parser = _Parser(prog="subcount",
-                     description="subgraph counting and its hardness toolkit")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
+_HELP = _opt("-h", "--help", kind=bool, help="show this help message and exit")
+_PATTERN = _opt("-p", "--pattern", required=True, metavar="FILE")
+_HOST = _opt("-H", "--host", required=True, metavar="FILE")
+_K = _opt("-k", kind=int, required=True)
+_OUT = _opt("-o", "--out", required=True, metavar="FILE")
+_MATCHING = _opt("--matching", required=True, metavar="SPEC",
+                 help="induced matching as 'u-v,u-v,...'")
+_ALGO_FLAGS = (
+    _opt("--algo", kind=("brute", "vc", "auto"), default="auto",
+         help="counting backend (auto picks vc for small vertex cover)"),
+    _opt("--tau-max", kind=int, default=4, metavar="T",
+         help="auto uses vc when the pattern cover number is at most T"),
+    _opt("--verify", kind=bool, help="run brute and vc and require agreement"),
+)
 
-    p = sub.add_parser("count-sub", help="count subgraph copies of a pattern")
-    p.add_argument("-p", "--pattern", required=True, metavar="FILE")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    _add_algo_flags(p)
-    p.set_defaults(run=_cmd_count_sub)
+# name -> (help line, handler, options)
+COMMANDS = {
+    "count-sub": ("count subgraph copies of a pattern", _cmd_count_sub,
+                  (_PATTERN, _HOST, *_ALGO_FLAGS)),
+    "count-emb": ("count injective embeddings of a pattern", _cmd_count_emb,
+                  (_PATTERN, _HOST, *_ALGO_FLAGS)),
+    "count-subpart": ("count color-preserving copies of a colored pattern",
+                      _cmd_count_subpart, (_PATTERN, _HOST, *_ALGO_FLAGS)),
+    "count-colorful-matchings": (
+        "count matchings using every edge color exactly once",
+        _cmd_count_colorful_matchings,
+        (_HOST, _opt("--via", kind=("direct", "matchings"), default="direct",
+                     help="direct enumeration, or inclusion-exclusion through "
+                          "plain matching counts"))),
+    "count-matchings": ("count matchings with k edges", _cmd_count_matchings,
+                        (_HOST, _K, *_ALGO_FLAGS)),
+    "count-cycles": ("count cycle subgraphs with k edges", _cmd_count_cycles,
+                     (_HOST, _K)),
+    "verify-gadget": ("exhaustively check the matching-gadget property",
+                      _cmd_verify_gadget, (_HOST, _MATCHING)),
+    "search-gadget": (
+        "find an induced k-matching passing the gadget check", _cmd_search_gadget,
+        (_HOST, _K, _opt("--trust", kind=bool,
+                         help="allow searching graphs above 12 vertices"))),
+    "reduce-matchings-via-gadget": (
+        "count k-matchings through subgraph-count queries",
+        _cmd_reduce_matchings_via_gadget,
+        (_HOST, _opt("--gadget", required=True, metavar="FILE"), _MATCHING, _K,
+         _opt("--trust", kind=bool,
+              help="skip verification for gadgets above 12 vertices"),
+         *_ALGO_FLAGS)),
+    "reduce-subpart-via-colmatch": (
+        "count color-preserving copies through colorful-matching queries",
+        _cmd_reduce_subpart_via_colmatch,
+        (_PATTERN, _HOST, _opt("--max-k", kind=int, default=6, metavar="K",
+                               help="refuse patterns above K vertices (5^K queries)"))),
+    "reduce-matchings-via-cycles": (
+        "count k-matchings through one directed-cycle count",
+        _cmd_reduce_matchings_via_cycles, (_HOST, _K)),
+    "make-bicubic": (
+        "rebuild a graph as a cubic bipartite minor host", _cmd_make_bicubic,
+        (_HOST, _OUT, _opt("--model-out", metavar="FILE",
+                           help="also write the branch-set model as JSON"))),
+    "grid-instance": (
+        "build the colored grid host whose pattern count equals the k-clique count",
+        _cmd_grid_instance,
+        (_HOST, _K, _OUT, _opt("--pattern-out", metavar="FILE",
+                               help="also write the colorful grid pattern"))),
+    "minor-lift": (
+        "transfer colored pattern counting across a minor model", _cmd_minor_lift,
+        (_PATTERN, _HOST,
+         _opt("--dagger", required=True, metavar="FILE", help="the rebuilt pattern graph"),
+         _opt("--model", required=True, metavar="FILE", help="branch-set model JSON"),
+         _OUT)),
+    "extract": (
+        "look for a clique, biclique or induced matching among the edges of a matching",
+        _cmd_extract, (_HOST, _K, _MATCHING)),
+    "state-matrix": (
+        "print the query/alignment state matrix and its determinant at padding n",
+        _cmd_state_matrix, (_opt("--n", kind=int, required=True),)),
+}
 
-    p = sub.add_parser("count-emb", help="count injective embeddings of a pattern")
-    p.add_argument("-p", "--pattern", required=True, metavar="FILE")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    _add_algo_flags(p)
-    p.set_defaults(run=_cmd_count_emb)
 
-    p = sub.add_parser("count-subpart",
-                       help="count color-preserving copies of a colored pattern")
-    p.add_argument("-p", "--pattern", required=True, metavar="FILE")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    _add_algo_flags(p)
-    p.set_defaults(run=_cmd_count_subpart)
+class _UsageError(Exception):
+    """A command line mistake: usage line, message, exit 1."""
 
-    p = sub.add_parser("count-colorful-matchings",
-                       help="count matchings using every edge color exactly once")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("--via", choices=("direct", "matchings"), default="direct",
-                   help="direct enumeration, or inclusion-exclusion through "
-                        "plain matching counts")
-    p.set_defaults(run=_cmd_count_colorful_matchings)
 
-    p = sub.add_parser("count-matchings", help="count matchings with k edges")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("-k", type=int, required=True)
-    _add_algo_flags(p)
-    p.set_defaults(run=_cmd_count_matchings)
+def _usage(name, options):
+    if name is None:
+        return "usage: subcount [-h] <command> ..."
+    shown = [f"{o.flags[0]} {o.metavar}" if o.metavar else o.flags[0] for o in options]
+    return " ".join([f"usage: subcount {name} [-h]"]
+                    + [s if o.required else f"[{s}]" for o, s in zip(options, shown)])
 
-    p = sub.add_parser("count-cycles", help="count cycle subgraphs with k edges")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(run=_cmd_count_cycles)
 
-    p = sub.add_parser("verify-gadget",
-                       help="exhaustively check the matching-gadget property")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("--matching", required=True, metavar="SPEC",
-                   help="induced matching as 'u-v,u-v,...'")
-    p.set_defaults(run=_cmd_verify_gadget)
+def _help(name, options):
+    if name is None:
+        head = "subgraph counting and its hardness toolkit\n\ncommands:"
+        rows = [(n, c[0]) for n, c in COMMANDS.items()]
+    else:
+        head = f"{COMMANDS[name][0]}\n\noptions:"
+        rows = [(", ".join(o.flags) + (f" {o.metavar}" if o.metavar else ""), o.help)
+                for o in (_HELP, *options)]
+    return "\n".join([_usage(name, options), "", head]
+                     + [f"  {left:<28} {text}".rstrip() for left, text in rows])
 
-    p = sub.add_parser("search-gadget",
-                       help="find an induced k-matching passing the gadget check")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--trust", action="store_true",
-                   help="allow searching graphs above 12 vertices")
-    p.set_defaults(run=_cmd_search_gadget)
 
-    p = sub.add_parser("reduce-matchings-via-gadget",
-                       help="count k-matchings through subgraph-count queries")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("--gadget", required=True, metavar="FILE")
-    p.add_argument("--matching", required=True, metavar="SPEC")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--trust", action="store_true",
-                   help="skip verification for gadgets above 12 vertices")
-    _add_algo_flags(p)
-    p.set_defaults(run=_cmd_reduce_matchings_via_gadget)
+def _lookup(token, options):
+    """The (option, attached value or None) that ``token`` names, or None
+    when it is a value.  The rules are argparse's: ``--flag=V``, ``-fV`` and
+    ``-f=V`` attach a value, a unique prefix names a long flag, and a
+    negative number is a value."""
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    by_flag = {f: o for o in (_HELP, *options) for f in o.flags}
+    flag, eq, attached = token.partition("=")
+    if token in by_flag:
+        return by_flag[token], None
+    if eq and flag in by_flag:
+        return by_flag[flag], attached
+    if token[1] == "-" and flag != "--":
+        hits = [f for f in by_flag if f.startswith(flag) and f[1] == "-"]
+        if len(hits) > 1:
+            raise _UsageError(f"ambiguous option: {flag} could match {', '.join(hits)}")
+        if hits:
+            return by_flag[hits[0]], attached if eq else None
+    elif token[:2] in by_flag:
+        return by_flag[token[:2]], token[2:]
+    if token[1:].replace(".", "", 1).isdigit() or " " in token:
+        return None
+    raise _UsageError(f"unrecognized arguments: {token}")
 
-    p = sub.add_parser("reduce-subpart-via-colmatch",
-                       help="count color-preserving copies through colorful-"
-                            "matching queries")
-    p.add_argument("-p", "--pattern", required=True, metavar="FILE")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("--max-k", type=int, default=6, metavar="K",
-                   help="refuse patterns above K vertices (5^K queries)")
-    p.set_defaults(run=_cmd_reduce_subpart_via_colmatch)
 
-    p = sub.add_parser("reduce-matchings-via-cycles",
-                       help="count k-matchings through one directed-cycle count")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(run=_cmd_reduce_matchings_via_cycles)
-
-    p = sub.add_parser("make-bicubic",
-                       help="rebuild a graph as a cubic bipartite minor host")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("-o", "--out", required=True, metavar="FILE")
-    p.add_argument("--model-out", metavar="FILE",
-                   help="also write the branch-set model as JSON")
-    p.set_defaults(run=_cmd_make_bicubic)
-
-    p = sub.add_parser("grid-instance",
-                       help="build the colored grid host whose pattern count "
-                            "equals the k-clique count")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-o", "--out", required=True, metavar="FILE")
-    p.add_argument("--pattern-out", metavar="FILE",
-                   help="also write the colorful grid pattern")
-    p.set_defaults(run=_cmd_grid_instance)
-
-    p = sub.add_parser("minor-lift",
-                       help="transfer colored pattern counting across a minor model")
-    p.add_argument("-p", "--pattern", required=True, metavar="FILE")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("--dagger", required=True, metavar="FILE",
-                   help="the rebuilt pattern graph")
-    p.add_argument("--model", required=True, metavar="FILE",
-                   help="branch-set model JSON")
-    p.add_argument("-o", "--out", required=True, metavar="FILE")
-    p.set_defaults(run=_cmd_minor_lift)
-
-    p = sub.add_parser("extract",
-                       help="look for a clique, biclique or induced matching "
-                            "among the edges of a matching")
-    p.add_argument("-H", "--host", required=True, metavar="FILE")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--matching", required=True, metavar="SPEC")
-    p.set_defaults(run=_cmd_extract)
-
-    p = sub.add_parser("state-matrix",
-                       help="print the query/alignment state matrix and its "
-                            "determinant at padding n")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(run=_cmd_state_matrix)
-
-    return parser
+def _parse(argv):
+    """Read argv against COMMANDS: the handler and its arguments.  Help
+    exits 0 and a usage error exits 1, each after printing."""
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    name, options, values = None, (), {}
+    try:
+        while tokens:
+            token = tokens.pop(0)
+            hit = _lookup(token, options)
+            if hit is None:
+                if name is not None or token not in COMMANDS:
+                    raise _UsageError(f"unrecognized arguments: {token}" if name else
+                                      f"invalid command {token!r} (choose from "
+                                      f"{', '.join(COMMANDS)})")
+                name, options = token, COMMANDS[token][2]
+                values = {o.dest: o.default for o in options}
+                continue
+            opt, value = hit
+            where = "argument " + "/".join(opt.flags)
+            if opt.kind is bool and value is not None:
+                raise _UsageError(f"{where}: ignored explicit argument {value!r}")
+            if opt is _HELP:
+                print(_help(name, options))
+                raise SystemExit(0)
+            if opt.kind is not bool and value is None:
+                if not tokens or _lookup(tokens[0], options):
+                    raise _UsageError(f"{where}: expected one argument")
+                value = tokens.pop(0)
+            if opt.kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise _UsageError(f"{where}: invalid int value: {value!r}") from None
+            elif type(opt.kind) is tuple and value not in opt.kind:
+                raise _UsageError(f"{where}: invalid choice: {value!r} (choose from "
+                                  f"{', '.join(map(repr, opt.kind))})")
+            values[opt.dest] = True if opt.kind is bool else value
+        missing = ["<command>"] if name is None else [
+            "/".join(o.flags) for o in options if o.required and values[o.dest] is None]
+        if missing:
+            raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    except _UsageError as exc:
+        print(_usage(name, options), file=sys.stderr)
+        print(f"subcount{' ' + name if name else ''}: error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+    return COMMANDS[name][1], SimpleNamespace(**values)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    run, args = _parse(argv)
     try:
-        return args.run(args)
+        return run(args)
     except GraphParseError as exc:
         print(f"subcount: error: {exc}", file=sys.stderr)
         return 1

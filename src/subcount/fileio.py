@@ -14,8 +14,6 @@ they surface as GraphParseError (exit code 1 in the CLI) rather than
 PreconditionError.
 """
 
-import json
-
 from .graphs import Graph, PreconditionError
 
 
@@ -118,8 +116,12 @@ def format_graph(g):
 
 
 def read_graph(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"not UTF-8 text: {exc}") from None
+    return parse_graph(text)
 
 
 def write_graph(g, path):
@@ -154,10 +156,11 @@ def load_model(path):
     Returns the validated ``(branch_sets, discard)`` lists; the caller builds
     the model object from them.
     """
+    import json  # here only, so that no count loads it
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise GraphParseError(f"model file: {exc}") from None
     if not isinstance(data, dict) or "branch_sets" not in data:
         raise GraphParseError("model file must be an object with 'branch_sets'")
@@ -176,14 +179,34 @@ def save_model(model, path):
     data = {"branch_sets": [list(b) for b in model.branch_sets],
             "discard": list(model.discard)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-        fh.write("\n")
+        fh.write(dumps(data) + "\n")
+
+
+def _json_str(s):
+    if type(s) is not str or not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        raise ValueError(f"{s!r} is not a string JSON prints as is")
+    return f'"{s}"'
+
+
+def dumps(obj):
+    """``json.dumps(obj)`` byte for byte, for the shapes the CLI prints:
+    dicts with string keys, ints, bools, lists of these, and printable ASCII
+    strings without ``"`` or ``\\``.  Anything else raises."""
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    if type(obj) is int:
+        return str(obj)
+    if type(obj) is list:
+        return "[" + ", ".join(map(dumps, obj)) + "]"
+    if type(obj) is dict:
+        return "{" + ", ".join(f"{_json_str(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
+    return _json_str(obj)
 
 
 def result_record(count, algorithm, oracle_calls, elapsed_ms):
     """The JSON line every counting command prints.  Counts are decimal
     strings so arbitrarily large values survive any JSON reader."""
-    return json.dumps({
+    return dumps({
         "count": str(int(count)),
         "algorithm": algorithm,
         "oracle_calls": int(oracle_calls),

@@ -321,10 +321,11 @@ def _kron_step(vec: list[int], rows) -> list[int]:
     axis, with one row a full contraction down to a single entry.
     """
     size = len(vec) // 5
-    out = []
-    for v0, v1, v2, v3, v4 in zip(*(vec[j * size:(j + 1) * size] for j in range(5))):
-        out.extend([r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
-                    for r0, r1, r2, r3, r4 in rows])
+    slices = [vec[j * size:(j + 1) * size] for j in range(5)]
+    out = [0] * (size * len(rows))
+    for r, (r0, r1, r2, r3, r4) in enumerate(rows):
+        out[r::len(rows)] = [r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
+                             for v0, v1, v2, v3, v4 in zip(*slices)]
     return out
 
 

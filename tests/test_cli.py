@@ -1,6 +1,5 @@
 """End-to-end checks of the command line tool, driven through cli.main."""
 
-import argparse
 import json
 import os
 import random
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from subcount import brute, gadgets, hardness, vc
-from subcount.cli import build_parser, main
+from subcount.cli import COMMANDS, _parse, main
 from subcount.fileio import read_graph, write_graph
 from subcount.graphs import Graph
 
@@ -283,13 +282,19 @@ _TWO_ROUTE_ARGV = {
 }
 
 
+def _help(capsys, *argv):
+    """The help text that ``argv --help`` prints, after checking it exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    return captured.out
+
+
 @pytest.mark.parametrize("command", sorted(_TWO_ROUTE_ARGV))
 def test_every_verify_flag_runs_both_routes(capsys, files, command):
     # a command that offers --verify must honour it
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    offered = {name for name, p in sub.choices.items()
-               if "--verify" in p.format_help()}
+    offered = {name for name in COMMANDS if "--verify" in _help(capsys, name)}
     assert offered == set(_TWO_ROUTE_ARGV)
     paths = {"@tri": files("tri.g", Graph.cycle(3)),
              "@k4": files("k4.g", Graph.complete(4)),
@@ -425,6 +430,21 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 1
 
 
+def test_files_that_are_not_utf8_exit_1(capsys, files, tmp_path):
+    bad = tmp_path / "bad.g"
+    bad.write_bytes(b"g 3\ne 0 1\n\xff\n")
+    code = main(["count-sub", "-p", str(bad), "-H", str(bad)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("subcount: error: not UTF-8")
+    model = tmp_path / "model.json"
+    model.write_bytes(b'{"branch_sets": [[0]], "x": "\xff"}')
+    edge = files("edge.g", Graph.matching(1))
+    code = main(["minor-lift", "-p", edge, "-H", edge, "--dagger", edge,
+                 "--model", str(model), "-o", str(tmp_path / "out.g")])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("subcount: error: model file: ")
+
+
 def test_exit_code_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["count-sub", "-p", "x.g"])
@@ -438,6 +458,74 @@ def test_exit_code_usage_error(tmp_path):
         main(["reduce-subpart-via-colmatch", "-p", "h.g", "-H", "g.g",
               "--oracle", "brute"])
     assert exc.value.code == 1
+
+
+# every form argparse accepted for these options, and the values it gave
+@pytest.mark.parametrize("argv, expected", [
+    (["count-sub", "--pattern", "a.g", "--host", "b.g"], {"pattern": "a.g", "host": "b.g"}),
+    (["count-sub", "--pattern=a.g", "-H", "b.g"], {"pattern": "a.g"}),
+    (["count-sub", "-pa.g", "-Hb.g"], {"pattern": "a.g", "host": "b.g"}),
+    (["count-sub", "-p=a.g", "-H=b.g"], {"pattern": "a.g", "host": "b.g"}),
+    (["count-sub", "--pat", "a.g", "--ho=b.g"], {"pattern": "a.g", "host": "b.g"}),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--al", "vc"], {"algo": "vc"}),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--tau", "-1"], {"tau_max": -1}),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--tau-max=-2", "--ver"],
+     {"tau_max": -2, "verify": True}),
+    (["count-sub", "-p", "a.g", "-H", "b.g"],
+     {"algo": "auto", "tau_max": 4, "verify": False}),
+    (["count-sub", "-p", "a.g", "-p", "c.g", "-H", "b.g", "--algo", "brute",
+      "--algo", "vc"], {"pattern": "c.g", "algo": "vc"}),
+    (["count-matchings", "-H", "g.g", "-k", "-1"], {"k": -1}),
+    (["count-matchings", "-k-3", "-H", "g.g"], {"k": -3}),
+    (["state-matrix", "--n", "-1"], {"n": -1}),
+    (["extract", "-H", "g.g", "-k", "2", "--matching", ""], {"matching": ""}),
+    (["make-bicubic", "-H", "h.g", "-o", "-"], {"out": "-", "model_out": None}),
+    (["count-colorful-matchings", "-H", "g.g", "--via", "matchings"], {"via": "matchings"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_option_forms(argv, expected):
+    run, args = _parse(argv)
+    assert run is COMMANDS[argv[0]][1]
+    assert {key: getattr(args, key) for key in expected} == expected
+
+
+@pytest.mark.parametrize("argv, token", [
+    ([], "command"),
+    (["no-such-command"], "no-such-command"),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--bogus"], "--bogus"),
+    (["reduce-matchings-via-gadget", "--t"], "--t"),
+    (["count-sub", "-H", "b.g", "-p"], "-p"),
+    (["count-sub", "-p", "--host", "b.g"], "-p"),
+    (["count-matchings", "-H", "g.g", "-k", "two"], "two"),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--algo", "fast"], "fast"),
+    (["count-sub", "-p", "a.g"], "-H/--host"),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "stray"], "stray"),
+    (["--"], "--"),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--"], "--"),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--verify=yes"], "yes"),
+], ids=["no command", "unknown command", "unknown option",
+        "ambiguous option", "missing value", "flag for value", "bad int", "bad choice",
+        "missing required", "stray token", "bare -- first", "bare -- last",
+        "value for flag"])
+def test_usage_errors_exit_1(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    usage, message = err.splitlines()
+    assert usage.startswith("usage: subcount")
+    assert message.startswith("subcount") and ": error: " in message and token in message
+
+
+def test_help_lists_every_command_and_option(capsys):
+    top = _help(capsys)
+    assert len(COMMANDS) == 16 and all(name in top for name in COMMANDS)
+    assert _help(capsys, "-h") == top
+    for name, (_, _, options) in COMMANDS.items():
+        text = _help(capsys, name)
+        assert text.startswith(f"usage: subcount {name} ")
+        assert all(flag in text for o in options for flag in o.flags)
+    # help comes before the check for required options
+    assert _help(capsys, "count-sub", "-p", "a.g") == _help(capsys, "count-sub")
 
 
 def test_exit_code_precondition(capsys, files):
@@ -471,9 +559,11 @@ def _modules_after(argv):
     """Run the CLI on argv in a fresh ``python3 -S`` process; return its
     exit code, its JSON record and every module it ended with."""
     script = (
-        "import sys, json, subcount.cli\n"
+        "import sys, subcount.cli\n"
         f"code = subcount.cli.main({argv!r})\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n")
+        "loaded = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
@@ -483,17 +573,22 @@ def _modules_after(argv):
     return code, json.loads(record), set(loaded)
 
 
+# modules a count must not load: typing, dataclasses (which pulls in inspect),
+# fractions (which pulls in decimal), and the argparse and json the front end
+# does without (argparse pulls in re, enum and gettext)
+_HEAVY = {"typing", "dataclasses", "inspect", "fractions", "decimal",
+          "argparse", "json", "re", "gettext", "enum"}
+
+
 def test_startup_imports_stay_light(files):
     # each CLI command is a fresh ``python3 -S -m subcount.cli`` process, so
-    # the import path must not load typing, dataclasses (which pulls in
-    # inspect) or fractions (which pulls in decimal); every backend must still
-    # be loaded by ``import subcount.cli`` so outside wrappers can find it
+    # its import path must stay off _HEAVY; every backend must still be
+    # loaded by ``import subcount.cli`` so outside wrappers can find it
     tri = files("tri.g", Graph.cycle(3))
     k4 = files("k4.g", Graph.complete(4))
     code, record, loaded = _modules_after(["count-sub", "-p", tri, "-H", k4])
     assert code == 0 and record["count"] == "4"
-    heavy = {"typing", "dataclasses", "inspect", "fractions", "decimal"}
-    assert heavy.isdisjoint(loaded)
+    assert _HEAVY.isdisjoint(loaded)
     backends = {f"subcount.{m}" for m in ("brute", "cli", "fileio", "gadgets",
                                           "graphs", "hardness", "iex",
                                           "polynomials", "structural", "vc")}
@@ -517,14 +612,15 @@ _K33_HOST = Graph(7, list(_K33.edges) + [(6, 3), (6, 4), (6, 5)],
 def test_exact_commands_stay_off_fractions(files, argv, key, expected):
     # the gadget read-out takes integer differences of its 2k+1 values, the
     # p_{s,t} come from Newton differences and the colmatch solve from
-    # cofactors, so none of these runs loads fractions or decimal
+    # cofactors, so none of these runs loads fractions or decimal, nor any
+    # other module of _HEAVY
     paths = {"@c6": files("c6.g", Graph.cycle(6)),
              "@m2": files("m2.g", Graph.matching(2)),
              "@k33": files("k33.g", _K33),
              "@host": files("host.g", _K33_HOST)}
     code, record, loaded = _modules_after([paths.get(a, a) for a in argv])
     assert code == 0 and record[key] == expected
-    assert {"fractions", "decimal"}.isdisjoint(loaded)
+    assert _HEAVY.isdisjoint(loaded)
 
 
 @pytest.mark.parametrize("argv", [

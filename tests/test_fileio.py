@@ -2,17 +2,19 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcount.fileio import (GraphParseError, format_graph, format_matching,
-                             load_model, parse_graph, parse_matching,
-                             read_graph, result_record, save_model,
-                             write_graph)
+from subcount.fileio import (GraphParseError, dumps, format_graph,
+                             format_matching, load_model, parse_graph,
+                             parse_matching, read_graph, result_record,
+                             save_model, write_graph)
 from subcount.graphs import Graph
+from subcount.hardness import state_matrix
 from subcount.structural import MinorModel
 
 from helpers import rand_graph
@@ -187,3 +189,58 @@ def test_result_record_decimal_string():
     assert rec == {"count": "1" + "0" * 40, "algorithm": "brute",
                    "oracle_calls": 3, "elapsed_ms": 17}
     assert "e" not in rec["count"] and "E" not in rec["count"]
+
+
+def test_files_that_are_not_utf8_are_parse_errors(tmp_path):
+    bad = tmp_path / "bad.g"
+    bad.write_bytes(b"g 3\ne 0 1\n\xff\n")
+    with pytest.raises(GraphParseError, match="not UTF-8"):
+        read_graph(bad)
+    model = tmp_path / "m.json"
+    model.write_bytes(b'{"branch_sets": [[0, 1]], "discard": [], "note": "\xff"}')
+    with pytest.raises(GraphParseError, match="model file"):
+        load_model(model)
+
+
+def _records(rng):
+    """One of every record shape the CLI prints, with seeded contents."""
+    def ints():
+        return [rng.randrange(-3, 40) for _ in range(rng.randrange(4))]
+
+    big = rng.randrange(2 ** 64, 2 ** 300)
+    ms = rng.randrange(10 ** 5)
+    return [
+        json.loads(result_record(big, rng.choice(["brute", "vc", "gadget+brute+vc",
+                                                  "colmatch-structured"]),
+                                 rng.randrange(10 ** 6), ms)),
+        {"count": str(big), "oracle_calls": big, "elapsed_ms": -ms},
+        {"gadget": True, "elapsed_ms": ms},
+        {"gadget": False, "counterexample": ints(), "elapsed_ms": ms},
+        {"found": True, "matching": format_matching(zip(ints(), ints())), "elapsed_ms": ms},
+        {"found": False, "elapsed_ms": ms},
+        {"found": True, "kind": "clique", "vertices": ints(), "elapsed_ms": ms},
+        {"found": True, "kind": "biclique", "left": ints(), "right": [], "elapsed_ms": ms},
+        {"found": True, "kind": "matching", "edges": "", "elapsed_ms": ms},
+        {"vertices": rng.randrange(100), "edges": rng.randrange(300), "elapsed_ms": ms},
+        {"pattern_vertices": 9, "host_vertices": 48, "host_edges": big, "elapsed_ms": ms},
+        {"matrix": state_matrix(rng.randrange(50)), "det": str(big), "elapsed_ms": ms},
+        {"branch_sets": [ints() for _ in range(rng.randrange(4))], "discard": ints()},
+        {"branch_sets": [[]], "discard": []},
+        {}, [], [[]], [1, [2, [3]]], True, False, 0, -big, "",
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dumps_is_json_dumps_byte_for_byte(seed):
+    for record in _records(random.Random(seed)):
+        assert dumps(record) == json.dumps(record)
+
+
+@pytest.mark.parametrize("value", [
+    'say "hi"', {"key": 'a"b'}, {'a"b': 1}, "back\\slash", "tab\tbed", "bell\x07",
+    "del\x7f", "caf\u00e9", {1: 2}, {"x": 1.5}, None, {"x": None}, (1, 2), {1, 2},
+    b"bytes",
+])
+def test_dumps_rejects_what_json_would_escape_or_cannot_print(value):
+    with pytest.raises(ValueError):
+        dumps(value)

@@ -2,7 +2,8 @@
 
 The modules under ``src/subcount`` must import each other without a cycle,
 every name a module imports must be used there or re-exported through its
-``__all__``, and no module imports ``fractions`` or ``decimal``.
+``__all__``, no module imports ``fractions``, ``decimal``, ``argparse`` or
+``re``, and ``json`` is imported only inside a function.
 """
 
 import ast
@@ -83,18 +84,37 @@ def test_every_imported_name_is_used_or_exported():
     assert not unused, f"imported but never used: {unused}"
 
 
+def _imported_heads(nodes):
+    """Top-level names of the absolute imports among ``nodes``."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield from (a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def _outside_functions(node):
+    """Every node that runs when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _outside_functions(child)
+
+
 def test_no_module_imports_fractions_or_decimal():
     # every exact step runs in plain ints; nested imports count too, since
     # one call would load fractions, decimal and numbers into the process
-    found = []
-    for name, tree in MODULES.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                heads = [a.name.partition(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                heads = [node.module.partition(".")[0]]
-            else:
-                continue
-            found += [f"{name} imports {h}" for h in heads
-                      if h in ("fractions", "decimal")]
+    found = [f"{name} imports {h}" for name, tree in MODULES.items()
+             for h in _imported_heads(ast.walk(tree)) if h in ("fractions", "decimal")]
+    assert not found, found
+
+
+def test_front_end_stays_off_argparse_re_and_module_level_json():
+    # every count is a fresh process: the CLI reads argv itself and prints
+    # through fileio.dumps, so argparse (with the re, enum and gettext it
+    # loads) is never imported, and json only where a model file is read
+    found = [f"{name} imports {h}" for name, tree in MODULES.items()
+             for h in _imported_heads(ast.walk(tree)) if h in ("argparse", "re")]
+    found += [f"{name} imports json at module level" for name, tree in MODULES.items()
+              if "json" in _imported_heads(_outside_functions(tree))]
     assert not found, found
