@@ -1,8 +1,9 @@
 """Command line front end: one subcommand per library entry point.
 
 Counting commands print a single JSON line with the count as a decimal
-string (fileio.result_record); constructive commands write graph files and
-print a short JSON summary.  All output is deterministic.
+string (_record); constructive commands write graph files and print a
+short JSON summary.  Each handler returns its record and ``main`` prints it.
+All output but ``elapsed_ms`` is deterministic.
 
 Exit codes: 0 success, 1 malformed input (bad flags, unreadable or
 ill-formed files), 2 precondition violation, 3 internal inconsistency
@@ -17,8 +18,7 @@ from types import SimpleNamespace
 
 from . import brute, gadgets, hardness, iex, structural, vc
 from .fileio import (GraphParseError, dumps, format_matching, load_model,
-                     parse_matching, read_graph, result_record, save_model,
-                     write_graph)
+                     parse_matching, read_graph, save_model, write_graph)
 from .graphs import (Graph, InconsistencyError, PreconditionError,
                      min_vertex_cover)
 
@@ -35,33 +35,29 @@ class _Counted:
         return self.fun(*args)
 
 
-def _elapsed_ms(t0):
-    return int((time.perf_counter() - t0) * 1000)
-
-
-def _emit(count, algorithm, calls, t0):
-    print(result_record(count, algorithm, calls, _elapsed_ms(t0)))
-    return 0
+def _record(count, algorithm, calls):
+    """The record every counting command returns.  The count is a decimal
+    string so arbitrarily large values survive any JSON reader."""
+    return {"count": str(count), "algorithm": algorithm, "oracle_calls": calls}
 
 
 def _count(args, tau, run_brute, run_vc, label=""):
     """Run the backend --algo names, or under auto vc when the pattern's
     vertex cover number, computed by ``tau()`` only then, is at most
-    --tau-max; under --verify run both and require agreement.  Print the
+    --tau-max; under --verify run both and require agreement.  Return the
     record, its algorithm prefixed by ``label``.  Each run returns (count,
     oracle calls)."""
-    t0 = time.perf_counter()
     if args.verify:
         nb, cb = run_brute()
         nv, cv = run_vc()
         if nb != nv:
             raise InconsistencyError(f"cross-check failed: brute={nb} vc={nv}")
-        return _emit(nb, label + "brute+vc", cb + cv, t0)
+        return _record(nb, label + "brute+vc", cb + cv)
     algo = args.algo
     if algo == "auto":
         algo = "vc" if tau() <= args.tau_max else "brute"
     count, calls = run_vc() if algo == "vc" else run_brute()
-    return _emit(count, label + algo, calls, t0)
+    return _record(count, label + algo, calls)
 
 
 def _pattern_tau(h):
@@ -103,13 +99,11 @@ def _cmd_count_colorful_matchings(args):
     if g.ecolors is None:
         raise PreconditionError("host must be edge-colored")
     colors = sorted(set(g.ecolors))
-    t0 = time.perf_counter()
     if args.via == "matchings":
         oracle = _Counted(brute.count_matchings)
         count = iex.colmatch_via_match_oracle(g, colors, oracle)
-        return _emit(count, "via-matchings", oracle.calls, t0)
-    count = brute.count_colorful_matchings(g, colors)
-    return _emit(count, "brute", 1, t0)
+        return _record(count, "via-matchings", oracle.calls)
+    return _record(brute.count_colorful_matchings(g, colors), "brute", 1)
 
 
 def _cmd_count_matchings(args):
@@ -125,9 +119,7 @@ def _cmd_count_matchings(args):
 
 def _cmd_count_cycles(args):
     g = read_graph(args.host)
-    t0 = time.perf_counter()
-    count = brute.count_walk_patterns(g, "cycle", args.k)
-    return _emit(count, "brute", 1, t0)
+    return _record(brute.count_walk_patterns(g, "cycle", args.k), "brute", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +129,8 @@ def _cmd_count_cycles(args):
 def _cmd_verify_gadget(args):
     h = read_graph(args.host)
     matching = parse_matching(args.matching)
-    t0 = time.perf_counter()
     bad = gadgets.check_matching_gadget(h, matching)
-    out = {"gadget": bad is None}
-    if bad is not None:
-        out["counterexample"] = list(bad)
-    out["elapsed_ms"] = _elapsed_ms(t0)
-    print(dumps(out))
-    return 0
+    return {"gadget": True} if bad is None else {"gadget": False, "counterexample": list(bad)}
 
 
 def _cmd_search_gadget(args):
@@ -153,14 +139,10 @@ def _cmd_search_gadget(args):
         raise PreconditionError(
             "searching a graph above 12 vertices runs many exhaustive "
             "checks; pass --trust to proceed anyway")
-    t0 = time.perf_counter()
     found = gadgets.search_gadget(h, args.k)
-    out = {"found": found is not None}
-    if found is not None:
-        out["matching"] = format_matching(found.matching)
-    out["elapsed_ms"] = _elapsed_ms(t0)
-    print(dumps(out))
-    return 0
+    if found is None:
+        return {"found": False}
+    return {"found": True, "matching": format_matching(found.matching)}
 
 
 def _cmd_reduce_matchings_via_gadget(args):
@@ -198,18 +180,15 @@ def _cmd_reduce_subpart_via_colmatch(args):
         raise PreconditionError(
             f"pattern has {h.n} vertices, so the reduction makes 5^{h.n} "
             f"oracle queries; raise --max-k (now {args.max_k}) to allow it")
-    t0 = time.perf_counter()
-    count = hardness.subpart_via_colmatch_oracle(h, g)
     # the solve reads 5^k query values, all from the host's answer table
-    return _emit(count, "colmatch-structured", 5 ** h.n, t0)
+    return _record(hardness.subpart_via_colmatch_oracle(h, g), "colmatch-structured", 5 ** h.n)
 
 
 def _cmd_reduce_matchings_via_cycles(args):
     g = read_graph(args.host)
     oracle = _Counted(lambda dg, length: brute.count_walk_patterns(dg, "cycle", length))
-    t0 = time.perf_counter()
     count = hardness.matchings_via_directed_cycles(g, args.k, oracle)
-    return _emit(count, "cycles", oracle.calls, t0)
+    return _record(count, "cycles", oracle.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +197,20 @@ def _cmd_reduce_matchings_via_cycles(args):
 
 def _cmd_make_bicubic(args):
     h = read_graph(args.host)
-    t0 = time.perf_counter()
     dagger, model = structural.make_bicubic(h)
     write_graph(dagger, args.out)
     if args.model_out:
         save_model(model, args.model_out)
-    print(dumps({"vertices": dagger.n, "edges": dagger.m, "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"vertices": dagger.n, "edges": dagger.m}
 
 
 def _cmd_grid_instance(args):
     g = read_graph(args.host)
-    t0 = time.perf_counter()
     pattern, host = structural.build_grid_instance(g, args.k)
     write_graph(host, args.out)
     if args.pattern_out:
         write_graph(pattern, args.pattern_out)
-    print(dumps({"pattern_vertices": pattern.n, "host_vertices": host.n,
-                 "host_edges": host.m, "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"pattern_vertices": pattern.n, "host_vertices": host.n, "host_edges": host.m}
 
 
 def _cmd_minor_lift(args):
@@ -244,32 +218,24 @@ def _cmd_minor_lift(args):
     g = read_graph(args.host)
     dagger = read_graph(args.dagger)
     model = structural.MinorModel(*load_model(args.model))
-    t0 = time.perf_counter()
     lifted = structural.minor_lift_instance(h, dagger, model, g)
     write_graph(lifted, args.out)
-    print(dumps({"vertices": lifted.n, "edges": lifted.m, "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"vertices": lifted.n, "edges": lifted.m}
 
 
 def _cmd_extract(args):
     g = read_graph(args.host)
     matching = parse_matching(args.matching)
-    t0 = time.perf_counter()
     got = structural.extract_clique_biclique_or_matching(g, args.k, matching)
-    out = {"found": got is not None}
-    if got is not None:
-        kind, witness = got
-        out["kind"] = kind
-        if kind == "clique":
-            out["vertices"] = list(witness)
-        elif kind == "biclique":
-            out["left"] = list(witness[0])
-            out["right"] = list(witness[1])
-        else:
-            out["edges"] = format_matching(witness)
-    out["elapsed_ms"] = _elapsed_ms(t0)
-    print(dumps(out))
-    return 0
+    if got is None:
+        return {"found": False}
+    kind, witness = got
+    if kind == "clique":
+        return {"found": True, "kind": kind, "vertices": list(witness)}
+    if kind == "biclique":
+        return {"found": True, "kind": kind, "left": list(witness[0]),
+                "right": list(witness[1])}
+    return {"found": True, "kind": kind, "edges": format_matching(witness)}
 
 
 def _det5(rows):
@@ -291,14 +257,12 @@ def _det5(rows):
 
 
 def _cmd_state_matrix(args):
-    t0 = time.perf_counter()
     rows = hardness.state_matrix(args.n)
     det = hardness.state_determinant_polynomial()(args.n)
     if det != _det5(rows):
         raise InconsistencyError(
             f"determinant polynomial gives {det} but direct expansion disagrees")
-    print(dumps({"matrix": rows, "det": str(det), "elapsed_ms": _elapsed_ms(t0)}))
-    return 0
+    return {"matrix": rows, "det": str(det)}
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +459,21 @@ def _parse(argv):
 
 
 def main(argv=None):
+    """Run one command: print its record, with the whole command's wall time
+    as ``elapsed_ms`` last, and return 0; or print the error and return 1
+    (malformed input or unreadable file), 2 (precondition) or 3
+    (inconsistency).  Any other exception is a bug and propagates."""
     run, args = _parse(argv)
+    t0 = time.perf_counter()
     try:
-        return run(args)
-    except GraphParseError as exc:
+        record = run(args)
+    except (GraphParseError, OSError, PreconditionError, InconsistencyError) as exc:
         print(f"subcount: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"subcount: error: {exc}", file=sys.stderr)
-        return 1
-    except PreconditionError as exc:
-        print(f"subcount: error: {exc}", file=sys.stderr)
-        return 2
-    except InconsistencyError as exc:
-        print(f"subcount: error: {exc}", file=sys.stderr)
-        return 3
+        return (2 if isinstance(exc, PreconditionError) else
+                3 if isinstance(exc, InconsistencyError) else 1)
+    record["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
+    print(dumps(record))
+    return 0
 
 
 if __name__ == "__main__":

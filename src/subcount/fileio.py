@@ -166,11 +166,13 @@ def load_model(path):
         raise GraphParseError("model file must be an object with 'branch_sets'")
     branch_sets = data["branch_sets"]
     discard = data.get("discard", [])
+    # type() rather than isinstance: JSON true and false load as bools, which
+    # are ints to isinstance
     if (not isinstance(branch_sets, list)
-            or not all(isinstance(b, list) and all(isinstance(x, int) for x in b)
+            or not all(isinstance(b, list) and all(type(x) is int for x in b)
                        for b in branch_sets)
             or not isinstance(discard, list)
-            or not all(isinstance(x, int) for x in discard)):
+            or not all(type(x) is int for x in discard)):
         raise GraphParseError("model file: branch sets must be lists of integers")
     return branch_sets, discard
 
@@ -201,14 +203,3 @@ def dumps(obj):
     if type(obj) is dict:
         return "{" + ", ".join(f"{_json_str(k)}: {dumps(v)}" for k, v in obj.items()) + "}"
     return _json_str(obj)
-
-
-def result_record(count, algorithm, oracle_calls, elapsed_ms):
-    """The JSON line every counting command prints.  Counts are decimal
-    strings so arbitrarily large values survive any JSON reader."""
-    return dumps({
-        "count": str(int(count)),
-        "algorithm": algorithm,
-        "oracle_calls": int(oracle_calls),
-        "elapsed_ms": int(elapsed_ms),
-    })

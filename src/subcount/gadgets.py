@@ -236,6 +236,19 @@ def build_G_ell(gadget, g, ell):
     )
 
 
+_QUERY_LIMIT = 1 << 16  # the most #Sub queries count_matchings_via_gadget makes
+
+
+def _requirement_families(gadget):
+    """The core edges, the core vertices on no core edge, and the core
+    boundary, in gadget vertex ids: count_T_ell makes one query per choice
+    of a subset of each."""
+    core = set(gadget.core)
+    core_edges = [(u, v) for u, v in gadget.h.edges if u in core and v in core]
+    inner = {v for e in core_edges for v in e}
+    return core_edges, [v for v in gadget.core if v not in inner], gadget.core_boundary
+
+
 def count_T_ell(gadget, g, ell, oracle=None):
     """Number of copies of H in the padded instance that use the whole core
     copy and give every boundary vertex a neighbor on the host side.
@@ -247,16 +260,11 @@ def count_T_ell(gadget, g, ell, oracle=None):
     if oracle is None:
         oracle = count_subgraphs
     inst = build_G_ell(gadget, g, ell)
-    cs = sorted(gadget.core)
-    pos = dict(zip(cs, inst.core_vertices))
-    core_edges = [
-        (pos[u], pos[v])
-        for u, v in gadget.h.edges
-        if u in pos and v in pos
-    ]
-    inner = {v for e in core_edges for v in e}
-    lone_core = [v for v in inst.core_vertices if v not in inner]
-    bdy = inst.boundary_vertices
+    pos = dict(zip(sorted(gadget.core), inst.core_vertices))
+    edges, lone, boundary_ids = _requirement_families(gadget)
+    core_edges = [(pos[u], pos[v]) for u, v in edges]
+    lone_core = [pos[v] for v in lone]
+    bdy = [pos[v] for v in boundary_ids]
     join_at = {b: [e for e in inst.join_edges if b in e] for b in bdy}
 
     total = 0
@@ -361,12 +369,19 @@ def count_matchings_via_gadget(g, k, gadget, oracle=None):
     the basis C(x+i, i) from integer differences of those 2k+1 values, and
     takes the constant one; dividing by the matching's completion
     multiplicity gives the answer exactly.  A host with fewer than 2k
-    vertices starts at a negative x and comes out 0.
+    vertices starts at a negative x and comes out 0.  The 2k+1 paddings
+    take 2^(core edges + lone core vertices + boundary) queries each; a
+    gadget needing more than 2^16 in all is refused before the first.
     """
     if gadget.k != k:
         raise PreconditionError(f"gadget is for k={gadget.k}, asked for k={k}")
     if not g.is_bipartite():
         raise PreconditionError("host graph must be bipartite")
+    queries = (2 * k + 1) << sum(map(len, _requirement_families(gadget)))
+    if queries > _QUERY_LIMIT:
+        raise PreconditionError(
+            f"the gadget read-out would make {queries} subgraph-count queries, "
+            f"above the limit of {_QUERY_LIMIT}")
     values = [count_T_ell(gadget, g, ell, oracle) for ell in range(2 * k + 1)]
     coeffs = binomial_basis_from_values(g.n - 2 * k, values)
     if any(c < 0 for c in coeffs):

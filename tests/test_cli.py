@@ -5,13 +5,15 @@ import os
 import random
 import subprocess
 import sys
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from subcount import brute, gadgets, hardness, vc
+from subcount import brute, gadgets, hardness, structural, vc
 from subcount.cli import COMMANDS, _parse, main
-from subcount.fileio import read_graph, write_graph
+from subcount.fileio import read_graph, save_model, write_graph
 from subcount.graphs import Graph
 
 from helpers import rand_bipartite, rand_graph
@@ -307,6 +309,22 @@ def test_every_verify_flag_runs_both_routes(capsys, files, command):
     assert code == 0 and rec["algorithm"].endswith("brute+vc")
 
 
+def test_reduce_matchings_via_gadget_query_limit_exits_2(capsys, files):
+    # K6 on 0..5 plus the path 5-6-7 passes the gadget check for 6-7, but its
+    # read-out needs 3 * 2^(15 core edges + 1 boundary vertex) = 196608
+    # queries; --trust waives only the check, not the bound
+    k6_tail = files("k6tail.g", Graph(8, [*combinations(range(6), 2), (5, 6), (6, 7)]))
+    host = files("host.g", Graph(4, [(0, 2), (1, 3), (0, 3)]))
+    argv = ["reduce-matchings-via-gadget", "-H", host, "--gadget", k6_tail,
+            "--matching", "6-7", "-k", "1"]
+    for extra in ([], ["--trust"], ["--verify"]):
+        t0 = time.perf_counter()
+        code = main([*argv, *extra])
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "196608" in err and elapsed < 1
+
+
 def test_reduce_matchings_via_gadget_rejects_bad_gadget(capsys, files):
     gp = files("host.g", Graph.complete_bipartite(2, 2))
     bad = files("bad.g", _hub_non_gadget())
@@ -526,6 +544,95 @@ def test_help_lists_every_command_and_option(capsys):
         assert all(flag in text for o in options for flag in o.flags)
     # help comes before the check for required options
     assert _help(capsys, "count-sub", "-p", "a.g") == _help(capsys, "count-sub")
+
+
+_COUNT_KEYS = ["count", "algorithm", "oracle_calls", "elapsed_ms"]
+
+# every command on tiny fixture files ("@x" is the file x in the test's
+# directory, written by _record_fixtures or by the command), with the keys of
+# the record it prints, in order
+_RECORD_SHAPES = {
+    "count-sub": (["-p", "@tri.g", "-H", "@k4.g"], _COUNT_KEYS),
+    "count-emb": (["-p", "@tri.g", "-H", "@k4.g"], _COUNT_KEYS),
+    "count-subpart": (["-p", "@tricol.g", "-H", "@k4col.g"], _COUNT_KEYS),
+    "count-colorful-matchings": (["-H", "@m2col.g"], _COUNT_KEYS),
+    "count-matchings": (["-H", "@k4.g", "-k", "2"], _COUNT_KEYS),
+    "count-cycles": (["-H", "@k4.g", "-k", "3"], _COUNT_KEYS),
+    "verify-gadget": (["-H", "@hub.g", "--matching", "0-1,2-3"],
+                      ["gadget", "counterexample", "elapsed_ms"]),
+    "search-gadget": (["-H", "@m2.g", "-k", "2"], ["found", "matching", "elapsed_ms"]),
+    "reduce-matchings-via-gadget": (["-H", "@c6.g", "--gadget", "@m2.g", "--matching",
+                                     "0-1,2-3", "-k", "2"], _COUNT_KEYS),
+    "reduce-subpart-via-colmatch": (["-p", "@k33.g", "-H", "@k33host.g"], _COUNT_KEYS),
+    "reduce-matchings-via-cycles": (["-H", "@c6.g", "-k", "2"], _COUNT_KEYS),
+    "make-bicubic": (["-H", "@edge.g", "-o", "@out.g", "--model-out", "@out.json"],
+                     ["vertices", "edges", "elapsed_ms"]),
+    "grid-instance": (["-H", "@k4.g", "-k", "3", "-o", "@out.g", "--pattern-out", "@pat.g"],
+                      ["pattern_vertices", "host_vertices", "host_edges", "elapsed_ms"]),
+    "minor-lift": (["-p", "@edgecol.g", "-H", "@p3col.g", "--dagger", "@dagger.g",
+                    "--model", "@model.json", "-o", "@out.g"],
+                   ["vertices", "edges", "elapsed_ms"]),
+    "extract": (["-H", "@m8.g", "-k", "2", "--matching",
+                 ",".join(f"{2 * i}-{2 * i + 1}" for i in range(8))],
+                ["found", "kind", "edges", "elapsed_ms"]),
+    "state-matrix": (["--n", "0"], ["matrix", "det", "elapsed_ms"]),
+}
+
+
+def _record_fixtures(tmp_path):
+    graphs = {"tri.g": Graph.cycle(3), "k4.g": Graph.complete(4),
+              "tricol.g": Graph.cycle(3).with_vertex_colors([0, 1, 2]),
+              "k4col.g": Graph.complete(4).with_vertex_colors([0, 1, 2, 0]),
+              "m2col.g": Graph.matching(2).with_edge_colors([0, 1]),
+              "hub.g": _hub_non_gadget(), "m2.g": Graph.matching(2),
+              "c6.g": Graph.cycle(6), "k33.g": _K33, "k33host.g": _K33_HOST,
+              "edge.g": Graph.matching(1), "m8.g": Graph.matching(8),
+              "edgecol.g": Graph.matching(1).with_vertex_colors([0, 1]),
+              "p3col.g": Graph.path(3).with_vertex_colors([0, 1, 0])}
+    for name, g in graphs.items():
+        write_graph(g, tmp_path / name)
+    dagger, model = structural.make_bicubic(Graph.matching(1))
+    write_graph(dagger, tmp_path / "dagger.g")
+    save_model(model, tmp_path / "model.json")
+
+
+def test_record_shapes_cover_every_command():
+    assert set(_RECORD_SHAPES) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_RECORD_SHAPES))
+def test_every_command_prints_one_record(capsys, tmp_path, command):
+    # handlers return their records; main prints each as one JSON line with
+    # the command's wall time appended last
+    _record_fixtures(tmp_path)
+    argv, keys = _RECORD_SHAPES[command]
+    code = main([command, *(str(tmp_path / a[1:]) if a[:1] == "@" else a for a in argv)])
+    out = capsys.readouterr().out
+    assert code == 0 and out.endswith("\n") and out.count("\n") == 1
+    record = json.loads(out)
+    assert type(record) is dict and list(record) == keys
+    assert type(record["elapsed_ms"]) is int and record["elapsed_ms"] >= 0
+    if "count" in record:
+        assert type(record["count"]) is str and record["count"].isdigit()
+
+
+def test_backends_are_looked_up_when_called(capsys, files, monkeypatch):
+    # bench/tracer.py wraps backend functions from outside after
+    # ``import subcount.cli``; the CLI must reach them through their modules
+    # at call time, not through names bound at import
+    called = []
+
+    def counting(module, name):
+        fun = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: called.append(name) or fun(*args))
+
+    counting(brute, "count_subgraphs")
+    counting(vc, "count_sub_vc")
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    code, rec = run(capsys, "count-sub", "-p", tri, "-H", k4, "--verify")
+    assert code == 0 and rec["count"] == "4"
+    assert {"count_subgraphs", "count_sub_vc"} <= set(called)
 
 
 def test_exit_code_precondition(capsys, files):

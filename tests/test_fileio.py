@@ -9,10 +9,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcount.cli import _record
 from subcount.fileio import (GraphParseError, dumps, format_graph,
                              format_matching, load_model, parse_graph,
-                             parse_matching, read_graph, result_record,
-                             save_model, write_graph)
+                             parse_matching, read_graph, save_model,
+                             write_graph)
 from subcount.graphs import Graph
 from subcount.hardness import state_matrix
 from subcount.structural import MinorModel
@@ -176,6 +177,8 @@ def test_fileio_loads_only_the_graph_primitives():
     '{"branch_sets": [[0], "x"]}',
     '{"branch_sets": [[0.5]]}',
     '{"branch_sets": [[0]], "discard": ["x"]}',
+    '{"branch_sets": [[true], [false]]}',
+    '{"branch_sets": [[0]], "discard": [true]}',
 ])
 def test_model_rejects(tmp_path, payload):
     path = tmp_path / "m.json"
@@ -185,7 +188,7 @@ def test_model_rejects(tmp_path, payload):
 
 
 def test_result_record_decimal_string():
-    rec = json.loads(result_record(10 ** 40, "brute", 3, 17))
+    rec = json.loads(dumps({**_record(10 ** 40, "brute", 3), "elapsed_ms": 17}))
     assert rec == {"count": "1" + "0" * 40, "algorithm": "brute",
                    "oracle_calls": 3, "elapsed_ms": 17}
     assert "e" not in rec["count"] and "E" not in rec["count"]
@@ -210,9 +213,9 @@ def _records(rng):
     big = rng.randrange(2 ** 64, 2 ** 300)
     ms = rng.randrange(10 ** 5)
     return [
-        json.loads(result_record(big, rng.choice(["brute", "vc", "gadget+brute+vc",
-                                                  "colmatch-structured"]),
-                                 rng.randrange(10 ** 6), ms)),
+        json.loads(dumps({**_record(big, rng.choice(["brute", "vc", "gadget+brute+vc",
+                                                     "colmatch-structured"]),
+                                    rng.randrange(10 ** 6)), "elapsed_ms": ms})),
         {"count": str(big), "oracle_calls": big, "elapsed_ms": -ms},
         {"gadget": True, "elapsed_ms": ms},
         {"gadget": False, "counterexample": ints(), "elapsed_ms": ms},

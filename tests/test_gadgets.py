@@ -558,6 +558,24 @@ def test_pipeline_oracle_budget():
     assert len(calls) == 24
 
 
+def test_pipeline_refuses_gadgets_above_the_query_limit():
+    # K6 on 0..5 plus the path 5-6-7 is a gadget for the matching 6-7, but
+    # its read-out needs 3 * 2^(15 core edges + 1 boundary vertex) = 196608
+    # queries; the refusal comes before the first
+    h = Graph(8, [*combinations(range(6), 2), (5, 6), (6, 7)])
+    assert is_matching_gadget(h, [(6, 7)])
+    calls = []
+
+    def oracle(h, g):
+        calls.append(1)
+        return count_subgraphs(h, g)
+
+    host = Graph(4, [(0, 2), (1, 3), (0, 3)])
+    with pytest.raises(PreconditionError, match="196608"):
+        count_matchings_via_gadget(host, 1, MatchingGadget(h, [(6, 7)]), oracle)
+    assert calls == []
+
+
 def test_pipeline_agrees_with_brute():
     rng = random.Random(77)
     gadgets = [

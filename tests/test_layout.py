@@ -3,7 +3,8 @@
 The modules under ``src/subcount`` must import each other without a cycle,
 every name a module imports must be used there or re-exported through its
 ``__all__``, no module imports ``fractions``, ``decimal``, ``argparse`` or
-``re``, and ``json`` is imported only inside a function.
+``re``, ``json`` is imported only inside a function, and in ``cli.py`` only
+``main`` and ``_parse`` print.
 """
 
 import ast
@@ -118,3 +119,19 @@ def test_front_end_stays_off_argparse_re_and_module_level_json():
     found += [f"{name} imports json at module level" for name, tree in MODULES.items()
               if "json" in _imported_heads(_outside_functions(tree))]
     assert not found, found
+
+
+def test_only_main_and_parse_print_in_cli():
+    # command handlers return their records: main prints them and the
+    # errors, _parse the help text and usage errors
+    def prints(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "print"]
+
+    cli = MODULES["cli"]
+    printers = {node.name for node in ast.walk(cli)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and prints(node)}
+    assert printers == {"main", "_parse"}
+    inside = sum(len(prints(node)) for node in cli.body
+                 if isinstance(node, ast.FunctionDef) and node.name in printers)
+    assert len(prints(cli)) == inside, "print at module level or in a class"
