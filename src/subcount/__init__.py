@@ -8,7 +8,7 @@ that every reduction can be exercised against the brute layer.
 
 from .graphs import (Graph, InconsistencyError, PreconditionError,
                      max_matching_size, min_vertex_cover)
-from .polynomials import IntPolynomial, falling_factorial
+from .polynomials import falling_factorial
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,6 @@ __all__ = [
     "InconsistencyError",
     "min_vertex_cover",
     "max_matching_size",
-    "IntPolynomial",
     "falling_factorial",
     "__version__",
 ]

@@ -10,6 +10,7 @@ ill-formed files), 2 precondition violation, 3 internal inconsistency
 detected by a cross-check.
 """
 
+import math
 import sys
 import time
 from collections import namedtuple
@@ -21,6 +22,7 @@ from .fileio import (GraphParseError, dumps, format_matching, load_model,
                      parse_matching, read_graph, save_model, write_graph)
 from .graphs import (Graph, InconsistencyError, PreconditionError,
                      min_vertex_cover)
+from .polynomials import binomial_basis_from_values, determinant
 
 
 class _Counted:
@@ -240,7 +242,7 @@ def _cmd_extract(args):
 
 def _det5(rows):
     """Permutation-expansion determinant, the independent cross-check for
-    the determinant polynomial."""
+    the cofactor expansion of the extrapolated matrix."""
     n = len(rows)
     total = 0
     for perm in permutations(range(n)):
@@ -257,8 +259,15 @@ def _det5(rows):
 
 
 def _cmd_state_matrix(args):
-    rows = hardness.state_matrix(args.n)
-    det = hardness.state_determinant_polynomial()(args.n)
+    n = args.n
+    rows = hardness.state_matrix(n)
+    # each p_{s,t} has degree at most six, so its values at 0..6 fix it:
+    # extrapolate every entry to n as sum_i c_i C(n+i, i)
+    samples = [hardness.state_matrix(x) for x in range(7)]
+    extrapolated = [[sum(c * math.comb(n + i, i) for i, c in enumerate(
+                         binomial_basis_from_values(0, [m[t][s] for m in samples])))
+                     for s in range(5)] for t in range(5)]
+    det = determinant(extrapolated)
     if det != _det5(rows):
         raise InconsistencyError(
             f"determinant polynomial gives {det} but direct expansion disagrees")

@@ -10,9 +10,10 @@ subgraph-count queries alone: pad the host, glue on a copy of H[C] joined
 completely to the host side, and interpolate away the padding.
 
 Everything here is exhaustive and meant for small H (say up to ~12
-vertices): the checker enumerates candidate cores directly, and every
-isomorphism question runs on brute's embedding search, with the boundary
-(and, for strong sets, membership in x) carried as vertex colors.
+vertices): the checker enumerates candidate cores directly, and refuses a
+graph with more than WORK_LIMIT of them before the scan.  Every isomorphism
+question runs on brute's embedding search, with the boundary (and, for
+strong sets, membership in x) carried as vertex colors.
 """
 
 from collections import namedtuple
@@ -20,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .brute import count_embeddings, count_subgraphs, find_embedding, is_isomorphic
-from .graphs import Graph, InconsistencyError, PreconditionError
+from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
 from .polynomials import binomial_basis_from_values
 
 
@@ -99,6 +100,17 @@ def _core_view(h, verts, marked=()):
         [2 * (v in bset) + (v in marked) for v in cs])
 
 
+def _candidate_cores(h, size):
+    """Every vertex set of h of the given size, in lexicographic order;
+    refused before the scan when there are more than WORK_LIMIT."""
+    count = comb(h.n, size)
+    if count > WORK_LIMIT:
+        raise PreconditionError(
+            f"the gadget check would scan {count} candidate cores, above the "
+            f"limit of {WORK_LIMIT}")
+    return combinations(range(h.n), size)
+
+
 def _impostor_cores(gadget, wanted=lambda rest: True):
     """Yield (C', H - C') for every candidate core C', in lexicographic
     order, whose rest is bipartite and passes `wanted`, and onto which H[C]
@@ -106,7 +118,7 @@ def _impostor_cores(gadget, wanted=lambda rest: True):
     first, as they are cheaper than the isomorphism search."""
     h = gadget.h
     core = _core_view(h, gadget.core)
-    for cand in combinations(range(h.n), len(gadget.core)):
+    for cand in _candidate_cores(h, len(gadget.core)):
         rest = h.without_vertices(cand)
         if not wanted(rest) or not rest.is_bipartite():
             continue
@@ -183,7 +195,7 @@ def is_strong_set(h, core, x):
     if not xset:
         return True
     plain, marked = _core_view(h, core), _core_view(h, core, xset)
-    for cand in combinations(range(h.n), len(core)):
+    for cand in _candidate_cores(h, len(core)):
         view = _core_view(h, cand)
         if view.m != plain.m:
             continue
@@ -234,9 +246,6 @@ def build_G_ell(gadget, g, ell):
         boundary_vertices=tuple(pos[v] for v in gadget.core_boundary),
         join_edges=tuple(sorted((min(a, b), max(a, b)) for a, b in join)),
     )
-
-
-_QUERY_LIMIT = 1 << 16  # the most #Sub queries count_matchings_via_gadget makes
 
 
 def _requirement_families(gadget):
@@ -378,10 +387,10 @@ def count_matchings_via_gadget(g, k, gadget, oracle=None):
     if not g.is_bipartite():
         raise PreconditionError("host graph must be bipartite")
     queries = (2 * k + 1) << sum(map(len, _requirement_families(gadget)))
-    if queries > _QUERY_LIMIT:
+    if queries > WORK_LIMIT:
         raise PreconditionError(
             f"the gadget read-out would make {queries} subgraph-count queries, "
-            f"above the limit of {_QUERY_LIMIT}")
+            f"above the limit of {WORK_LIMIT}")
     values = [count_T_ell(gadget, g, ell, oracle) for ell in range(2 * k + 1)]
     coeffs = binomial_basis_from_values(g.n - 2 * k, values)
     if any(c < 0 for c in coeffs):

@@ -20,6 +20,11 @@ class InconsistencyError(RuntimeError):
     """An internal cross-check failed; the result would be untrustworthy."""
 
 
+#: the most oracle queries or exhaustive candidate checks one run of a costly
+#: route may make; a run that would make more is refused before it starts
+WORK_LIMIT = 1 << 16
+
+
 Edge = tuple[int, int]
 
 

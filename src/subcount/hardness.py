@@ -32,8 +32,9 @@ alignment types:
     type 5: three different gadgets
 
 The residue graph R_s normalizes type s to exactly three touched gadgets, so
-a class of n gadgets in state s is R_s plus (n-3) intact six-cycles, and the
-query polynomial p_{s,t} is evaluated at n-3.
+a class of n gadgets in state s is R_s plus (n-3) intact six-cycles.  Its
+count of A_t-colorful matchings, p_{s,t}(n-3), is a polynomial of degree at
+most six in the padding; state_matrix holds its 25 values at one padding.
 
 Without an injected oracle the gadget host is never built: per host the
 census of link-matching types, folded with the five-by-five class extension
@@ -50,7 +51,7 @@ from itertools import product
 
 from .brute import count_walk_patterns
 from .graphs import Graph, InconsistencyError, PreconditionError
-from .polynomials import IntPolynomial, determinant, interpolate_int_polynomial
+from .polynomials import determinant
 
 # (local u, local v, delta color) along the gadget cycle
 CYCLE_LAYOUT = ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 0, 1))
@@ -106,20 +107,6 @@ def residue_graph(s: int) -> Graph:
     return g
 
 
-@lru_cache(maxsize=None)
-def pst_polynomial(s: int, t: int) -> IntPolynomial:
-    """p_{s,t}: number of A_t-colorful matchings of R_s plus x intact
-    six-cycles, as an exact polynomial of degree at most six.
-
-    Interpolated from the extension tables the answer table uses: a class
-    of x + 3 gadgets in state s is exactly R_s plus x intact cycles.
-    """
-    if s not in TYPES or t not in TYPES:
-        raise PreconditionError("type indices range over 1..5")
-    return interpolate_int_polynomial(
-        0, [_class_extension_count(s, _A_COLORS[t], m + 3) for m in range(7)])
-
-
 def state_matrix(x: int) -> list[list[int]]:
     """The five-by-five matrix [t][s] = p_{s,t}(x), read from the extension
     counts of one class of x + 3 gadgets; rows are query sets, columns
@@ -129,11 +116,6 @@ def state_matrix(x: int) -> list[list[int]]:
         raise PreconditionError(f"state matrix needs padding x >= 0, got {x}")
     return [[_class_extension_count(s, _A_COLORS[t], x + 3) for s in TYPES]
             for t in TYPES]
-
-
-@lru_cache(maxsize=1)
-def state_determinant_polynomial() -> IntPolynomial:
-    return determinant([[pst_polynomial(s, t) for s in TYPES] for t in TYPES])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +332,8 @@ def build_triangle_graph(h: Graph, g: Graph, padding: int | None = None) -> Tria
     one, max(3, largest class): every class needs a gadget per member and
     the three slots of a type-5 state need three gadgets.  Any such padding
     is safe for the solve, because the determinant of state_matrix(n - 3) is
-    a polynomial in n - 3 with positive coefficients.
+    a polynomial in n - 3 with positive coefficients, as the test suite
+    certifies.
     """
     if h.directed or g.directed:
         raise PreconditionError("the reduction is for undirected graphs")
@@ -376,9 +359,9 @@ def build_triangle_graph(h: Graph, g: Graph, padding: int | None = None) -> Tria
 # per-class matching counts
 #
 # One class's matchings depend only on its alignment state and query set, so
-# the extension tables below give both the per-host answer table and the
-# p_{s,t} polynomials.  Brute counts on the residue graphs check them in the
-# tests.
+# the extension tables below give the state matrix, and through it the
+# per-host answer table.  Brute counts on the residue graphs check them in
+# the tests.
 
 
 def _submask_fold(f: list[int], g: list[int]) -> list[int]:

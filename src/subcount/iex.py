@@ -8,7 +8,8 @@ what actually does the counting:
 * edge-colorful matchings from a plain k-matching oracle, by signed summation
   over color subsets.
 
-Both make exactly 2^(number of colors) oracle calls, including the empty set.
+Both make exactly 2^(number of colors) oracle calls, including the empty set,
+and refuse before the first call when that is above WORK_LIMIT.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .brute import is_colorful
-from .graphs import Graph, InconsistencyError, PreconditionError
+from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
 
 
 def prune_useless_edges(h: Graph, g: Graph) -> Graph:
@@ -40,6 +41,26 @@ def prune_useless_edges(h: Graph, g: Graph) -> Graph:
     return g.without_edges(bad)
 
 
+def _signed_subset_sum(colors, term) -> int:
+    """sum over subsets S of ``colors`` of (-1)^(|colors| - |S|) term(S),
+    which keeps what meets every color.  The 2^|colors| calls of ``term``
+    are counted first and refused above WORK_LIMIT; a negative sum means the
+    oracle behind ``term`` contradicts itself."""
+    calls = 1 << len(colors)
+    if calls > WORK_LIMIT:
+        raise PreconditionError(
+            f"inclusion-exclusion over {len(colors)} colors would make {calls} "
+            f"oracle calls, above the limit of {WORK_LIMIT}")
+    total = 0
+    for r in range(len(colors) + 1):
+        for sub in combinations(colors, r):
+            value = term(set(sub))
+            total += value if (len(colors) - r) % 2 == 0 else -value
+    if total < 0:
+        raise InconsistencyError("oracle is inconsistent: negative signed sum")
+    return total
+
+
 def subpart_via_sub_oracle(h: Graph, g: Graph, oracle) -> int:
     """#color-preserving copies of the colorful pattern h in the colored host
     g, using only an uncolored subgraph-count oracle(pattern, host).
@@ -50,18 +71,13 @@ def subpart_via_sub_oracle(h: Graph, g: Graph, oracle) -> int:
     pruning upgrades rainbow to color-preserving.
     """
     gp = prune_useless_edges(h, g)
-    colors = sorted(set(h.vcolors))
     plain_h = Graph(h.n, h.edges)
-    total = 0
-    for r in range(len(colors) + 1):
-        for sub in combinations(colors, r):
-            keep = set(sub)
-            part = gp.induced([v for v in range(gp.n) if gp.vcolors[v] in keep])
-            term = oracle(plain_h, Graph(part.n, part.edges))
-            total += term if (len(colors) - r) % 2 == 0 else -term
-    if total < 0:
-        raise InconsistencyError("oracle is inconsistent: negative signed sum")
-    return total
+
+    def term(keep):
+        part = gp.induced([v for v in range(gp.n) if gp.vcolors[v] in keep])
+        return oracle(plain_h, Graph(part.n, part.edges))
+
+    return _signed_subset_sum(sorted(set(h.vcolors)), term)
 
 
 def colmatch_via_match_oracle(g: Graph, colors, oracle) -> int:
@@ -76,14 +92,9 @@ def colmatch_via_match_oracle(g: Graph, colors, oracle) -> int:
     want = sorted(set(colors))
     if len(want) != len(list(colors)):
         raise PreconditionError("color set has repeats")
-    k = len(want)
-    total = 0
-    for r in range(k + 1):
-        for sub in combinations(want, r):
-            keep = set(sub)
-            ed = [e for e, c in zip(g.edges, g.ecolors) if c in keep]
-            term = oracle(Graph(g.n, ed), k)
-            total += term if (k - r) % 2 == 0 else -term
-    if total < 0:
-        raise InconsistencyError("oracle is inconsistent: negative signed sum")
-    return total
+
+    def term(keep):
+        ed = [e for e, c in zip(g.edges, g.ecolors) if c in keep]
+        return oracle(Graph(g.n, ed), len(want))
+
+    return _signed_subset_sum(want, term)

@@ -24,9 +24,9 @@ from subcount.gadgets import (MatchingGadget, check_matching_gadget,
 from subcount.graphs import Graph, min_vertex_cover
 from subcount.hardness import (TYPES, build_triangle_graph,
                                directed_cycles_via_undirected,
-                               matchings_via_directed_cycles, pst_polynomial,
-                               state_determinant_polynomial, state_matrix,
+                               matchings_via_directed_cycles, state_matrix,
                                subpart_via_colmatch_oracle)
+from subcount.polynomials import determinant
 from subcount.structural import (build_grid_instance,
                                  exact_tree_decomposition,
                                  extract_clique_biclique_or_matching,
@@ -57,7 +57,7 @@ def test_c01_state_matrix_reproduction():
     t0 = time.perf_counter()
     rows = state_matrix(0)
     assert rows == APPENDIX_MATRIX
-    det = state_determinant_polynomial()(0)
+    det = determinant(state_matrix(0))
     assert det == 12
     # every entry independently reproduced by a brute colorful-matching
     # count on the corresponding structured graph
@@ -238,11 +238,12 @@ def _brute_census(tg):
 
 
 def _kron_rhs(census, t, x):
+    m = state_matrix(x)
     total = 0
     for theta, cnt in census.items():
         term = cnt
         for ti, si in zip(t, theta):
-            term *= pst_polynomial(si, ti)(x)
+            term *= m[ti - 1][si - 1]
         total += term
     return total
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from subcount import brute, gadgets, hardness, structural, vc
 from subcount.cli import COMMANDS, _parse, main
 from subcount.fileio import read_graph, save_model, write_graph
 from subcount.graphs import Graph
+from subcount.polynomials import determinant
 
 from helpers import rand_bipartite, rand_graph
 
@@ -71,7 +73,25 @@ def test_state_matrix_published_values(capsys):
 def test_state_matrix_other_padding(capsys):
     code, rec = run(capsys, "state-matrix", "--n", "3")
     assert code == 0
-    assert int(rec["det"]) == hardness.state_determinant_polynomial()(3)
+    assert int(rec["det"]) == determinant(hardness.state_matrix(3))
+
+
+def test_state_matrix_disagreement_exits_3(capsys, monkeypatch):
+    # one entry off by one at the asked padding: the determinant of the
+    # entries extrapolated from paddings 0..6 no longer matches the
+    # permutation expansion of the rows
+    real = hardness.state_matrix
+
+    def skewed(x):
+        rows = real(x)
+        if x == 17:
+            rows[0][0] += 1
+        return rows
+
+    monkeypatch.setattr(hardness, "state_matrix", skewed)
+    assert main(["state-matrix", "--n", "17"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "direct expansion disagrees" in err
 
 
 def test_state_matrix_rejects_negative_padding(capsys):
@@ -325,6 +345,41 @@ def test_reduce_matchings_via_gadget_query_limit_exits_2(capsys, files):
         assert code == 2 and out == "" and "196608" in err and elapsed < 1
 
 
+def test_verify_gadget_candidate_bound_exits_2(capsys, files):
+    # a 20-vertex core in a 40-vertex graph has C(40, 20) candidate cores;
+    # the check refuses them before the scan, with or without --trust
+    rng = random.Random(40)
+    core = rand_graph(rng, 20, 0.3)
+    g = Graph(40, [(2 * i, 2 * i + 1) for i in range(10)]
+              + [(2 * i, 20 + i) for i in range(10)]
+              + [(20 + u, 20 + v) for u, v in core.edges])
+    path = files("g40.g", g)
+    spec = ",".join(f"{2 * i}-{2 * i + 1}" for i in range(10))
+    for argv in (["verify-gadget", "-H", path, "--matching", spec],
+                 ["search-gadget", "-H", path, "-k", "10", "--trust"]):
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and elapsed < 1
+        assert "137846528820 candidate cores" in err
+
+
+def test_colorful_matchings_via_matchings_bound_exits_2(capsys, files):
+    # 24 colours make 2^24 matching-count calls; the direct count answers 0
+    # at once, the transfer refuses before its first call
+    rng = random.Random(24)
+    edges = rng.sample(list(combinations(range(20), 2)), 57)
+    path = files("g24.g", Graph(20, edges, ecolors=[i % 24 for i in range(57)]))
+    code, rec = run(capsys, "count-colorful-matchings", "-H", path)
+    assert code == 0 and rec["count"] == "0"
+    t0 = time.perf_counter()
+    code = main(["count-colorful-matchings", "-H", path, "--via", "matchings"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "16777216" in err and elapsed < 1
+
+
 def test_reduce_matchings_via_gadget_rejects_bad_gadget(capsys, files):
     gp = files("host.g", Graph.complete_bipartite(2, 2))
     bad = files("bad.g", _hub_non_gadget())
@@ -546,6 +601,16 @@ def test_help_lists_every_command_and_option(capsys):
     assert _help(capsys, "count-sub", "-p", "a.g") == _help(capsys, "count-sub")
 
 
+def test_readme_names_every_command_and_option():
+    # each command as `name ...` and at least one flag of each of its options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for name, (_, _, options) in COMMANDS.items():
+        assert f"`{name}" in readme, name
+        for o in options:
+            assert any(re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", readme)
+                       for f in o.flags), (name, o.flags)
+
+
 _COUNT_KEYS = ["count", "algorithm", "oracle_calls", "elapsed_ms"]
 
 # every command on tiny fixture files ("@x" is the file x in the test's
@@ -718,9 +783,9 @@ _K33_HOST = Graph(7, list(_K33.edges) + [(6, 3), (6, 4), (6, 5)],
 ], ids=["gadget", "colmatch", "state-matrix"])
 def test_exact_commands_stay_off_fractions(files, argv, key, expected):
     # the gadget read-out takes integer differences of its 2k+1 values, the
-    # p_{s,t} come from Newton differences and the colmatch solve from
-    # cofactors, so none of these runs loads fractions or decimal, nor any
-    # other module of _HEAVY
+    # state-matrix check extrapolates each p_{s,t} from integer differences
+    # of its values at 0..6 and the colmatch solve uses cofactors, so none
+    # of these runs loads fractions or decimal, nor any other module of _HEAVY
     paths = {"@c6": files("c6.g", Graph.cycle(6)),
              "@m2": files("m2.g", Graph.matching(2)),
              "@k33": files("k33.g", _K33),

@@ -210,6 +210,23 @@ def test_restriction_keeps_gadget_property(seed):
             return
 
 
+def test_candidate_core_scans_are_bounded():
+    # a 20-vertex core of a 40-vertex graph has C(40, 20) candidate cores;
+    # the check, the residue census and the strong-set test refuse them all
+    rng = random.Random(40)
+    core = rand_graph(rng, 20, 0.3)
+    h = Graph(40, [(2 * i, 2 * i + 1) for i in range(10)]
+              + [(2 * i, 20 + i) for i in range(10)]
+              + [(20 + u, 20 + v) for u, v in core.edges])
+    gadget = MatchingGadget(h, [(2 * i, 2 * i + 1) for i in range(10)])
+    assert comb(40, 20) == 137846528820
+    for run in (lambda: check_matching_gadget(h, gadget),
+                lambda: residue_classes_and_alphas(gadget),
+                lambda: is_strong_set(h, gadget.core, [20])):
+        with pytest.raises(PreconditionError, match="137846528820 candidate cores"):
+            run()
+
+
 # -- strong sets ----------------------------------------------------------
 
 

@@ -4,19 +4,18 @@ from itertools import product
 
 import pytest
 
-from subcount import cli
 from subcount.brute import (count_colorful_matchings,
                             count_colorpreserving_subgraphs,
                             count_matchings, count_walk_patterns)
-from subcount.fileio import write_graph
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
                                _type_index, build_triangle_graph,
                                directed_cycles_via_undirected, gadget_graph,
-                               matchings_via_directed_cycles, pst_polynomial,
-                               residue_graph, solve_theta_star,
-                               state_determinant_polynomial, state_matrix,
+                               matchings_via_directed_cycles, residue_graph,
+                               solve_theta_star, state_matrix,
                                subpart_via_colmatch_oracle)
+from subcount.polynomials import (binomial_basis_from_values, determinant,
+                                  forward_differences)
 from helpers import (iter_colorful_matchings, rand_bipartite, rand_digraph,
                      rand_graph)
 
@@ -29,6 +28,10 @@ PUBLISHED_MATRIX = [
     [2, 3, 3, 4, 5],
     [2, 2, 2, 2, 4],
 ]
+
+
+# D(x) = det state_matrix(x), by its coefficients in ascending degree
+DET = (12, 30, 36, 36, 28, 12, 2)
 
 
 def colorful_k33():
@@ -74,42 +77,49 @@ def test_state_matrix_rejects_negative_padding():
 
 
 def test_determinant_is_certified():
-    det = state_determinant_polynomial()
-    assert det(0) == 12
-    assert list(det.coeffs) == [12, 30, 36, 36, 28, 12, 2]
-    # all coefficients positive: nonsingular for every padding n >= 3
-    assert all(c > 0 for c in det.coeffs)
+    # the entries have degree at most six, so D has degree at most 30 and
+    # its values at the 31 points 0..30 make it DET; all coefficients are
+    # positive, so the state matrix is nonsingular at every padding n >= 3
+    for x in range(31):
+        assert determinant(state_matrix(x)) == sum(c * x**i for i, c in enumerate(DET))
+    assert all(c > 0 for c in DET)
 
 
 def test_state_matrix_equals_the_polynomials():
-    # the run path reads the matrix from extension counts, the state-matrix
-    # determinant from the interpolated p_{s,t}: both give the same entries
+    # every entry's values at 0..6, read over the basis C(x+i, i), give the
+    # entry at every padding: the p_{s,t} have degree at most six
+    samples = [state_matrix(x) for x in range(7)]
+    bases = [[binomial_basis_from_values(0, [m[t][s] for m in samples])
+              for s in range(5)] for t in range(5)]
     for x in range(41):
-        assert state_matrix(x) == [[pst_polynomial(s, t)(x) for s in TYPES]
-                                   for t in TYPES]
+        assert state_matrix(x) == [[sum(c * math.comb(x + i, i) for i, c in enumerate(cs))
+                                    for cs in row] for row in bases]
 
 
 def test_determinant_polynomial_agrees_with_sympy():
-    # an outside oracle: sympy expands the determinant of the 25 p_{s,t}
+    # an outside oracle: sympy interpolates the 25 p_{s,t} through their
+    # values at 0..6 and expands the determinant
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    entries = [[sum(c * x**i for i, c in enumerate(pst_polynomial(s, t).coeffs))
-                for s in TYPES] for t in TYPES]
+    samples = [state_matrix(m) for m in range(7)]
+    entries = [[sympy.interpolate([(m, samples[m][t][s]) for m in range(7)], x)
+                for s in range(5)] for t in range(5)]
     det = sympy.Poly(sympy.Matrix(entries).det(), x)
-    assert det.all_coeffs()[::-1] == list(state_determinant_polynomial().coeffs)
+    assert det.all_coeffs()[::-1] == list(DET)
 
 
 def test_pst_polynomials_extrapolate():
-    # the polynomials come from the extension tables; brute counts on R_s
-    # plus m intact cycles check them at the interpolation points m = 0..6
-    # and beyond them
+    # the state matrix comes from the extension tables; brute counts on R_s
+    # plus m intact cycles check each p_{s,t} at m = 0..8, and its values
+    # there lie on one polynomial of degree at most six
+    rows = [state_matrix(m) for m in range(9)]
     for s in TYPES:
         for t in TYPES:
-            p = pst_polynomial(s, t)
-            assert p.degree <= 6
+            values = [r[t - 1][s - 1] for r in rows]
+            assert forward_differences(values)[7:] == [0, 0]
             g = residue_graph(s)
             for m in range(9):
-                assert p(m) == count_colorful_matchings(g, A_SETS[t])
+                assert values[m] == count_colorful_matchings(g, A_SETS[t])
                 g = g.disjoint_union(gadget_graph())
 
 
@@ -202,14 +212,14 @@ def test_query_identity_term_by_term():
     for edges in iter_colorful_matchings(tg.graph, tg.link_colors()):
         theta = tg.classify_link_matching(edges)
         brute_census[theta] = brute_census.get(theta, 0) + 1
-    x = tg.n - 3
+    m = state_matrix(tg.n - 3)
     for t in product(TYPES, repeat=6):
         lhs = tg.answer_table()[_type_index(t)]
         rhs = 0
         for theta, cnt in brute_census.items():
             term = cnt
             for ti, si in zip(t, theta):
-                term *= pst_polynomial(si, ti)(x)
+                term *= m[ti - 1][si - 1]
             rhs += term
         assert lhs == rhs
 
@@ -231,7 +241,7 @@ def test_solve_theta_star_roundtrip():
 
 def test_solve_theta_star_rejects_inconsistent_values():
     n, x = 5, 2
-    aligned = [pst_polynomial(1, t)(x) for t in TYPES]  # one aligned copy
+    aligned = [row[0] for row in state_matrix(x)]  # one aligned copy
     assert solve_theta_star(aligned, n, 1) == 1
     # one more on the first query adds y[1] = 425/61 to the aligned count
     off = list(aligned)
@@ -280,19 +290,6 @@ def test_pipeline_default_padding():
     assert subpart_via_colmatch_oracle(h, colorful_k33()) == 1
     # a padding far above the class sizes solves to the same count
     assert subpart_via_colmatch_oracle(h, colorful_k33(), padding=23) == 1
-
-
-def test_colmatch_command_builds_no_polynomial(tmp_path, capsys):
-    # the run reads one class matrix from extension counts; the p_{s,t} and
-    # their determinant are for the state-matrix command and the tests
-    pst_polynomial.cache_clear()
-    state_determinant_polynomial.cache_clear()
-    for name in ("h", "g"):
-        write_graph(colorful_k33(), tmp_path / name)
-    code = cli.main(["reduce-subpart-via-colmatch", "-p", str(tmp_path / "h"),
-                     "-H", str(tmp_path / "g")])
-    assert code == 0 and '"count": "1"' in capsys.readouterr().out
-    assert pst_polynomial.cache_info().misses == 0
 
 
 def test_pipeline_matches_brute_on_random_hosts():

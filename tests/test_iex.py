@@ -109,6 +109,18 @@ def test_colmatch_transfer_call_budget():
     assert oracle.calls == 2 ** 4
 
 
+def test_transfers_refuse_above_the_call_limit_before_any_call():
+    # 17 colours would make 2^17 calls, above the 2^16 limit
+    oracle = CountingOracle(lambda *args: 0)
+    h = Graph.path(17).with_vertex_colors(range(17))
+    with pytest.raises(PreconditionError, match="131072"):
+        subpart_via_sub_oracle(h, h, oracle)
+    g = Graph.matching(17).with_edge_colors(range(17))
+    with pytest.raises(PreconditionError, match="131072"):
+        colmatch_via_match_oracle(g, range(17), oracle)
+    assert oracle.calls == 0
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2 ** 28 - 1))
 def test_colmatch_transfer_matches_brute(seed):
