@@ -3,9 +3,12 @@
 These are the ground-truth oracles everything else in the package is checked
 against, so they favor obviousness over speed: plain backtracking over
 adjacency bitmasks, no clever algebra.  The search is exhaustive; only its
-last level is not walked one candidate at a time but counted by one popcount
-of the candidate mask.  They are fast enough for the graph sizes the test
-corpus and the reductions feed them (a couple dozen vertices).
+last two levels are not walked one candidate at a time but counted by masks:
+the last by one popcount of its candidate mask, the pair by one popcount per
+candidate of the last-but-one position (or, when the two pattern vertices
+are not adjacent, by a product of popcounts less their overlap).  They are
+fast enough for the graph sizes the test corpus and the reductions feed them
+(a couple dozen vertices).
 
 Counting conventions
 --------------------
@@ -42,11 +45,14 @@ def _search_order(h: Graph, pinned=()):
 
 
 def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
-    """The search order, and a function giving the host candidates for each
-    position: ``candidates(i, image, used)`` is the host vertices allowed for
-    pattern vertex ``order[i]`` (its color class under ``respect_colors``),
-    not in ``used`` and adjacent to the images ``image[j]`` of its pattern
-    neighbors at earlier positions j."""
+    """The search order, and two functions over it.
+
+    ``candidates(i, image, used)`` is the host vertices allowed for pattern
+    vertex ``order[i]`` (its color class under ``respect_colors``), not in
+    ``used`` and adjacent to the images ``image[j]`` of its pattern neighbors
+    at earlier positions j.  ``count_last_two(image, used)``, for a pattern
+    of at least two vertices, is the number of ways to place the last two
+    positions once all earlier ones are placed."""
     if respect_colors and (h.vcolors is None or g.vcolors is None):
         raise PreconditionError("respect_colors needs vertex colors on both graphs")
     order = _search_order(h, pinned)
@@ -68,7 +74,28 @@ def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
             cand &= adj[image[j]]
         return cand
 
-    return order, candidates
+    last = h.n - 1
+    tail = back[last] if h.n else []
+    joined = last - 1 in tail
+    before = [j for j in tail if j != last - 1]
+
+    def count_last_two(image, used):
+        cand = candidates(last - 1, image, used)
+        # the last position's candidates before position last - 1 is placed
+        base = allowed[last] & ~used
+        for j in before:
+            base &= adj[image[j]]
+        if joined:  # x is never in adj[x], since Graph rejects loops
+            total = 0
+            while cand:
+                low = cand & -cand
+                total += (base & adj[low.bit_length() - 1]).bit_count()
+                cand ^= low
+            return total
+        # every pair (x, y) from cand x base with x != y
+        return cand.bit_count() * base.bit_count() - (cand & base).bit_count()
+
+    return order, candidates, count_last_two
 
 
 def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -> int:
@@ -82,7 +109,8 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
     if h.n > g.n:
         return 0
     anchor = dict(anchor or {})
-    order, candidates = _search_plan(h, g, respect_colors, pinned=sorted(anchor))
+    order, candidates, count_last_two = _search_plan(h, g, respect_colors,
+                                                     pinned=sorted(anchor))
     for hv, gv in anchor.items():
         if respect_colors and h.vcolors[hv] != g.vcolors[gv]:
             return 0
@@ -98,6 +126,8 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
     last = h.n - 1
 
     def extend(i, used):
+        if i == last - 1:
+            return count_last_two(image, used)
         cand = candidates(i, image, used)
         if i == last:
             return cand.bit_count()
@@ -116,7 +146,7 @@ def find_embedding(h: Graph, g: Graph, *, respect_colors=False):
         raise PreconditionError("embedding search is for undirected graphs")
     if h.n > g.n:
         return None
-    order, candidates = _search_plan(h, g, respect_colors)
+    order, candidates, _ = _search_plan(h, g, respect_colors)
     image = [0] * h.n
 
     def extend(i, used):

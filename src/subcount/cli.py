@@ -20,7 +20,7 @@ from types import SimpleNamespace
 from . import brute, gadgets, hardness, iex, structural, vc
 from .fileio import (GraphParseError, dumps, format_matching, load_model,
                      parse_matching, read_graph, save_model, write_graph)
-from .graphs import (Graph, InconsistencyError, PreconditionError,
+from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError,
                      min_vertex_cover)
 from .polynomials import binomial_basis_from_values, determinant
 
@@ -43,12 +43,13 @@ def _record(count, algorithm, calls):
     return {"count": str(count), "algorithm": algorithm, "oracle_calls": calls}
 
 
-def _count(args, tau, run_brute, run_vc, label=""):
-    """Run the backend --algo names, or under auto vc when the pattern's
-    vertex cover number, computed by ``tau()`` only then, is at most
-    --tau-max; under --verify run both and require agreement.  Return the
-    record, its algorithm prefixed by ``label``.  Each run returns (count,
-    oracle calls)."""
+def _count(args, tau, run_brute, run_vc, label="", vc_calls=1):
+    """Run the backend --algo names, or under auto vc when the vc route's
+    ``vc_calls`` oracle calls are within WORK_LIMIT and the pattern's vertex
+    cover number, computed by ``tau()`` only then, is at most --tau-max;
+    under --verify run both and require agreement.  Return the record, its
+    algorithm prefixed by ``label``.  Each run returns (count, oracle
+    calls)."""
     if args.verify:
         nb, cb = run_brute()
         nv, cv = run_vc()
@@ -57,7 +58,8 @@ def _count(args, tau, run_brute, run_vc, label=""):
         return _record(nb, label + "brute+vc", cb + cv)
     algo = args.algo
     if algo == "auto":
-        algo = "vc" if tau() <= args.tau_max else "brute"
+        fits = vc_calls <= WORK_LIMIT and tau() <= args.tau_max
+        algo = "vc" if fits else "brute"
     count, calls = run_vc() if algo == "vc" else run_brute()
     return _record(count, label + algo, calls)
 
@@ -92,8 +94,10 @@ def _cmd_count_subpart(args):
         oracle = _Counted(vc.count_sub_vc)
         return iex.subpart_via_sub_oracle(h, g, oracle), oracle.calls
 
+    # the vc route is an inclusion-exclusion transfer over the pattern colors
     return _count(args, _pattern_tau(h),
-                  lambda: (brute.count_colorpreserving_subgraphs(h, g), 1), run_vc)
+                  lambda: (brute.count_colorpreserving_subgraphs(h, g), 1), run_vc,
+                  vc_calls=1 << len(set(h.vcolors or ())))
 
 
 def _cmd_count_colorful_matchings(args):

@@ -20,7 +20,8 @@ def test_automorphisms_of_standard_graphs():
     assert automorphism_count(Graph.complete(4)) == 24
     assert automorphism_count(Graph.cycle(5)) == 10
     assert automorphism_count(Graph.path(4)) == 2
-    assert automorphism_count(Graph.matching(3)) == 48  # 2^3 * 3!
+    for k in range(7):  # the last two positions are one matching edge
+        assert automorphism_count(Graph.matching(k)) == 2 ** k * math.factorial(k)
     assert automorphism_count(petersen()) == 120
 
 
@@ -212,6 +213,35 @@ def test_empty_and_one_vertex_patterns():
     assert count_embeddings(Graph.empty(1), g, anchor={0: 3}) == 1
 
 
+def test_two_vertex_patterns():
+    # positions 0 and 1 are the last two, so the pair step is the whole search
+    k2, two = Graph.path(2), Graph.empty(2)
+    g = Graph.path(4).with_vertex_colors([1, 2, 2, 3])
+    assert count_embeddings(k2, g) == 6  # 3 edges, both directions
+    assert count_embeddings(two, g) == 12  # 4 * 3 ordered pairs
+    assert count_embeddings(k2, Graph.empty(5)) == 0
+    assert count_embeddings(two, Graph.empty(1)) == 0
+    assert count_embeddings(k2.with_vertex_colors([1, 2]), g, respect_colors=True) == 1
+    assert count_embeddings(two.with_vertex_colors([2, 3]), g, respect_colors=True) == 2
+    assert count_embeddings(two.with_vertex_colors([2, 2]), g, respect_colors=True) == 2
+    assert count_embeddings(k2.with_vertex_colors([2, 2]), g, respect_colors=True) == 2
+
+
+def test_non_adjacent_last_pair_in_a_one_vertex_class():
+    # the last two positions are non-adjacent and both may only go to host
+    # vertex 3: the product 1 * 1 must lose the shared vertex, leaving 0
+    h = Graph(4, [(0, 1)]).with_vertex_colors([1, 2, 3, 3])
+    g = Graph.complete(5).with_vertex_colors([1, 2, 1, 3, 2])
+    order = _search_order(h)
+    assert {order[-2], order[-1]} == {2, 3}
+    assert count_embeddings(h, g, respect_colors=True) == 0
+    assert count_embeddings(h, g, respect_colors=True, anchor={0: 0}) == 0
+    assert count_embeddings(h, g, respect_colors=True, anchor={0: 0, 1: 1}) == 0
+    # with a second vertex in the class the two can be placed both ways
+    g2 = g.with_vertex_colors([1, 2, 3, 3, 2])
+    assert count_embeddings(h, g2, respect_colors=True) == 2 * 2
+
+
 def test_fully_anchored_pattern():
     # every search position is pinned, so the last one is anchored too
     p3, k4 = Graph.path(3), Graph.complete(4)
@@ -291,6 +321,48 @@ def test_embeddings_agree_with_networkx_monomorphisms():
             split = sum(count_embeddings(h, g, respect_colors=respect, anchor={hv: gv})
                         for gv in range(g.n))
             assert split == (colored if respect else plain)
+
+
+def test_last_two_levels_agree_with_networkx_monomorphisms():
+    # the last two search positions are counted by masks; check them against
+    # an outside enumerator on patterns whose last pair is adjacent and on
+    # patterns whose last pair is not, unanchored and with anchors leaving
+    # exactly two positions free or one
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(1515)
+    named = [Graph.matching(2), Graph.matching(3), Graph(3, [(0, 1)]),
+             Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph.path(2), Graph.empty(2)]
+    patterns = named + [rand_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.9))
+                        for _ in range(30)]
+    last_pairs = set()
+    for h in patterns:
+        h = h.with_vertex_colors([rng.randint(1, 3) for _ in range(h.n)])
+        g = rand_vertex_colored(rng, rng.randint(h.n, 10), rng.uniform(0.3, 0.8), 3)
+        # every monomorphism as the image tuple image[h_v] = g_v
+        maps = [tuple(sorted(m, key=m.get)) for m in
+                GraphMatcher(_to_nx(nx, g), _to_nx(nx, h)).subgraph_monomorphisms_iter()]
+        colored = [im for im in maps
+                   if all(h.vcolors[v] == g.vcolors[im[v]] for v in range(h.n))]
+        assert count_embeddings(h, g) == len(maps)
+        assert count_embeddings(h, g, respect_colors=True) == len(colored)
+        order = _search_order(h)
+        last_pairs.add(h.has_edge(order[-2], order[-1]))
+        for free in (2, 1):
+            for _ in range(4):
+                pinned = rng.sample(range(h.n), h.n - free)
+                # half the anchors come from a monomorphism, so some are nonzero
+                image = (rng.choice(maps) if maps and rng.random() < 0.5
+                         else rng.sample(range(g.n), h.n))
+                anchor = {v: image[v] for v in pinned}
+                for respect, pool in ((False, maps), (True, colored)):
+                    want = sum(1 for im in pool if all(im[v] == gv for v, gv in anchor.items()))
+                    assert count_embeddings(h, g, respect_colors=respect,
+                                            anchor=anchor) == want
+                if free == 2:
+                    order = _search_order(h, sorted(anchor))
+                    last_pairs.add(h.has_edge(order[-2], order[-1]))
+    assert last_pairs == {True, False}
 
 
 def test_cycles_agree_with_networkx_simple_cycles():

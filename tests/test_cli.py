@@ -18,7 +18,7 @@ from subcount.fileio import read_graph, save_model, write_graph
 from subcount.graphs import Graph
 from subcount.polynomials import determinant
 
-from helpers import rand_bipartite, rand_graph
+from helpers import colorful, rand_bipartite, rand_graph
 
 
 def run(capsys, *argv):
@@ -162,6 +162,25 @@ def test_count_subpart_requires_colorful_pattern(capsys, files):
         code, _ = run(capsys, "count-subpart", "-p", hp, "-H", gp,
                       "--algo", algo)
         assert code == 2
+
+
+def test_count_subpart_auto_weighs_the_transfer_calls(capsys, files):
+    # a colourful 18-vertex star has cover number 1, but its vc route is a
+    # transfer over 2^18 colour subsets: auto takes brute, --algo vc refuses
+    star = colorful(Graph.star(17))
+    path = files("star17.g", star)
+    code, rec = run(capsys, "count-subpart", "-p", path, "-H", path)
+    assert code == 0 and rec["count"] == "1" and rec["algorithm"] == "brute"
+    t0 = time.perf_counter()
+    code = main(["count-subpart", "-p", path, "-H", path, "--algo", "vc"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "262144" in err and elapsed < 1
+    # four colours make 16 calls, well within the limit: auto keeps vc
+    c4 = files("c4.g", colorful(Graph.cycle(4)))
+    code, rec = run(capsys, "count-subpart", "-p", c4, "-H", c4)
+    assert code == 0 and rec["count"] == "1"
+    assert rec["algorithm"] == "vc" and rec["oracle_calls"] == 16
 
 
 def test_count_colorful_matchings_routes(capsys, files):
