@@ -17,11 +17,10 @@ from collections import namedtuple
 from itertools import permutations
 from types import SimpleNamespace
 
-from . import brute, gadgets, hardness, iex, structural, vc
+from . import brute, gadgets, hardness, iex, routes, structural, vc
 from .fileio import (GraphParseError, dumps, format_matching, load_model,
                      parse_matching, read_graph, save_model, write_graph)
-from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError,
-                     min_vertex_cover)
+from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
 from .polynomials import binomial_basis_from_values, determinant
 
 
@@ -43,29 +42,20 @@ def _record(count, algorithm, calls):
     return {"count": str(count), "algorithm": algorithm, "oracle_calls": calls}
 
 
-def _count(args, tau, run_brute, run_vc, label="", vc_calls=1):
-    """Run the backend --algo names, or under auto vc when the vc route's
-    ``vc_calls`` oracle calls are within WORK_LIMIT and the pattern's vertex
-    cover number, computed by ``tau()`` only then, is at most --tau-max;
-    under --verify run both and require agreement.  Return the record, its
-    algorithm prefixed by ``label``.  Each run returns (count, oracle
-    calls)."""
+def _count(args, run, pick, label=""):
+    """Run the route --algo names, brute or vc, or under auto the route
+    ``pick()`` returns; under --verify run brute and vc and require
+    agreement.  ``run(route)`` returns (count, oracle calls).  Return the
+    record, its algorithm prefixed by ``label``."""
     if args.verify:
-        nb, cb = run_brute()
-        nv, cv = run_vc()
+        nb, cb = run("brute")
+        nv, cv = run("vc")
         if nb != nv:
             raise InconsistencyError(f"cross-check failed: brute={nb} vc={nv}")
         return _record(nb, label + "brute+vc", cb + cv)
-    algo = args.algo
-    if algo == "auto":
-        fits = vc_calls <= WORK_LIMIT and tau() <= args.tau_max
-        algo = "vc" if fits else "brute"
-    count, calls = run_vc() if algo == "vc" else run_brute()
+    algo = pick() if args.algo == "auto" else args.algo
+    count, calls = run(algo)
     return _record(count, label + algo, calls)
-
-
-def _pattern_tau(h):
-    return lambda: min_vertex_cover(h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -75,29 +65,43 @@ def _pattern_tau(h):
 def _cmd_count_sub(args):
     h = read_graph(args.pattern)
     g = read_graph(args.host)
-    return _count(args, _pattern_tau(h), lambda: (brute.count_subgraphs(h, g), 1),
-                  lambda: (vc.count_sub_vc(h, g), 1))
+    return _count(args, lambda route: (routes.count_sub(route, h, g), 1),
+                  lambda: routes.choose(h, g))
 
 
 def _cmd_count_emb(args):
     h = read_graph(args.pattern)
     g = read_graph(args.host)
-    return _count(args, _pattern_tau(h), lambda: (brute.count_embeddings(h, g), 1),
-                  lambda: (vc.count_emb_vc(h, g), 1))
+    return _count(args, lambda route: (routes.count_emb(route, h, g), 1),
+                  lambda: routes.choose(h, g))
 
 
 def _cmd_count_subpart(args):
     h = read_graph(args.pattern)
     g = read_graph(args.host)
+    calls = 1 << len(set(h.vcolors or ()))
 
-    def run_vc():
-        oracle = _Counted(vc.count_sub_vc)
+    def run(route):
+        if route == "brute":
+            return brute.count_colorpreserving_subgraphs(h, g), 1
+        # the other routes count the plain pattern in 2^colors parts of the
+        # pruned host: an inclusion-exclusion transfer
+        oracle = _Counted(lambda p, part: routes.count_sub(route, p, part))
         return iex.subpart_via_sub_oracle(h, g, oracle), oracle.calls
 
-    # the vc route is an inclusion-exclusion transfer over the pattern colors
-    return _count(args, _pattern_tau(h),
-                  lambda: (brute.count_colorpreserving_subgraphs(h, g), 1), run_vc,
-                  vc_calls=1 << len(set(h.vcolors or ())))
+    def pick():
+        # one color-respecting brute search against the transfer's calls by
+        # the best route, which are refused above WORK_LIMIT
+        if calls > WORK_LIMIT:
+            return "brute"
+        plain = Graph(h.n, h.edges)
+        pruned = iex.prune_useless_edges(h, g)
+        pruned = Graph(pruned.n, pruned.edges)
+        route = routes.choose(plain, pruned, calls)
+        transfer = routes.cost(route, plain, pruned, calls)
+        return route if transfer < routes.colored_search_cost(h, g) else "brute"
+
+    return _count(args, run, pick)
 
 
 def _cmd_count_colorful_matchings(args):
@@ -117,10 +121,17 @@ def _cmd_count_matchings(args):
     k = args.k
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    # a k-matching is a subgraph copy of the k-edge matching pattern, whose
-    # vertex cover number is k
-    return _count(args, lambda: k, lambda: (brute.count_matchings(g, k), 1),
-                  lambda: (vc.count_sub_vc(Graph.matching(k), g), 1))
+
+    # a k-matching is a subgraph copy of the k-edge matching pattern; every
+    # route but vc is brute's matching counter
+    def run(route):
+        if route == "vc":
+            return vc.count_sub_vc(Graph.matching(k), g), 1
+        return brute.count_matchings(g, k), 1
+
+    # a matching with more vertices than the host has none
+    return _count(args, run, lambda: "matchings" if 2 * k > g.n
+                  else routes.choose(Graph.matching(k), g))
 
 
 def _cmd_count_cycles(args):
@@ -166,13 +177,14 @@ def _cmd_reduce_matchings_via_gadget(args):
             "gadget too large to verify automatically; pass --trust to use "
             "it unchecked")
 
-    def via(count_sub):
-        oracle = _Counted(count_sub)
+    def run(route):
+        oracle = _Counted(lambda p, probe: routes.count_sub(route, p, probe))
         count = gadgets.count_matchings_via_gadget(g, args.k, gadget, oracle=oracle)
         return count, oracle.calls
 
-    return _count(args, _pattern_tau(hg), lambda: via(brute.count_subgraphs),
-                  lambda: via(vc.count_sub_vc), label="gadget+")
+    # one route for every query, picked on the largest padded instance
+    return _count(args, run, lambda: routes.choose(
+        hg, gadgets.build_G_ell(gadget, g, 2 * gadget.k).graph), label="gadget+")
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +316,8 @@ _MATCHING = _opt("--matching", required=True, metavar="SPEC",
                  help="induced matching as 'u-v,u-v,...'")
 _ALGO_FLAGS = (
     _opt("--algo", kind=("brute", "vc", "auto"), default="auto",
-         help="counting backend (auto picks vc for small vertex cover)"),
-    _opt("--tau-max", kind=int, default=4, metavar="T",
-         help="auto uses vc when the pattern cover number is at most T"),
+         help="counting backend (auto picks the route with the least "
+              "estimated work)"),
     _opt("--verify", kind=bool, help="run brute and vc and require agreement"),
 )
 

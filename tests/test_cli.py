@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from subcount import brute, gadgets, hardness, structural, vc
+from subcount import brute, gadgets, hardness, routes, structural, vc
 from subcount.cli import COMMANDS, _parse, main
 from subcount.fileio import read_graph, save_model, write_graph
 from subcount.graphs import Graph
@@ -119,11 +119,10 @@ def test_algo_selection_and_agreement(capsys, files):
         assert code == 0
         counts.add(rec["count"])
     assert len(counts) == 1
-    # tau(K4-ish on 4 vertices) <= 3 <= default tau-max, so auto says vc
+    # K4 less an edge has no matching or cycle route, and in 8 vertices
+    # brute's estimated search is below vc's fixed cost
     code, rec = run(capsys, "count-sub", "-p", hp, "-H", gp)
-    assert rec["algorithm"] in ("vc", "brute")
-    code, rec = run(capsys, "count-sub", "-p", hp, "-H", gp, "--tau-max", "0")
-    assert rec["algorithm"] == "brute"
+    assert rec["algorithm"] == "brute" == routes.choose(h, g)
 
 
 def test_verify_mode(capsys, files):
@@ -176,11 +175,25 @@ def test_count_subpart_auto_weighs_the_transfer_calls(capsys, files):
     elapsed = time.perf_counter() - t0
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and "262144" in err and elapsed < 1
-    # four colours make 16 calls, well within the limit: auto keeps vc
+    # four colours make 16 transfer calls, but one colour-respecting search
+    # of a 4-cycle is cheaper: auto takes brute, --algo vc the transfer
     c4 = files("c4.g", colorful(Graph.cycle(4)))
     code, rec = run(capsys, "count-subpart", "-p", c4, "-H", c4)
     assert code == 0 and rec["count"] == "1"
+    assert rec["algorithm"] == "brute" and rec["oracle_calls"] == 1
+    code, rec = run(capsys, "count-subpart", "-p", c4, "-H", c4, "--algo", "vc")
+    assert code == 0 and rec["count"] == "1"
     assert rec["algorithm"] == "vc" and rec["oracle_calls"] == 16
+    # a colourful 6-leaf star in the complete 7-partite graph with 14
+    # vertices per colour: brute's search grows as 14^5, the vc transfer's
+    # 128 calls as the host, so auto takes the transfer
+    classes = [v % 7 for v in range(98)]
+    host = files("k7x14.g", Graph(98, [(u, v) for u, v in combinations(range(98), 2)
+                                      if classes[u] != classes[v]], vcolors=classes))
+    star6 = files("star6.g", Graph.star(6).with_vertex_colors(range(7)))
+    code, rec = run(capsys, "count-subpart", "-p", star6, "-H", host)
+    assert code == 0 and rec["count"] == str(14 ** 7)
+    assert rec["algorithm"] == "vc" and rec["oracle_calls"] == 128
 
 
 def test_count_colorful_matchings_routes(capsys, files):
@@ -560,11 +573,12 @@ def test_exit_code_usage_error(tmp_path):
     (["count-sub", "-p=a.g", "-H=b.g"], {"pattern": "a.g", "host": "b.g"}),
     (["count-sub", "--pat", "a.g", "--ho=b.g"], {"pattern": "a.g", "host": "b.g"}),
     (["count-sub", "-p", "a.g", "-H", "b.g", "--al", "vc"], {"algo": "vc"}),
-    (["count-sub", "-p", "a.g", "-H", "b.g", "--tau", "-1"], {"tau_max": -1}),
-    (["count-sub", "-p", "a.g", "-H", "b.g", "--tau-max=-2", "--ver"],
-     {"tau_max": -2, "verify": True}),
+    (["reduce-subpart-via-colmatch", "-p", "a.g", "-H", "b.g", "--max", "-1"],
+     {"max_k": -1}),
+    (["reduce-subpart-via-colmatch", "-p", "a.g", "-H", "b.g", "--max-k=-2"],
+     {"max_k": -2}),
     (["count-sub", "-p", "a.g", "-H", "b.g"],
-     {"algo": "auto", "tau_max": 4, "verify": False}),
+     {"algo": "auto", "verify": False}),
     (["count-sub", "-p", "a.g", "-p", "c.g", "-H", "b.g", "--algo", "brute",
       "--algo", "vc"], {"pattern": "c.g", "algo": "vc"}),
     (["count-matchings", "-H", "g.g", "-k", "-1"], {"k": -1}),
@@ -573,6 +587,7 @@ def test_exit_code_usage_error(tmp_path):
     (["extract", "-H", "g.g", "-k", "2", "--matching", ""], {"matching": ""}),
     (["make-bicubic", "-H", "h.g", "-o", "-"], {"out": "-", "model_out": None}),
     (["count-colorful-matchings", "-H", "g.g", "--via", "matchings"], {"via": "matchings"}),
+    (["count-sub", "-p", "a.g", "-H", "b.g", "--ver"], {"verify": True}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_option_forms(argv, expected):
     run, args = _parse(argv)
@@ -584,7 +599,7 @@ def test_option_forms(argv, expected):
     ([], "command"),
     (["no-such-command"], "no-such-command"),
     (["count-sub", "-p", "a.g", "-H", "b.g", "--bogus"], "--bogus"),
-    (["reduce-matchings-via-gadget", "--t"], "--t"),
+    (["count-sub", "--h"], "--h"),
     (["count-sub", "-H", "b.g", "-p"], "-p"),
     (["count-sub", "-p", "--host", "b.g"], "-p"),
     (["count-matchings", "-H", "g.g", "-k", "two"], "two"),
