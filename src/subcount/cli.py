@@ -73,7 +73,7 @@ def _cmd_count_emb(args):
     h = read_graph(args.pattern)
     g = read_graph(args.host)
     return _count(args, lambda route: (routes.count_emb(route, h, g), 1),
-                  lambda: routes.choose(h, g))
+                  lambda: routes.choose(h, g, sub=False))
 
 
 def _cmd_count_subpart(args):
@@ -91,13 +91,15 @@ def _cmd_count_subpart(args):
 
     def pick():
         # one color-respecting brute search against the transfer's calls by
-        # the best route, which are refused above WORK_LIMIT
-        if calls > WORK_LIMIT:
+        # the best route, which are refused above WORK_LIMIT; the transfer
+        # counts the undirected shadow, so a directed graph goes to brute,
+        # whose error names the problem
+        if calls > WORK_LIMIT or h.directed or g.directed:
             return "brute"
         plain = Graph(h.n, h.edges)
         pruned = iex.prune_useless_edges(h, g)
         pruned = Graph(pruned.n, pruned.edges)
-        route = routes.choose(plain, pruned, calls)
+        route = routes.choose(plain, pruned)
         transfer = routes.cost(route, plain, pruned, calls)
         return route if transfer < routes.colored_search_cost(h, g) else "brute"
 

@@ -12,43 +12,55 @@ The last two count copies; #Emb = #Sub * |Aut h| with the closed forms
 
 ``estimate(route, h, g)`` bounds a route's work from h and from g's degree
 sequence (for cycles, its walk counts) before any counting starts.
-``choose`` takes the applicable route of least SECONDS_PER_UNIT * estimate.
-Nothing is timed at run time, so the choice is a function of (h, g) alone.
+``choose`` takes the applicable route of least estimated seconds,
+CALL_SECONDS + SECONDS_PER_UNIT * estimate.  Nothing is timed at run time,
+so the choice is a function of (h, g) alone.
 """
 
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, inf
 
 from . import brute, vc
 from .graphs import Graph, iter_bits, min_vertex_cover
 
-# Seconds per unit of estimated work: the median of measured seconds /
-# estimate over the instances below (2-core x86-64 VM, CPython 3.11, best of
-# up to 5 in-process runs).  g120, g60, g26 and g25 are the bench hosts at
-# seed 1, G_2(bip10) the gadget read-out's K4 probe host at padding 2,
-# G(n, p) s is tests/helpers.rand_graph at seed s, and "-" was not timed
-# (estimated above 10 s).
+# A count by a route is estimated to take CALL_SECONDS[route] +
+# SECONDS_PER_UNIT[route] * estimate seconds, and a #Sub count by brute or vc
+# adds brute's estimate for #Aut.  The eight constants and _NODE are a fit of
+# log(seconds), least squares per route, over 1296 timed counts with
+# |V(h)| <= |V(g)| and the #Aut searches of their patterns (2-core x86-64 VM,
+# CPython 3.11, best of up to 7 in-process runs of brute.count_embeddings,
+# vc.count_emb_vc and count_sub below): every applicable route on the
+# instances below, on the 500 pairs of criteria 2 and 3
+# (tests/test_acceptance.py), on 16 patterns of 2-6 vertices in 5 random
+# hosts of 16-48 vertices, and on kK2 (k <= 4) and C_k (k <= 7) in 36 hosts
+# of 4-12 vertices.  Fitted / measured seconds has median 0.95 for brute,
+# 0.89 vc, 0.90 matchings and 1.00 cycles, with quartiles in 0.65-1.45.
+# g120, g60, g26 and g25 are the bench hosts at seed 1, G_2(bip10) the gadget
+# read-out's K4 probe host at padding 2, G(n, p) s is tests/helpers.rand_graph
+# at seed s, and "-" was not timed (estimated above 4 s).
 #
-#   instance             brute       vc   matchings  cycles  (1e-7 s/unit)
-#   triangle in g120       2.8      1.2                 1.6
-#   P4 in g120             2.7      1.8
-#   star5 in g120          1.9      1.5
-#   star5 in g60           1.6      1.4
-#   M3 in g26              1.4      1.4       4.5
-#   M4 in g26                -      1.1       3.1
-#   C6 in g25              0.8      0.5                 0.2
-#   C7 in g60              1.0      0.1                 0.4
-#   K4 in g60              1.7      0.7
-#   P5 in g60              2.5      0.4
-#   K4 in G_2(bip10)       0.9      0.5
-#   C4 in pruned g40v4     1.7      0.5                 0.7
-#   4K2 G(30, .25) s3        -      1.4       3.6
-#   5K2 G(30, .25) s3        -      1.1       2.5
-#   C8 G(40, .2) s1        0.7      0.2                 0.3
-#   C10 G(60, .1) s2         -        -                 0.2
-SECONDS_PER_UNIT = {"brute": 1.6e-7, "vc": 1.1e-7, "matchings": 3.3e-7,
-                    "cycles": 0.35e-7}
+#   instance (ms)        brute      vc  matchings  cycles
+#   triangle in g120      0.86    1.79               0.94
+#   P4 in g120            3.01    3.73
+#   star5 in g120          409    0.57
+#   star5 in g60          21.3    0.33
+#   M3 in g26              222    22.5       2.44
+#   M4 in g26                -     301       58.4
+#   C6 in g25             24.7    7.79               7.03
+#   C7 in g60              219       -               56.2
+#   K4 in g60             0.79    0.58
+#   P5 in g60             4.07    4.86
+#   K4 in G_2(bip10)      0.40    0.44
+#   C4 in pruned g40v4    0.77    1.19               0.45
+#   4K2 G(30, .25) s3        -     527       66.2
+#   5K2 G(30, .25) s3        -       -        878
+#   C8 G(40, .2) s1          -       -                554
+#   C10 G(60, .1) s2         -       -               1532
+CALL_SECONDS = {"brute": 1.75e-5, "vc": 4.32e-5, "matchings": 1.5e-6,
+                "cycles": 4.7e-6}
+SECONDS_PER_UNIT = {"brute": 0.78e-7, "vc": 0.93e-7, "matchings": 2.99e-7,
+                    "cycles": 0.40e-7}
 
 
 def shape(h: Graph):
@@ -94,11 +106,22 @@ def count_emb(route: str, h: Graph, g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # work estimates, in units of one popcount in a loop
 
-# a search node: a function call with its candidate loop
-_NODE = 6
-# the work of a call before its search starts: plans, masks, the vertex
-# cover and the placement terms
-_CALL_UNITS = {"brute": 100, "vc": 800, "matchings": 20, "cycles": 30}
+def _f(x) -> float:
+    """x as a float; inf where x is too large for one.  The estimates are
+    floats, so a pattern or host of any size gets an estimate."""
+    return float(x) if x < 1e300 else inf
+
+
+def _times(a: float, b: float) -> float:
+    """a * b, where a bound of 0 stays 0 even against inf."""
+    return a * b if a and b else 0.0
+
+
+# a search node, a function call with its candidate loop, in popcounts: the
+# value that fits brute's and vc's times best (see CALL_SECONDS); the rms
+# error of the fitted log(seconds) is 0.543 at 8 and within 0.002 of that
+# from 6 to 12
+_NODE = 8
 
 
 class _Host:
@@ -116,7 +139,8 @@ class _Host:
     def moment(self, e: int) -> float:
         while len(self.moments) <= e:
             k = len(self.moments)
-            self.moments.append(float(sum(c * d ** k for d, c in self.hist.items())))
+            self.moments.append(inf if self.moments[-1] == inf else
+                                _f(sum(c * d ** k for d, c in self.hist.items())))
         return self.moments[e]
 
     def at_least(self, d: int) -> int:
@@ -132,13 +156,15 @@ class _Host:
         neighbours = [list(iter_bits(self.g.adj_mask(v))) for v in range(self.n)]
         degree = [len(nb) for nb in neighbours]
         before, ending = [1] * self.n, degree
-        total = float(sum(ending))
+        total = sum(ending)
         for step in range(longest - 1):
+            if total > 1e300:
+                return inf
             back = [d - (step > 0) for d in degree]
             before, ending = ending, [sum(map(ending.__getitem__, nb)) - b * w
                                       for nb, b, w in zip(neighbours, back, before)]
             total += sum(ending)
-        return total
+        return _f(total)
 
 
 def _tree_levels(h: Graph, order, host: _Host, roots=None):
@@ -162,12 +188,14 @@ def _tree_levels(h: Graph, order, host: _Host, roots=None):
             r = root[min(placed)]
             e = edges[r] = edges[r] + 1
             before = host.moment(e - 1) if e > 1 else roots
-            forest = forest / before * host.moment(e) if before else 0.0
+            # M_(e-1) = inf makes M_e = inf, and the forest bound inf already
+            grow = 0.0 if not before else host.moment(e) / before if before < inf else inf
+            forest = _times(forest, grow)
         else:
             r = i
             edges[r] = 0
-            forest *= roots
-        falling *= max(n - i, 0)
+            forest = _times(forest, roots)
+        falling = _times(falling, max(n - i, 0))
         root.append(r)
         levels.append(min(forest, falling))
     return levels
@@ -187,16 +215,12 @@ def _search_work(h: Graph, host: _Host) -> float:
     return host.n + _search_nodes(h, order, _tree_levels(h, order, host))
 
 
-@lru_cache(maxsize=64)
-def _aut_work(h: Graph) -> float:
-    """#Aut by brute's search of h in itself, once per #Sub count; the same
-    for every route and host, so computed once per pattern."""
-    return _search_work(h, _Host(h)) + _CALL_UNITS["brute"]
-
-
-def _bell(k: int) -> int:
+def _bell(k: int) -> float:
+    """The Bell number B_k, or inf once the row passes the float range."""
     row = [1]
     for _ in range(k):
+        if row[0] > 1e300:
+            return inf
         nxt = [row[-1]]
         for x in row:
             nxt.append(nxt[-1] + x)
@@ -204,7 +228,7 @@ def _bell(k: int) -> int:
     return row[0]
 
 
-def _term_bound(sizes) -> int:
+def _term_bound(sizes) -> float:
     """Upper bound on vc's placement terms for demand classes of ``sizes``:
     one class of size d gives the d monomials N^1..N^d, classes of size one
     give Bell(#classes) partitions, and in general the blocks holding one
@@ -241,13 +265,13 @@ def _vc_work(h: Graph, host: _Host) -> float:
     _tau, cover = min_vertex_cover(core)
     demand = vc._demand(core, cover)
     prev, _weight = vc._twin_cut(core, cover, demand)
-    terms = _term_bound(sorted(demand.values()))
-    keys = 1 if len(demand) == 1 else min(2 ** len(demand), 2 ** len(cover)) - 1
+    terms = _f(_term_bound(sorted(demand.values())))
+    keys = 1 if len(demand) == 1 else _f(2 ** min(len(demand), len(cover)) - 1)
     levels = _tree_levels(core.induced(cover), range(len(cover)), host,
                           roots=host.at_least(1))
     # images rise along each twin class, which divides the anchors at each
     # level by the orderings of the members placed so far
-    placed, work, scale, above = {}, 0.0, 1, 1.0
+    placed, work, scale, above = {}, 0.0, 1.0, 1.0
     for i, level in enumerate(levels):
         j = prev[i]
         placed[i] = placed[j] + 1 if j >= 0 else 1
@@ -255,45 +279,70 @@ def _vc_work(h: Graph, host: _Host) -> float:
         # a position with no earlier cover neighbour scans every free vertex
         if not any(core.has_edge(cover[i], cover[j]) for j in range(i)):
             work += above * host.n
-        above = level / scale
+        above = level / scale if level < inf else inf
         work += _NODE * above
     per_anchor = _NODE + (keys + terms) * max(len(cover), len(demand))
-    return host.n + work + above * per_anchor + terms * len(demand)
+    return host.n + work + _times(above, per_anchor) + terms * len(demand)
 
 
 def _estimate(route: str, h: Graph, host: _Host) -> float:
     if h.n > host.n:
-        return 1.0
+        return 0.0
     if route == "matchings":
-        work = host.m + sum(comb(host.m, j) for j in range(h.m))
-    elif route == "cycles":
+        return host.m + _f(sum(comb(host.m, j) for j in range(h.m)))
+    if route == "cycles":
         # one node per start vertex and per path walked from it, which is
         # the path's least vertex: one of a path and its reverse at most
-        work = _NODE * (host.n + host.paths(h.n - 2) / 2)
-    else:
-        work = (_search_work(h, host) if route == "brute" else _vc_work(h, host)) + _aut_work(h)
-    return work + _CALL_UNITS[route]
+        return _NODE * (host.n + host.paths(h.n - 2) / 2)
+    return _search_work(h, host) if route == "brute" else _vc_work(h, host)
 
 
 def estimate(route: str, h: Graph, g: Graph) -> float:
-    """Upper bound on the work of counting #Sub(h -> g) by ``route``; 1 when
-    h has more vertices than g, since every route answers 0 at once then."""
+    """Upper bound on the work of ``route``'s count of h in g: #Emb for brute
+    and vc, #Sub for matchings and cycles; 0 when h has more vertices than
+    g, since every route answers 0 at once then."""
     return _estimate(route, h, _Host(g))
 
 
-def cost(route: str, h: Graph, g: Graph, calls: int = 1) -> float:
-    """Estimated seconds for ``calls`` counts of this size by ``route``."""
-    return SECONDS_PER_UNIT[route] * estimate(route, h, g) * calls
+@lru_cache(maxsize=64)
+def _aut_seconds(h: Graph) -> float:
+    """#Aut by brute's search of h in itself, which #Sub by brute or vc adds
+    to #Emb; the same for every host, so computed once per pattern."""
+    return CALL_SECONDS["brute"] + SECONDS_PER_UNIT["brute"] * _search_work(h, _Host(h))
 
 
-def choose(h: Graph, g: Graph, calls: int = 1) -> str:
-    """The applicable route of least estimated cost.  A directed pattern or
-    host goes to brute, whose error names the problem."""
+def _fixed(route: str, h: Graph, sub: bool) -> float:
+    """The seconds of a count by ``route`` before its search starts."""
+    aut = sub and route in ("brute", "vc")
+    return CALL_SECONDS[route] + (_aut_seconds(h) if aut else 0.0)
+
+
+def _seconds(route: str, h: Graph, host: _Host, sub: bool) -> float:
+    return _fixed(route, h, sub) + SECONDS_PER_UNIT[route] * _estimate(route, h, host)
+
+
+def cost(route: str, h: Graph, g: Graph, calls: int = 1, sub: bool = True) -> float:
+    """Estimated seconds for ``calls`` counts of h in g by ``route``: #Sub
+    counts, or #Emb counts when ``sub`` is false."""
+    return calls * _seconds(route, h, _Host(g), sub)
+
+
+def choose(h: Graph, g: Graph, sub: bool = True) -> str:
+    """The applicable route of least estimated cost for #Sub(h -> g), or for
+    #Emb(h -> g) when ``sub`` is false.  A directed pattern or host goes to
+    brute, whose error names the problem."""
     if h.directed or g.directed:
         return "brute"
     host = _Host(g)  # read g once for every route
-    return min(applicable(h),
-               key=lambda r: SECONDS_PER_UNIT[r] * _estimate(r, h, host) * calls)
+    best, least = applicable(h)[0], inf
+    for route in applicable(h):
+        # a route whose fixed cost alone reaches the least so far cannot win,
+        # so its estimate (vc's takes a minimum vertex cover) is not made
+        if _fixed(route, h, sub) < least:
+            seconds = _seconds(route, h, host, sub)
+            if seconds < least:
+                best, least = route, seconds
+    return best
 
 
 def colored_search_cost(h: Graph, g: Graph) -> float:
@@ -317,8 +366,7 @@ def colored_search_cost(h: Graph, g: Graph) -> float:
     for i, v in enumerate(order):
         c = h.vcolors[v]
         placed = [u for u in h.neighbors(v) if position[u] < i]
-        bound *= (min(reach.get((h.vcolors[u], c), 0) for u in placed) if placed
-                  else size.get(c, 0))
+        bound = _times(bound, min(reach.get((h.vcolors[u], c), 0) for u in placed)
+                       if placed else size.get(c, 0))
         levels.append(bound)
-    work = g.n + _search_nodes(h, order, levels) + _CALL_UNITS["brute"]
-    return SECONDS_PER_UNIT["brute"] * work
+    return CALL_SECONDS["brute"] + SECONDS_PER_UNIT["brute"] * (g.n + _search_nodes(h, order, levels))

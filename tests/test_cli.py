@@ -194,6 +194,16 @@ def test_count_subpart_auto_weighs_the_transfer_calls(capsys, files):
     code, rec = run(capsys, "count-subpart", "-p", star6, "-H", host)
     assert code == 0 and rec["count"] == str(14 ** 7)
     assert rec["algorithm"] == "vc" and rec["oracle_calls"] == 128
+    # the same star and host with every edge directed: the transfer would
+    # count their undirected shadow, so auto takes brute, which refuses
+    host = files("k7x14d.g", Graph(98, [(u, v) for u, v in combinations(range(98), 2)
+                                       if classes[u] != classes[v]],
+                                   directed=True, vcolors=classes))
+    star6 = files("star6d.g", Graph(7, Graph.star(6).edges, directed=True,
+                                    vcolors=range(7)))
+    code = main(["count-subpart", "-p", star6, "-H", host])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "undirected" in err
 
 
 def test_count_colorful_matchings_routes(capsys, files):
@@ -214,6 +224,16 @@ def test_count_colorful_matchings_needs_colors(capsys, files):
     gp = files("g.g", Graph.cycle(4))
     code, _ = run(capsys, "count-colorful-matchings", "-H", gp)
     assert code == 2
+
+
+def test_count_matchings_auto_on_a_large_k(capsys, files):
+    # a 171-matching: vc's twin class of 171 cover vertices alone has an
+    # orbit size past the float range; auto still answers at once
+    gp = files("g.g", Graph(342))
+    t0 = time.perf_counter()
+    code, rec = run(capsys, "count-matchings", "-H", gp, "-k", "171")
+    assert time.perf_counter() - t0 < 1
+    assert code == 0 and rec["count"] == "0" and rec["algorithm"] == "matchings"
 
 
 def test_count_matchings_vc_route(capsys, files):

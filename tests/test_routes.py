@@ -8,7 +8,6 @@ it must return.
 import json
 import random
 
-import networkx as nx
 import pytest
 
 from subcount import brute, routes, vc
@@ -77,6 +76,7 @@ def test_matchings_route_agrees_with_brute():
 
 
 def test_cycles_route_agrees_with_brute_and_networkx():
+    nx = pytest.importorskip("networkx")
     for h, g in _corpus([Graph.cycle(k) for k in range(3, 8)]):
         count = routes.count_sub("cycles", h, g)
         assert count == brute.count_subgraphs(h, g)
@@ -107,6 +107,25 @@ def test_choose_makes_no_count(monkeypatch):
                  (Graph.cycle(10), _rand(60, 0.1, 2)), (Graph.complete(4), G26),
                  (Graph.matching(14), G26)]:
         assert routes.choose(h, g) in routes.applicable(h)
+
+
+def test_estimates_past_the_float_range():
+    # exact counts past the float range end as inf, never as an error or
+    # nan: the orderings of a 171-vertex twin class of vc's cover, the tree
+    # bounds of a 250-leaf star, the walks of a 150-cycle in K150 and the
+    # edge subsets of a 171-matching in K342
+    ring = Graph(342, [(i, (i + 1) % 342) for i in range(342)])
+    big = [("vc", Graph.matching(171), ring),
+           ("brute", Graph.star(250), _rand(300, 0.1, 1)),
+           ("cycles", Graph.cycle(150), Graph.complete(150)),
+           ("matchings", Graph.matching(171), Graph.complete(342))]
+    for route, h, g in big:
+        assert routes.estimate(route, h, g) == float("inf")
+    # no anchor image and orderings past the float range: 0 anchors, not nan
+    work = routes.estimate("vc", Graph.matching(171), Graph(342))
+    assert 0 <= work < float("inf")
+    assert routes.choose(Graph.matching(200), Graph(400)) == "matchings"
+    assert routes.choose(Graph.matching(171), ring, sub=False) == "matchings"
 
 
 def test_tree_levels_bound_the_search_tree():
