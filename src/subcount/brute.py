@@ -269,6 +269,9 @@ def count_matchings(g: Graph, k: int) -> int:
         # edges are taken in rising index order, so each matching once
         if need == 1:
             return avail.bit_count()
+        # too few edges left: cut here, above the hot need == 2 level
+        if need > 2 and avail.bit_count() < need:
+            return 0
         total = 0
         while avail:
             low = avail & -avail

@@ -170,7 +170,7 @@ def _cmd_reduce_matchings_via_gadget(args):
     matching = parse_matching(args.matching)
     gadget = gadgets.MatchingGadget(hg, matching)
     if hg.n <= 12:
-        bad = gadgets.check_matching_gadget(hg, matching)
+        bad = gadgets.check_matching_gadget(hg, gadget)
         if bad is not None:
             raise PreconditionError(
                 f"not a matching gadget: core candidate {bad} breaks the check")

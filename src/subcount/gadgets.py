@@ -12,15 +12,15 @@ completely to the host side, and interpolate away the padding.
 Everything here is exhaustive and meant for small H (say up to ~12
 vertices): the checker enumerates candidate cores directly, and refuses a
 graph with more than WORK_LIMIT of them before the scan.  Every isomorphism
-question runs on brute's embedding search, with the boundary (and, for
-strong sets, membership in x) carried as vertex colors.
+question runs on brute's embedding search, with the boundary carried as
+vertex colors.
 """
 
 from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .brute import count_embeddings, count_subgraphs, find_embedding, is_isomorphic
+from .brute import count_subgraphs, find_embedding, is_isomorphic
 from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
 from .polynomials import binomial_basis_from_values
 
@@ -64,7 +64,7 @@ class MatchingGadget:
     """A graph with a designated induced matching, for the counting reduction.
 
     Construction validates the induced-matching property only; it does not
-    run the expensive full check (see is_matching_gadget / search_gadget).
+    run the expensive full check (see check_matching_gadget / search_gadget).
     """
 
     __slots__ = ("h", "matching", "core", "core_boundary")
@@ -140,69 +140,6 @@ def check_matching_gadget(h, matching):
     """
     gadget = matching if isinstance(matching, MatchingGadget) else MatchingGadget(h, matching)
     return next((cand for cand, _ in _impostor_cores(gadget, _counterexample_rest)), None)
-
-
-def is_matching_gadget(h, matching):
-    """True when (h, matching) is a k-matching gadget (exhaustive check)."""
-    return check_matching_gadget(h, matching) is None
-
-
-def nocommon_sufficient(h, matching):
-    """Cheap one-way test: every core vertex adjacent to at most one matched
-    vertex.  True here implies the full gadget property; False says nothing.
-    """
-    gadget = matching if isinstance(matching, MatchingGadget) else MatchingGadget(h, matching)
-    covered = {v for e in gadget.matching for v in e}
-    for c in gadget.core:
-        hits = sum(1 for u in gadget.h.neighbors(c) if u in covered)
-        if hits > 1:
-            return False
-    return True
-
-
-def restrict_gadget(gadget, sub_matching):
-    """Shrink a gadget's matching to a subset of its edges.
-
-    Any sub-matching of a verified gadget's matching yields a gadget on the
-    same graph (the defining property transfers: an impostor core for the
-    smaller matching extends to one for the larger by appending the dropped
-    edges).  No re-verification is performed, so the caller should hand in
-    a gadget that was actually checked or trusted.
-    """
-    sub = tuple(sorted((min(u, v), max(u, v)) for u, v in sub_matching))
-    have = set(gadget.matching)
-    for e in sub:
-        if e not in have:
-            raise PreconditionError(f"edge {e} is not part of the gadget matching")
-    if len(set(sub)) != len(sub):
-        raise PreconditionError("duplicate edges in sub-matching")
-    return MatchingGadget(gadget.h, sub)
-
-
-def is_strong_set(h, core, x):
-    """Whether x is fixed setwise by every boundary-preserving isomorphism
-    from H[core] to H[C'], over all candidate cores C'.
-
-    Such an isomorphism fixes x exactly when it keeps membership in x, so
-    per candidate the isomorphisms keeping membership must be all of them.
-    """
-    xset = set(x)
-    cset = set(core)
-    if not xset <= cset:
-        raise PreconditionError("x must be a subset of core")
-    if not cset <= set(range(h.n)):
-        raise PreconditionError("core out of range")
-    if not xset:
-        return True
-    plain, marked = _core_view(h, core), _core_view(h, core, xset)
-    for cand in _candidate_cores(h, len(core)):
-        view = _core_view(h, cand)
-        if view.m != plain.m:
-            continue
-        isos = count_embeddings(plain, view, respect_colors=True)
-        if isos != count_embeddings(marked, _core_view(h, cand, xset), respect_colors=True):
-            return False
-    return True
 
 
 class ReductionInstance(namedtuple("ReductionInstance", "graph host_vertices "
@@ -299,12 +236,6 @@ def count_T_ell(gadget, g, ell, oracle=None):
     return total
 
 
-class ResidueClass(namedtuple("ResidueClass", "graph isolated pure alpha")):
-    """Isomorphism class of a possible host-side trace of a gadget copy."""
-
-    __slots__ = ()
-
-
 def _completion_count(gadget, residue):
     """Ways to add boundary-to-residue edges so that core + residue becomes
     the gadget graph again.
@@ -324,42 +255,6 @@ def _completion_count(gadget, residue):
         if is_isomorphic(trial, h):
             count += 1
     return count
-
-
-def residue_classes_and_alphas(gadget):
-    """All isomorphism types the host side of a gadget copy can take, with
-    their completion multiplicities.
-
-    Candidate cores here only need a boundary-preserving isomorphism and a
-    bipartite rest; rests with isolated vertices are kept (the interpolation
-    step absorbs them).  A rest with no isolated vertex must come out
-    isomorphic to the gadget matching, otherwise the gadget was never valid
-    and we refuse to continue.
-    """
-    k = gadget.k
-    reps = []
-    for _cand, rest in _impostor_cores(gadget):
-        if rest.n != 2 * k:
-            raise InconsistencyError("residue does not have 2k vertices")
-        if not any(is_isomorphic(rest, r) for r in reps):
-            reps.append(rest)
-
-    matching_graph = Graph.matching(k)
-    classes = []
-    for r in reps:
-        iso_verts = r.isolated_vertices()
-        if not iso_verts and not is_isomorphic(r, matching_graph):
-            raise InconsistencyError(
-                "isolated-free residue is not a matching; gadget property fails"
-            )
-        pure = r.without_vertices(iso_verts) if iso_verts else r
-        alpha = _completion_count(gadget, r)
-        classes.append(ResidueClass(graph=r, isolated=tuple(iso_verts), pure=pure, alpha=alpha))
-    classes.sort(key=lambda c: (len(c.isolated), c.graph.m))
-    for c in classes:
-        if not c.isolated and c.alpha <= 0:
-            raise InconsistencyError("matching residue has zero completions")
-    return classes
 
 
 def matching_alpha(gadget):
@@ -402,24 +297,6 @@ def count_matchings_via_gadget(g, k, gadget, oracle=None):
             f"constant coefficient {c0} not divisible by completion count {alpha}"
         )
     return c0 // alpha
-
-
-def residue_count_identity(gadget, g, ell):
-    """Right-hand side of the residue decomposition of the constrained count:
-    sum over residue classes of alpha * #Sub(pure -> g) * C(n+ell-2k+i, i)
-    with i the number of isolated vertices.  Equals count_T_ell on valid
-    gadgets; exposed for cross-checking.
-    """
-    n = g.n
-    k = gadget.k
-    total = 0
-    for cls in residue_classes_and_alphas(gadget):
-        i = len(cls.isolated)
-        pure_count = count_subgraphs(cls.pure, g)
-        if pure_count:
-            # a nonzero pure count forces n >= 2k - i, so the argument is fine
-            total += cls.alpha * pure_count * comb(n + ell - 2 * k + i, i)
-    return total
 
 
 def search_gadget(h, k):

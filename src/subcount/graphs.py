@@ -285,25 +285,25 @@ def _cover_size(adj: list[int], active: int, memo: dict[int, int]) -> int:
     cached = memo.get(active)
     if cached is not None:
         return cached
+    # pendant shortcut: some optimum cover takes the neighbour of a
+    # degree-1 vertex, so paths and cycles shrink without branching
     best_v, best_deg = -1, 0
     m = active
     while m:
         low = m & -m
         v = low.bit_length() - 1
         m ^= low
-        d = (adj[v] & active).bit_count()
+        nv = adj[v] & active
+        d = nv.bit_count()
+        if d == 1:
+            res = 1 + _cover_size(adj, active & ~(nv | low), memo)
+            memo[active] = res
+            return res
         if d > best_deg:
             best_v, best_deg = v, d
     if best_deg == 0:
         memo[active] = 0
         return 0
-    if best_deg == 1:
-        # Pendant: take the neighbor of some degree-1 vertex.  Every vertex
-        # active here has degree <= 1, so the graph is a partial matching.
-        nv = adj[best_v] & active
-        res = 1 + _cover_size(adj, active & ~(nv | (1 << best_v)), memo)
-        memo[active] = res
-        return res
     nv = adj[best_v] & active
     take_v = 1 + _cover_size(adj, active & ~(1 << best_v), memo)
     take_nb = nv.bit_count() + _cover_size(adj, active & ~(nv | (1 << best_v)), memo)

@@ -95,18 +95,6 @@ def gadget_graph(missing_slots=frozenset()) -> Graph:
     return Graph(len(keep), ed, ecolors=ec)
 
 
-def residue_graph(s: int) -> Graph:
-    """The 15-vertex normal form of alignment type s: its damaged gadgets
-    padded with intact six-cycles to three gadgets total."""
-    parts = [gadget_graph(d) for d in TYPE_DAMAGE[s]]
-    while len(parts) < 3:
-        parts.append(gadget_graph())
-    g = parts[0]
-    for p in parts[1:]:
-        g = g.disjoint_union(p)
-    return g
-
-
 def state_matrix(x: int) -> list[list[int]]:
     """The five-by-five matrix [t][s] = p_{s,t}(x), read from the extension
     counts of one class of x + 3 gadgets; rows are query sets, columns

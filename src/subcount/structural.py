@@ -1,5 +1,5 @@
-"""Structural helpers: star numbers, Ramsey extraction, tree decompositions,
-and the instance-lifting constructions.
+"""Structural helpers: Ramsey extraction, tree decompositions and the
+instance-lifting constructions.
 
 Everything in here is constructive and self-auditing.  Procedures that search
 for a witness either return one that has been re-verified from first
@@ -12,32 +12,9 @@ rather than bad input.
 from collections import Counter
 from itertools import combinations
 
-from .graphs import (Graph, InconsistencyError, PreconditionError,
-                     max_matching_size)
+from .graphs import Graph, InconsistencyError, PreconditionError
 from .gadgets import validate_induced_matching
 from .brute import is_colorful
-
-
-# -- subdivided stars ------------------------------------------------------
-
-def psi(g, v):
-    """Largest number of length-2 paths leaving v that share nothing but v.
-
-    Each path v-u-w consumes two distinct vertices, and paths may not touch
-    each other outside v, so this is a maximum matching among the edges of
-    g - v that have at least one endpoint next to v.
-    """
-    if not 0 <= v < g.n:
-        raise PreconditionError(f"vertex {v} out of range")
-    nb = set(g.neighbors(v))
-    edges = [e for e in g.edges
-             if v not in e and (e[0] in nb or e[1] in nb)]
-    return max_matching_size(Graph(g.n, edges))
-
-
-def psi_max(g):
-    """max over all vertices of psi(g, v); 0 for the empty graph."""
-    return max((psi(g, v) for v in range(g.n)), default=0)
 
 
 # -- monochromatic cliques by pigeonhole chains ----------------------------

@@ -109,30 +109,6 @@ def _placement_counter(demand: dict[int, int]) -> Callable[[int, list[int]], int
     return placements
 
 
-def anchored_embedding_count(h: Graph, cover: tuple[int, ...], g: Graph,
-                             image: tuple[int, ...]) -> int:
-    """Embeddings of h into g that send cover[i] to image[i].
-
-    The cover must touch every edge of h; the non-cover remainder is then
-    placed by the partition-lattice sum of the module docstring.
-    """
-    cset = set(cover)
-    for (u, v) in h.edges:
-        if u not in cset and v not in cset:
-            raise PreconditionError("given set is not a vertex cover of the pattern")
-    if len(set(image)) != len(image):
-        return 0
-    pos = {c: i for i, c in enumerate(cover)}
-    # edges inside the cover must be honored by the anchor itself
-    for (u, v) in h.edges:
-        if u in cset and v in cset:
-            if not g.has_edge(image[pos[u]], image[pos[v]]):
-                return 0
-    free = (1 << g.n) - 1 - sum(1 << v for v in image)
-    return _placement_counter(_demand(h, cover))(
-        free, [g.adj_mask(v) for v in image])
-
-
 def _degree_first_core(h: Graph) -> Graph:
     """h without its isolated vertices, relabelled by descending degree."""
     core = sorted((u for u in range(h.n) if h.degree(u)), key=h.degree,

@@ -236,6 +236,17 @@ def test_count_matchings_auto_on_a_large_k(capsys, files):
     assert code == 0 and rec["count"] == "0" and rec["algorithm"] == "matchings"
 
 
+def test_count_matchings_perfect_matching_of_a_large_host(capsys, files):
+    # the one 171-matching of a 171-edge host: brute's matching search cuts
+    # each branch with fewer edges left than it still needs
+    gp = files("g.g", Graph.matching(171))
+    for route in ([], ["--algo", "brute"]):
+        t0 = time.perf_counter()
+        code, rec = run(capsys, "count-matchings", "-H", gp, "-k", "171", *route)
+        assert time.perf_counter() - t0 < 1
+        assert code == 0 and rec["count"] == "1"
+
+
 def test_count_matchings_vc_route(capsys, files):
     gp = files("g.g", Graph.complete_bipartite(3, 3))
     code, rec = run(capsys, "count-matchings", "-H", gp, "-k", "2",

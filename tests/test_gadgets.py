@@ -7,7 +7,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import rand_bipartite, rand_graph, subgraph_copies
+from helpers import (is_strong_set, nocommon_sufficient, rand_bipartite,
+                     rand_graph, residue_classes_and_alphas,
+                     residue_count_identity, restrict_gadget, subgraph_copies)
 from subcount.brute import count_matchings, count_subgraphs, is_isomorphic
 from subcount.gadgets import (
     MatchingGadget,
@@ -16,13 +18,7 @@ from subcount.gadgets import (
     check_matching_gadget,
     count_T_ell,
     count_matchings_via_gadget,
-    is_matching_gadget,
-    is_strong_set,
     matching_alpha,
-    nocommon_sufficient,
-    residue_classes_and_alphas,
-    residue_count_identity,
-    restrict_gadget,
     search_gadget,
     validate_induced_matching,
 )
@@ -101,21 +97,21 @@ def test_gadget_fields():
 
 def test_pure_matchings_are_gadgets():
     for k in (1, 2, 3):
-        assert is_matching_gadget(Graph.matching(k), Graph.matching(k).edges)
+        assert check_matching_gadget(Graph.matching(k), Graph.matching(k).edges) is None
 
 
 def test_k4_single_edge_is_gadget():
-    assert is_matching_gadget(Graph.complete(4), [(0, 1)])
+    assert check_matching_gadget(Graph.complete(4), [(0, 1)]) is None
 
 
 def test_triangle_single_edge_is_gadget():
     # the rest is a single edge for every one-vertex core choice
-    assert is_matching_gadget(Graph.complete(3), [(0, 1)])
+    assert check_matching_gadget(Graph.complete(3), [(0, 1)]) is None
 
 
 def test_k4_minus_edge_verdict_and_partition_story():
     h = k4_minus_edge()
-    assert is_matching_gadget(h, [(2, 3)])
+    assert check_matching_gadget(h, [(2, 3)]) is None
     # the classic partition trap: {b,c} induces an edge just like the core
     # {a,b}, yet its complement {a,d} is edgeless; the no-isolated-vertex
     # condition is what rules this candidate out rather than any matching
@@ -172,7 +168,7 @@ def test_nocommon_implies_gadget(seed, n):
     for k in (1, 2):
         for m in _induced_matchings(h, k):
             if nocommon_sufficient(h, m):
-                assert is_matching_gadget(h, m)
+                assert check_matching_gadget(h, m) is None
                 hits += 1
                 if hits >= 3:
                     return
@@ -201,12 +197,12 @@ def test_restriction_keeps_gadget_property(seed):
     rng = random.Random(seed)
     h = rand_graph(rng, rng.randrange(4, 7), 0.4)
     for m in _induced_matchings(h, 2):
-        if is_matching_gadget(h, m):
+        if check_matching_gadget(h, m) is None:
             g = MatchingGadget(h, m)
             for sub_size in (0, 1, 2):
                 for sub in combinations(m, sub_size):
                     shrunk = restrict_gadget(g, sub)
-                    assert is_matching_gadget(h, shrunk.matching)
+                    assert check_matching_gadget(h, shrunk.matching) is None
             return
 
 
@@ -257,8 +253,8 @@ def test_removing_strong_set_preserves_gadget():
     h = degree_gap_graph()
     assert is_strong_set(h, [2, 3, 4, 5, 6, 7], [7])
     trimmed = h.without_vertices([7])
-    assert is_matching_gadget(trimmed, [(0, 1)])
-    assert is_matching_gadget(h, [(0, 1)])
+    assert check_matching_gadget(trimmed, [(0, 1)]) is None
+    assert check_matching_gadget(h, [(0, 1)]) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,8 +276,8 @@ def test_remove_strong_property_sampled(seed):
             shift = sorted(v for v in range(h.n) if v not in set(x))
             relabel = {v: i for i, v in enumerate(shift)}
             m_shift = [tuple(sorted((relabel[a], relabel[b]))) for a, b in m]
-            if is_matching_gadget(trimmed, m_shift):
-                assert is_matching_gadget(h, m)
+            if check_matching_gadget(trimmed, m_shift) is None:
+                assert check_matching_gadget(h, m) is None
             return
 
 
@@ -580,7 +576,7 @@ def test_pipeline_refuses_gadgets_above_the_query_limit():
     # its read-out needs 3 * 2^(15 core edges + 1 boundary vertex) = 196608
     # queries; the refusal comes before the first
     h = Graph(8, [*combinations(range(6), 2), (5, 6), (6, 7)])
-    assert is_matching_gadget(h, [(6, 7)])
+    assert check_matching_gadget(h, [(6, 7)]) is None
     calls = []
 
     def oracle(h, g):
@@ -641,7 +637,7 @@ def test_search_triangle_finds_gadget():
 def test_search_c6_two_matching():
     found = search_gadget(Graph.cycle(6), 2)
     assert found is not None
-    assert is_matching_gadget(Graph.cycle(6), found.matching)
+    assert check_matching_gadget(Graph.cycle(6), found.matching) is None
 
 
 def test_search_exhausts_to_none():

@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcount.graphs import (Graph, PreconditionError, max_matching_size,
                              min_vertex_cover)
-from helpers import petersen, rand_graph
+from helpers import petersen, rand_bipartite, rand_graph
 
 
 def test_rejects_loops_and_duplicates():
@@ -103,6 +104,15 @@ def test_cover_witness_valid_and_minimal(seed):
         assert not _is_cover(g, small)
 
 
+def test_cover_of_long_paths_and_cycles():
+    # a degree-1 vertex's neighbour is taken without branching, so paths and
+    # (after one branch) cycles cost linear recursion depth
+    t0 = time.perf_counter()
+    assert min_vertex_cover(Graph.path(60)) == (30, tuple(range(0, 60, 2)))
+    assert time.perf_counter() - t0 < 1
+    assert min_vertex_cover(Graph.cycle(300))[0] == 150
+
+
 # -- matching -----------------------------------------------------------
 
 def test_matching_basics():
@@ -123,3 +133,18 @@ def test_matching_vs_cover_bounds(seed):
     assert nu <= tau <= 2 * nu
     if g.is_bipartite():
         assert nu == tau  # Koenig
+
+
+def test_koenig_on_sparse_bipartite_graphs_and_trees():
+    # tau == nu on bipartite graphs of up to 40 vertices, where exhaustive
+    # cover checks are out of reach; trees and sparse hosts are full of
+    # degree-1 vertices
+    rng = random.Random(2024)
+    for i in range(200):
+        n = rng.randint(2, 40)
+        if i % 2:
+            g = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        else:
+            a = rng.randint(1, n - 1)
+            g = rand_bipartite(rng, a, n - a, rng.uniform(0.02, 3 / max(a, n - a)))
+        assert min_vertex_cover(g)[0] == max_matching_size(g)

@@ -11,13 +11,13 @@ from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
                                _type_index, build_triangle_graph,
                                directed_cycles_via_undirected, gadget_graph,
-                               matchings_via_directed_cycles, residue_graph,
+                               matchings_via_directed_cycles,
                                solve_theta_star, state_matrix,
                                subpart_via_colmatch_oracle)
 from subcount.polynomials import (binomial_basis_from_values, determinant,
                                   forward_differences)
 from helpers import (iter_colorful_matchings, rand_bipartite, rand_digraph,
-                     rand_graph)
+                     rand_graph, residue_graph)
 
 # the published evaluation matrix at argument 0: rows are query sets t=1..5,
 # columns alignment types s=1..5

@@ -101,7 +101,7 @@ def test_choose_makes_no_count(monkeypatch):
                          (brute, "automorphism_count"), (brute, "count_matchings"),
                          (brute, "count_walk_patterns"), (brute, "find_embedding"),
                          (vc, "count_emb_vc"), (vc, "count_sub_vc"),
-                         (vc, "anchored_embedding_count")]:
+                         (vc, "_placement_counter")]:
         monkeypatch.setattr(module, name, refuse)
     for h, g in [(Graph.cycle(3), G120), (Graph.star(5), G120), (Graph.matching(5), G26),
                  (Graph.cycle(10), _rand(60, 0.1, 2)), (Graph.complete(4), G26),

@@ -10,9 +10,9 @@ from subcount.structural import (MinorModel, TreeDecomposition,
                                  build_grid_instance, exact_tree_decomposition,
                                  extract_clique_biclique_or_matching,
                                  grid_pattern, make_bicubic,
-                                 minor_lift_instance, psi, psi_max,
+                                 minor_lift_instance,
                                  ramsey_monochromatic_clique)
-from helpers import rand_graph
+from helpers import psi, psi_max, rand_graph
 
 
 def subdivided_star(arms):
