@@ -22,6 +22,7 @@ from math import comb
 
 from .brute import count_subgraphs, find_embedding, is_isomorphic
 from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
+from .iex import signed_subset_sum
 from .polynomials import binomial_basis_from_values
 
 
@@ -45,7 +46,7 @@ def validate_induced_matching(h, edges):
     norm = []
     for e in edges:
         u, v = e
-        if not h.has_edge(u, v):
+        if not (0 <= u < h.n and 0 <= v < h.n and h.has_edge(u, v)):
             raise PreconditionError(f"matching edge {e} not in graph")
         norm.append((min(u, v), max(u, v)))
     norm = tuple(sorted(set(norm)))
@@ -199,41 +200,29 @@ def count_T_ell(gadget, g, ell, oracle=None):
     """Number of copies of H in the padded instance that use the whole core
     copy and give every boundary vertex a neighbor on the host side.
 
-    Computed by inclusion-exclusion over three independent requirement
-    families: core edges present, isolated core vertices present, boundary
-    vertices fed by a join edge.  Each term is one #Sub(H -> G') query.
+    Computed by inclusion-exclusion over the requirements, each a set of
+    edges and at most one vertex that a copy must use: a core edge, the
+    join edges of a boundary vertex, or a core vertex on no core edge.
+    Each term is one #Sub(H -> G') query on the instance without the
+    dropped requirements.
     """
     if oracle is None:
         oracle = count_subgraphs
     inst = build_G_ell(gadget, g, ell)
     pos = dict(zip(sorted(gadget.core), inst.core_vertices))
     edges, lone, boundary_ids = _requirement_families(gadget)
-    core_edges = [(pos[u], pos[v]) for u, v in edges]
-    lone_core = [pos[v] for v in lone]
-    bdy = [pos[v] for v in boundary_ids]
-    join_at = {b: [e for e in inst.join_edges if b in e] for b in bdy}
+    needs = [([(pos[u], pos[v])], None) for u, v in edges]
+    needs += [([e for e in inst.join_edges if pos[b] in e], None) for b in boundary_ids]
+    needs += [([], pos[v]) for v in lone]
 
-    total = 0
-    ne, nl, nb = len(core_edges), len(lone_core), len(bdy)
-    for emask in range(1 << ne):
-        dead_edges = [core_edges[i] for i in range(ne) if not emask >> i & 1]
-        for bmask in range(1 << nb):
-            dead_join = []
-            for i in range(nb):
-                if not bmask >> i & 1:
-                    dead_join.extend(join_at[bdy[i]])
-            base = inst.graph.without_edges(dead_edges + dead_join)
-            for lmask in range(1 << nl):
-                dead_verts = [lone_core[i] for i in range(nl) if not lmask >> i & 1]
-                probe = base.without_vertices(dead_verts) if dead_verts else base
-                removed = (
-                    ne - bin(emask).count("1")
-                    + nb - bin(bmask).count("1")
-                    + len(dead_verts)
-                )
-                sign = -1 if removed & 1 else 1
-                total += sign * oracle(gadget.h, probe)
-    return total
+    def term(keep):
+        dropped = [needs[i] for i in range(len(needs)) if i not in keep]
+        probe = inst.graph.without_edges(e for es, _ in dropped for e in es)
+        dead = [v for _, v in dropped if v is not None]
+        return oracle(gadget.h, probe.without_vertices(dead) if dead else probe)
+
+    # by index: on an empty host two boundary vertices need the same edges
+    return signed_subset_sum(range(len(needs)), term)
 
 
 def _completion_count(gadget, residue):

@@ -41,7 +41,7 @@ def prune_useless_edges(h: Graph, g: Graph) -> Graph:
     return g.without_edges(bad)
 
 
-def _signed_subset_sum(colors, term) -> int:
+def signed_subset_sum(colors, term) -> int:
     """sum over subsets S of ``colors`` of (-1)^(|colors| - |S|) term(S),
     which keeps what meets every color.  The 2^|colors| calls of ``term``
     are counted first and refused above WORK_LIMIT; a negative sum means the
@@ -77,7 +77,7 @@ def subpart_via_sub_oracle(h: Graph, g: Graph, oracle) -> int:
         part = gp.induced([v for v in range(gp.n) if gp.vcolors[v] in keep])
         return oracle(plain_h, Graph(part.n, part.edges))
 
-    return _signed_subset_sum(sorted(set(h.vcolors)), term)
+    return signed_subset_sum(sorted(set(h.vcolors)), term)
 
 
 def colmatch_via_match_oracle(g: Graph, colors, oracle) -> int:
@@ -97,4 +97,4 @@ def colmatch_via_match_oracle(g: Graph, colors, oracle) -> int:
         ed = [e for e, c in zip(g.edges, g.ecolors) if c in keep]
         return oracle(Graph(g.n, ed), len(want))
 
-    return _signed_subset_sum(want, term)
+    return signed_subset_sum(want, term)

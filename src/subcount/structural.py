@@ -1,41 +1,38 @@
-"""Structural helpers: Ramsey extraction, tree decompositions and the
-instance-lifting constructions.
+"""Structural helpers: clique, biclique or induced-matching extraction, tree
+decompositions and the instance-lifting constructions.
 
 Everything in here is constructive and self-auditing.  Procedures that search
 for a witness either return one that has been re-verified from first
-principles or return ``None``; a witness is never wrong.  Procedures that are
+principles or return ``None``; a witness is never wrong, and the searches
+are exhaustive, so ``None`` means that no witness exists.  Procedures that are
 backed by a counting identity validate their own output and raise
 ``InconsistencyError`` when an internal guarantee fails, which indicates a bug
 rather than bad input.
 """
 
-from collections import Counter
 from itertools import combinations
+from math import comb
 
-from .graphs import Graph, InconsistencyError, PreconditionError
+from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
 from .gadgets import validate_induced_matching
 from .brute import is_colorful
 
 
-# -- monochromatic cliques by pigeonhole chains ----------------------------
+# -- monochromatic cliques by an exact search --------------------------------
 
 def ramsey_monochromatic_clique(n, color, r):
-    """Look for r vertices of K_n whose pairwise edge colors all agree.
+    """Find r vertices of K_n whose pairwise edge colors all agree.
 
-    ``color(u, v)`` is called with u < v and may return any mutually
-    orderable hashable.  The search builds the usual pigeonhole chain: take
-    the smallest live vertex as a pivot, group the rest by their color
-    toward it, and descend into a largest group.  Ties between equally large
-    groups prefer the color that already owns the most pivots (this matters:
-    always breaking ties by label can strand pivots across colors and miss
-    cliques that the chain has in fact secured), then the smaller label.
-
-    A color with r pivots gives the clique outright.  A color c with r-1
-    pivots also suffices: every pivot is c-adjacent to the whole remainder
-    of the chain, so the chain element right after the last c-pivot extends
-    them.  Returns a sorted vertex tuple, or None when the chain is too
-    short.  Success is guaranteed once n reaches (r+1)**(r*c) for c colors,
-    but the chain is cheap and often wins far below that.
+    ``color(u, v)`` is called once per pair, with u < v, and may return any
+    mutually orderable hashable.  Each color class becomes one list of
+    forward adjacency masks, and the classes are searched in sorted color
+    order for the lexicographically least r-clique.  A clique grows by
+    rising vertex index only, so each is visited once, from its least
+    vertex, and a branch stops when fewer candidates are left than it still
+    needs.  Returns a sorted vertex tuple, or None when no monochromatic
+    r-set exists.  The search is measured by C(n, r-1), the (r-1)-sets it
+    may try to extend, and refused before the first ``color`` call when
+    that is above WORK_LIMIT.
     """
     if r < 0:
         raise PreconditionError("clique size must be nonnegative")
@@ -45,43 +42,39 @@ def ramsey_monochromatic_clique(n, color, r):
         return None
     if r == 1:
         return (0,)
+    work = comb(n, r - 1)
+    if work > WORK_LIMIT:
+        raise PreconditionError(
+            f"the monochromatic {r}-clique search over {n} items would try "
+            f"{work} vertex sets, above the limit of {WORK_LIMIT}")
 
-    sequence = []            # (pivot vertex, color of its chosen group)
-    tally = Counter()
-    alive = list(range(n))
-    while len(alive) > 1:
-        pivot, rest = alive[0], alive[1:]
-        groups = {}
-        for u in rest:
-            groups.setdefault(color(pivot, u), []).append(u)
-        best = min(groups, key=lambda c: (-len(groups[c]), -tally[c], c))
-        sequence.append((pivot, best))
-        tally[best] += 1
-        alive = groups[best]
-    tail = alive[0]
+    classes = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            classes.setdefault(color(u, v), [0] * n)[u] |= 1 << v
 
-    by_color = {}
-    for v, c in sequence:
-        by_color.setdefault(c, []).append(v)
+    def grow(clique, cand, up):
+        if len(clique) == r:
+            return clique
+        while cand.bit_count() >= r - len(clique):
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            found = grow(clique + (v,), cand & up[v], up)
+            if found:
+                return found
+        return None
 
-    witness = None
-    full = sorted(c for c, vs in by_color.items() if len(vs) >= r)
-    if full:
-        witness = tuple(by_color[full[0]][:r])
-    else:
-        for c in sorted(c for c, vs in by_color.items() if len(vs) == r - 1):
-            pivots = by_color[c]
-            last = pivots[-1]
-            pos = next(i for i, (v, _) in enumerate(sequence) if v == last)
-            nxt = sequence[pos + 1][0] if pos + 1 < len(sequence) else tail
-            witness = tuple(pivots) + (nxt,)
+    for c in sorted(classes):
+        witness = grow((), (1 << n) - 1, classes[c])
+        if witness:
             break
-    if witness is None:
+    else:
         return None
     ref = color(witness[0], witness[1])
     for u, v in combinations(witness, 2):
         if color(u, v) != ref:
-            raise InconsistencyError("chain produced a non-monochromatic set")
+            raise InconsistencyError("search produced a non-monochromatic set")
     return witness
 
 
@@ -113,17 +106,19 @@ def extract_clique_biclique_or_matching(g, k, matching):
     set yields a 2k-clique (trimmed to k) or a k+k-biclique with independent
     sides, and the all-zero color means the edges form an induced matching.
 
-    Returns ("clique", vertices), ("biclique", (left, right)) or
-    ("matching", edges), all independently re-verified, or None when the
-    chain fails (it is guaranteed to succeed only for astronomically large
-    matchings, and on k^2-edge matchings it usually fails).
+    The 2k-set is the lexicographically least one of the least color that
+    has one, so the verdict is deterministic.  Returns ("clique", vertices),
+    ("biclique", (left, right)) or ("matching", edges), all independently
+    re-verified, or None when no pairwise-monochromatic 2k-set of matching
+    edges exists.  The search is refused above WORK_LIMIT, as
+    ramsey_monochromatic_clique says.
     """
     if k < 1:
         raise PreconditionError("need k >= 1")
     pairs = []
     used = set()
     for (u, v) in matching:
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             raise PreconditionError(f"({u},{v}) is not an edge of the graph")
         if u in used or v in used:
             raise PreconditionError("matching edges overlap")

@@ -10,6 +10,7 @@ count of the vc counter, and star numbers.
 
 import random
 from collections import namedtuple
+from itertools import combinations
 from math import comb
 
 from subcount.brute import count_embeddings, count_subgraphs, is_isomorphic
@@ -116,6 +117,17 @@ def iter_colorful_matchings(g: Graph, colors):
                 acc.pop()
 
     yield from branch(0, 0, [])
+
+
+def monochromatic_sets(n: int, color, r: int):
+    """Yield every r-subset of range(n), in lexicographic order, whose pairs
+    all get one color under ``color(u, v)`` with u < v.
+
+    Test-side reference enumerator, a scan of all C(n, r) subsets.
+    """
+    for verts in combinations(range(n), r):
+        if len({color(u, v) for u, v in combinations(verts, 2)}) <= 1:
+            yield verts
 
 
 # -- gadgets: no-common condition, restriction, strong sets, residues -----

@@ -402,7 +402,7 @@ def test_c11_property_suites():
     rng = random.Random(1111)
     cases = 0
 
-    # monochromatic-clique chain: every returned witness is re-verified
+    # monochromatic-clique search: every returned witness is re-verified
     # inside the function; None answers are exercised too
     for _ in range(5000):
         n = rng.randint(1, 25)

@@ -546,12 +546,41 @@ def test_extract(capsys, files):
     assert code == 0
     if rec["found"]:
         assert rec["kind"] in ("clique", "biclique", "matching")
-    # a K^2-edge matching need not yield a witness: along P8 the pairs of
+    # found is false only when no witness exists: along P8 the pairs of
     # matching edges get two colors, and neither has a monochromatic 4-set
     pp = files("p8.g", Graph.path(8))
     code, rec = run(capsys, "extract", "-H", pp, "-k", "2",
                     "--matching", "0-1,2-3,4-5,6-7")
     assert code == 0 and rec["found"] is False
+
+
+def test_extract_answers_whenever_a_witness_exists(capsys, files):
+    # the 14-edge lexicographic maximal matching of this host has two edges
+    # with no edge between them, so the exact search must report them
+    g = rand_graph(random.Random(4), 30, 0.2)
+    taken, matching = set(), []
+    for (u, v) in sorted(g.edges):
+        if u not in taken and v not in taken:
+            matching.append(f"{u}-{v}")
+            taken.update((u, v))
+    assert len(matching) == 14
+    code, rec = run(capsys, "extract", "-H", files("g30.g", g), "-k", "2",
+                    "--matching", ",".join(matching))
+    assert code == 0 and rec["found"] is True
+    assert rec["kind"] == "matching" and rec["edges"] == "0-2,22-24"
+
+
+def test_matching_endpoint_out_of_range_exits_2(capsys, files):
+    # 9 is no vertex of the 4-vertex graph, as first or as second endpoint
+    gp = files("g.g", Graph(4, [(0, 1), (2, 3)]))
+    for argv in (["verify-gadget", "-H", gp],
+                 ["extract", "-H", gp, "-k", "1"],
+                 ["reduce-matchings-via-gadget", "-H", gp, "--gadget", gp,
+                  "-k", "1"]):
+        for spec in ("9-0", "0-9"):
+            code = main([*argv, "--matching", spec])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "" and "not" in err, (argv, spec)
 
 
 def test_exit_code_parse_error(capsys, tmp_path):

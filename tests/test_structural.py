@@ -1,5 +1,8 @@
 """Tests for the structural toolkit."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -12,7 +15,7 @@ from subcount.structural import (MinorModel, TreeDecomposition,
                                  grid_pattern, make_bicubic,
                                  minor_lift_instance,
                                  ramsey_monochromatic_clique)
-from helpers import psi, psi_max, rand_graph
+from helpers import monochromatic_sets, psi, psi_max, rand_graph
 
 
 def subdivided_star(arms):
@@ -70,7 +73,7 @@ def test_psi_bounded_by_degree(n, rng):
         assert 0 <= psi(g, v) <= g.degree(v)
 
 
-# -- pigeonhole chains -------------------------------------------------------
+# -- monochromatic cliques ---------------------------------------------------
 
 
 def test_ramsey_single_color_takes_first_vertices():
@@ -86,8 +89,7 @@ def test_ramsey_tiny_requests():
 
 def test_ramsey_every_two_coloring_of_k6_has_triangle():
     # Ramsey number R(3,3) = 6, so every one of the 2^15 colorings must give
-    # a witness; this also pins the pivot-count tie-break, without which a
-    # handful of these colorings slip through.
+    # a witness.
     pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
     for mask in range(1 << 15):
         colors = {e: (mask >> i) & 1 for i, e in enumerate(pairs)}
@@ -96,8 +98,7 @@ def test_ramsey_every_two_coloring_of_k6_has_triangle():
 
 
 def test_ramsey_adversarial_tie_coloring():
-    # a coloring where breaking group-size ties by label alone walks the
-    # chain into differently colored pivots and misses the clique
+    # the least monochromatic triangle of this coloring is (0, 1, 3)
     colmap = {(0, 1): 0, (0, 2): 0, (0, 3): 0, (0, 4): 1, (0, 5): 1,
               (1, 2): 1, (1, 3): 0, (1, 4): 1, (1, 5): 1,
               (2, 3): 0, (2, 4): 0, (2, 5): 1,
@@ -115,9 +116,8 @@ def test_ramsey_pentagon_coloring_fails_honestly():
 
 
 def test_ramsey_threshold_r2_c2():
-    # n = (r+1)^(r c) = 81 guarantees r = 2 under 2 colors; r = 2 just means
-    # one monochromatic edge, so anything with an edge works, but run the
-    # chain at the stated threshold for the record
+    # r = 2 just means one monochromatic edge, so any coloring of 81 items
+    # has one
     import random
     rng = random.Random(20260814)
     for _ in range(25):
@@ -142,6 +142,35 @@ def test_ramsey_witness_is_verified_when_found(n, seed):
         assert len(got) == 3 and len(set(got)) == 3
         ref = color(got[0], got[1])
         assert color(got[0], got[2]) == ref and color(got[1], got[2]) == ref
+
+
+def test_ramsey_search_is_exact():
+    # None exactly when a scan of every r-subset finds no monochromatic one
+    rng = random.Random(18)
+    found = 0
+    for _ in range(2000):
+        n, c, r = rng.randint(0, 12), rng.randint(1, 4), rng.randint(0, 4)
+        coloring = {pair: rng.randrange(c) for pair in combinations(range(n), 2)}
+        color = lambda u, v: coloring[(u, v)]
+        got = ramsey_monochromatic_clique(n, color, r)
+        first = next(monochromatic_sets(n, color, r), None)
+        assert (got is None) == (first is None), (n, c, r)
+        if got is not None:
+            assert got in set(monochromatic_sets(n, color, r))
+            found += 1
+    assert found == 1494
+
+
+def test_ramsey_refused_above_work_limit_before_any_color_call():
+    # C(75, 3) = 67525 is above WORK_LIMIT = 65536, C(74, 3) = 64824 is not
+    calls = []
+    color = lambda u, v: calls.append((u, v)) or 0
+    with pytest.raises(PreconditionError, match="67525"):
+        ramsey_monochromatic_clique(75, color, 4)
+    assert calls == []
+    assert ramsey_monochromatic_clique(74, color, 4) == (0, 1, 2, 3)
+    # each pair is read once, then the witness is re-verified
+    assert calls[:-7] == list(combinations(range(74), 2))
 
 
 # -- clique / biclique / matching extraction ---------------------------------
@@ -206,8 +235,8 @@ def test_extract_verdicts_are_sound(n, rng):
     if not matching:
         return
     got = extract_clique_biclique_or_matching(g, 1, matching)
-    # with k = 1 the chain needs only two matching edges, and every verdict
-    # collapses to something directly checkable
+    # with k = 1 any two matching edges form a monochromatic pair, and every
+    # verdict collapses to something directly checkable
     if got is None:
         assert len(matching) < 2
         return
