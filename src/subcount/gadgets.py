@@ -36,6 +36,11 @@ def boundary(h, verts):
     )
 
 
+def is_edge_of(h, u, v):
+    """Whether u and v are adjacent vertices of h; out of range is absent."""
+    return 0 <= u < h.n and 0 <= v < h.n and h.has_edge(u, v)
+
+
 def validate_induced_matching(h, edges):
     """Check that `edges` is an induced matching of h; return it normalized.
 
@@ -46,7 +51,7 @@ def validate_induced_matching(h, edges):
     norm = []
     for e in edges:
         u, v = e
-        if not (0 <= u < h.n and 0 <= v < h.n and h.has_edge(u, v)):
+        if not is_edge_of(h, u, v):
             raise PreconditionError(f"matching edge {e} not in graph")
         norm.append((min(u, v), max(u, v)))
     norm = tuple(sorted(set(norm)))

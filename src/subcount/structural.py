@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
-from .gadgets import validate_induced_matching
+from .gadgets import is_edge_of, validate_induced_matching
 from .brute import is_colorful
 
 
@@ -24,58 +24,64 @@ def ramsey_monochromatic_clique(n, color, r):
     """Find r vertices of K_n whose pairwise edge colors all agree.
 
     ``color(u, v)`` is called once per pair, with u < v, and may return any
-    mutually orderable hashable.  Each color class becomes one list of
-    forward adjacency masks, and the classes are searched in sorted color
-    order for the lexicographically least r-clique.  A clique grows by
-    rising vertex index only, so each is visited once, from its least
-    vertex, and a branch stops when fewer candidates are left than it still
-    needs.  Returns a sorted vertex tuple, or None when no monochromatic
-    r-set exists.  The search is measured by C(n, r-1), the (r-1)-sets it
-    may try to extend, and refused before the first ``color`` call when
-    that is above WORK_LIMIT.
+    mutually orderable hashable.  The color classes, as forward adjacency
+    masks, are searched in sorted color order for the lexicographically
+    least r-clique.  Returns a sorted vertex tuple, or None when no
+    monochromatic r-set exists; r <= 2 returns range(r) unread.  Refused
+    before the first ``color`` call when the C(n, 2) reads or the C(n, r-1)
+    bound on search nodes (see ``_least_clique``) exceed WORK_LIMIT.
     """
     if r < 0:
         raise PreconditionError("clique size must be nonnegative")
-    if r == 0:
-        return ()
     if n < r:
         return None
-    if r == 1:
-        return (0,)
-    work = comb(n, r - 1)
+    if r <= 2:
+        return tuple(range(r))
+    work = max(comb(n, 2), comb(n, r - 1))
     if work > WORK_LIMIT:
         raise PreconditionError(
-            f"the monochromatic {r}-clique search over {n} items would try "
-            f"{work} vertex sets, above the limit of {WORK_LIMIT}")
+            f"the monochromatic {r}-clique search over {n} items would take "
+            f"{work} steps, above the limit of {WORK_LIMIT}")
 
     classes = {}
     for u in range(n):
         for v in range(u + 1, n):
             classes.setdefault(color(u, v), [0] * n)[u] |= 1 << v
-
-    def grow(clique, cand, up):
-        if len(clique) == r:
-            return clique
-        while cand.bit_count() >= r - len(clique):
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            found = grow(clique + (v,), cand & up[v], up)
-            if found:
-                return found
-        return None
-
-    for c in sorted(classes):
-        witness = grow((), (1 << n) - 1, classes[c])
-        if witness:
-            break
-    else:
+    found = (_least_clique(classes[c], r) for c in sorted(classes))
+    witness = next((w for w in found if w), None)
+    if witness is None:
         return None
     ref = color(witness[0], witness[1])
     for u, v in combinations(witness, 2):
         if color(u, v) != ref:
             raise InconsistencyError("search produced a non-monochromatic set")
     return witness
+
+
+def _least_clique(up, r):
+    """The lexicographically least r-clique under forward masks ``up``.
+
+    Cliques grow by rising index, one candidates mask per prefix on an
+    explicit stack, and a prefix is dropped when fewer candidates are left
+    than it still needs.  So a j-prefix is entered only below n - (r - j),
+    at most C(n, r-1) of them in all.  Returns a tuple, or None.
+    """
+    clique, stack = [], [(1 << len(up)) - 1]
+    while stack:
+        cand = stack[-1]
+        if cand.bit_count() < r - len(clique):
+            stack.pop()
+            if clique:
+                clique.pop()
+            continue
+        low = cand & -cand
+        stack[-1] = cand ^ low
+        v = low.bit_length() - 1
+        clique.append(v)
+        if len(clique) == r:
+            return tuple(clique)
+        stack.append(cand & up[v])
+    return None
 
 
 def _check_clique(g, verts):
@@ -107,7 +113,8 @@ def extract_clique_biclique_or_matching(g, k, matching):
     sides, and the all-zero color means the edges form an induced matching.
 
     The 2k-set is the lexicographically least one of the least color that
-    has one, so the verdict is deterministic.  Returns ("clique", vertices),
+    has one (at k = 1 simply the first two edges), so the verdict is
+    deterministic.  Returns ("clique", vertices),
     ("biclique", (left, right)) or ("matching", edges), all independently
     re-verified, or None when no pairwise-monochromatic 2k-set of matching
     edges exists.  The search is refused above WORK_LIMIT, as
@@ -118,7 +125,7 @@ def extract_clique_biclique_or_matching(g, k, matching):
     pairs = []
     used = set()
     for (u, v) in matching:
-        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
+        if not is_edge_of(g, u, v):
             raise PreconditionError(f"({u},{v}) is not an edge of the graph")
         if u in used or v in used:
             raise PreconditionError("matching edges overlap")

@@ -555,8 +555,9 @@ def test_extract(capsys, files):
 
 
 def test_extract_answers_whenever_a_witness_exists(capsys, files):
-    # the 14-edge lexicographic maximal matching of this host has two edges
-    # with no edge between them, so the exact search must report them
+    # four of the 14 edges of this host's lexicographic maximal matching
+    # have no edge between any two of them, so the exact search must find
+    # a witness; the record shows the first k = 2 of those four
     g = rand_graph(random.Random(4), 30, 0.2)
     taken, matching = set(), []
     for (u, v) in sorted(g.edges):
@@ -568,6 +569,20 @@ def test_extract_answers_whenever_a_witness_exists(capsys, files):
                     "--matching", ",".join(matching))
     assert code == 0 and rec["found"] is True
     assert rec["kind"] == "matching" and rec["edges"] == "0-2,22-24"
+
+
+def test_extract_refuses_a_long_clique_search_cleanly(capsys, files):
+    # 2K = 1000 of 1000 induced matching edges: C(1000, 999) is small, but
+    # the C(1000, 2) color reads are above the work limit
+    gp = files("m.g", Graph.matching(1000))
+    spec = ",".join(f"{2 * i}-{2 * i + 1}" for i in range(1000))
+    code = main(["extract", "-H", gp, "-k", "500", "--matching", spec])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "above the limit" in err
+    assert "Traceback" not in err
+    # at K = 1 any two matching edges are a witness, and no search runs
+    code, rec = run(capsys, "extract", "-H", gp, "-k", "1", "--matching", spec)
+    assert code == 0 and rec["kind"] == "matching" and rec["edges"] == "0-1"
 
 
 def test_matching_endpoint_out_of_range_exits_2(capsys, files):

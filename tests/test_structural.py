@@ -14,7 +14,7 @@ from subcount.structural import (MinorModel, TreeDecomposition,
                                  extract_clique_biclique_or_matching,
                                  grid_pattern, make_bicubic,
                                  minor_lift_instance,
-                                 ramsey_monochromatic_clique)
+                                 ramsey_monochromatic_clique, _least_clique)
 from helpers import monochromatic_sets, psi, psi_max, rand_graph
 
 
@@ -171,6 +171,28 @@ def test_ramsey_refused_above_work_limit_before_any_color_call():
     assert ramsey_monochromatic_clique(74, color, 4) == (0, 1, 2, 3)
     # each pair is read once, then the witness is re-verified
     assert calls[:-7] == list(combinations(range(74), 2))
+
+
+def test_ramsey_work_counts_the_color_reads():
+    # r = n = 1200 has C(1200, 1199) = 1200 vertex sets but C(1200, 2) reads
+    calls = []
+    color = lambda u, v: calls.append((u, v)) or 0
+    with pytest.raises(PreconditionError, match="719400 steps"):
+        ramsey_monochromatic_clique(1200, color, 1200)
+    assert ramsey_monochromatic_clique(362, color, 362) == tuple(range(362))
+    with pytest.raises(PreconditionError):
+        ramsey_monochromatic_clique(363, color, 363)
+    # any pair is monochromatic, so r = 2 reads no color at any n
+    calls.clear()
+    assert ramsey_monochromatic_clique(70000, color, 2) == (0, 1)
+    assert calls == []
+
+
+def test_least_clique_is_not_bounded_by_the_recursion_limit():
+    n = 1200
+    up = [((1 << n) - 1) ^ ((1 << (v + 1)) - 1) for v in range(n)]
+    assert _least_clique(up, n) == tuple(range(n))
+    assert _least_clique(up, n + 1) is None
 
 
 # -- clique / biclique / matching extraction ---------------------------------
