@@ -302,7 +302,7 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
     if (k if kind == "cycle" else k + 1) > g.n:
         return 0  # more vertices than the host has
 
-    step = [(g.out_mask if g.directed else g.adj_mask)(v) for v in range(g.n)]
+    step = [g.out_mask(v) for v in range(g.n)]
 
     def walk(v, seen, left, last_ok):
         """Number of ``left``-step walks from v through vertices not in

@@ -153,12 +153,7 @@ def _cmd_verify_gadget(args):
 
 
 def _cmd_search_gadget(args):
-    h = read_graph(args.host)
-    if h.n > 12 and not args.trust:
-        raise PreconditionError(
-            "searching a graph above 12 vertices runs many exhaustive "
-            "checks; pass --trust to proceed anyway")
-    found = gadgets.search_gadget(h, args.k)
+    found = gadgets.search_gadget(read_graph(args.host), args.k)
     if found is None:
         return {"found": False}
     return {"found": True, "matching": format_matching(found.matching)}
@@ -169,15 +164,10 @@ def _cmd_reduce_matchings_via_gadget(args):
     hg = read_graph(args.gadget)
     matching = parse_matching(args.matching)
     gadget = gadgets.MatchingGadget(hg, matching)
-    if hg.n <= 12:
-        bad = gadgets.check_matching_gadget(hg, gadget)
-        if bad is not None:
-            raise PreconditionError(
-                f"not a matching gadget: core candidate {bad} breaks the check")
-    elif not args.trust:
+    bad = gadgets.check_matching_gadget(hg, gadget)
+    if bad is not None:
         raise PreconditionError(
-            "gadget too large to verify automatically; pass --trust to use "
-            "it unchecked")
+            f"not a matching gadget: core candidate {bad} breaks the check")
 
     def run(route):
         oracle = _Counted(lambda p, probe: routes.count_sub(route, p, probe))
@@ -345,14 +335,11 @@ COMMANDS = {
                       _cmd_verify_gadget, (_HOST, _MATCHING)),
     "search-gadget": (
         "find an induced k-matching passing the gadget check", _cmd_search_gadget,
-        (_HOST, _K, _opt("--trust", kind=bool,
-                         help="allow searching graphs above 12 vertices"))),
+        (_HOST, _K)),
     "reduce-matchings-via-gadget": (
         "count k-matchings through subgraph-count queries",
         _cmd_reduce_matchings_via_gadget,
         (_HOST, _opt("--gadget", required=True, metavar="FILE"), _MATCHING, _K,
-         _opt("--trust", kind=bool,
-              help="skip verification for gadgets above 12 vertices"),
          *_ALGO_FLAGS)),
     "reduce-subpart-via-colmatch": (
         "count color-preserving copies through colorful-matching queries",

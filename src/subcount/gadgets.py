@@ -9,9 +9,9 @@ let us recover k-matching counts of an arbitrary bipartite host from
 subgraph-count queries alone: pad the host, glue on a copy of H[C] joined
 completely to the host side, and interpolate away the padding.
 
-Everything here is exhaustive and meant for small H (say up to ~12
-vertices): the checker enumerates candidate cores directly, and refuses a
-graph with more than WORK_LIMIT of them before the scan.  Every isomorphism
+Everything here is exhaustive and meant for small H: the checker
+enumerates candidate cores directly, and the check, the search and the
+read-out each refuse work above WORK_LIMIT.  Every isomorphism
 question runs on brute's embedding search, with the boundary carried as
 vertex colors.
 """
@@ -21,7 +21,8 @@ from itertools import combinations
 from math import comb
 
 from .brute import count_subgraphs, find_embedding, is_isomorphic
-from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
+from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError, iter_bits,
+                     refuse_over_limit)
 from .iex import signed_subset_sum
 from .polynomials import binomial_basis_from_values
 
@@ -110,10 +111,7 @@ def _candidate_cores(h, size):
     """Every vertex set of h of the given size, in lexicographic order;
     refused before the scan when there are more than WORK_LIMIT."""
     count = comb(h.n, size)
-    if count > WORK_LIMIT:
-        raise PreconditionError(
-            f"the gadget check would scan {count} candidate cores, above the "
-            f"limit of {WORK_LIMIT}")
+    refuse_over_limit(count, f"the gadget check would scan {count} candidate cores")
     return combinations(range(h.n), size)
 
 
@@ -232,7 +230,7 @@ def count_T_ell(gadget, g, ell, oracle=None):
 
 def _completion_count(gadget, residue):
     """Ways to add boundary-to-residue edges so that core + residue becomes
-    the gadget graph again.
+    the gadget graph again, by one isomorphism test per candidate edge set.
     """
     h = gadget.h
     cs = sorted(gadget.core)
@@ -243,6 +241,8 @@ def _completion_count(gadget, residue):
     need = h.m - core_sub.m - residue.m
     if need < 0 or need > len(candidates):
         return 0
+    trials = comb(len(candidates), need)
+    refuse_over_limit(trials, f"the completion count would try {trials} edge sets")
     count = 0
     for extra in combinations(candidates, need):
         trial = Graph(base.n, list(base.edges) + list(extra))
@@ -268,24 +268,22 @@ def count_matchings_via_gadget(g, k, gadget, oracle=None):
     takes the constant one; dividing by the matching's completion
     multiplicity gives the answer exactly.  A host with fewer than 2k
     vertices starts at a negative x and comes out 0.  The 2k+1 paddings
-    take 2^(core edges + lone core vertices + boundary) queries each; a
-    gadget needing more than 2^16 in all is refused before the first.
+    take 2^(core edges + lone core vertices + boundary) queries each; above
+    2^16 in all, or when the multiplicity count refuses, no query is made.
     """
     if gadget.k != k:
         raise PreconditionError(f"gadget is for k={gadget.k}, asked for k={k}")
     if not g.is_bipartite():
         raise PreconditionError("host graph must be bipartite")
     queries = (2 * k + 1) << sum(map(len, _requirement_families(gadget)))
-    if queries > WORK_LIMIT:
-        raise PreconditionError(
-            f"the gadget read-out would make {queries} subgraph-count queries, "
-            f"above the limit of {WORK_LIMIT}")
+    refuse_over_limit(
+        queries, f"the gadget read-out would make {queries} subgraph-count queries")
+    alpha = matching_alpha(gadget)
     values = [count_T_ell(gadget, g, ell, oracle) for ell in range(2 * k + 1)]
     coeffs = binomial_basis_from_values(g.n - 2 * k, values)
     if any(c < 0 for c in coeffs):
         raise InconsistencyError(f"negative binomial-basis coefficient: {coeffs}")
     c0 = coeffs[0]
-    alpha = matching_alpha(gadget)
     if c0 % alpha:
         raise InconsistencyError(
             f"constant coefficient {c0} not divisible by completion count {alpha}"
@@ -295,16 +293,36 @@ def count_matchings_via_gadget(g, k, gadget, oracle=None):
 
 def search_gadget(h, k):
     """First induced k-matching of h that passes the full gadget check, in
-    lexicographic edge order; None when none qualifies.
-    """
+    lexicographic edge order; None when none qualifies.  Matchings grow by
+    rising edge index, an edge dropping out once it shares or touches an
+    endpoint of a chosen one.  Each partial matching entered is one step and
+    each check C(n, 2k), its candidate cores; past WORK_LIMIT steps the
+    search is refused."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    for combo in combinations(h.edges, k):
-        verts = [v for e in combo for v in e]
-        if len(set(verts)) != 2 * k:
-            continue
-        if h.induced(sorted(verts)).m != k:
-            continue
-        if check_matching_gadget(h, combo) is None:
-            return MatchingGadget(h, combo)
-    return None
+    cores = comb(h.n, 2 * k)
+    incident = [0] * h.n
+    for i, (u, v) in enumerate(h.edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    # stack: (chosen edge index, untried candidates at its level); cand: edges that may join
+    stack, cand, steps = [], (1 << h.m) - 1, 0
+    while True:
+        # a check above the limit on its own refuses itself, naming its cores
+        steps += 1 + (cores if len(stack) == k and cores <= WORK_LIMIT else 0)
+        refuse_over_limit(steps, f"the gadget search would take {steps} steps (one "
+                                 f"per partial matching, {cores} per gadget check)")
+        if len(stack) == k:
+            matching = [h.edges[i] for i, _ in stack]
+            if check_matching_gadget(h, matching) is None:
+                return MatchingGadget(h, matching)
+            cand = 0
+        while cand.bit_count() < max(k - len(stack), 1):
+            if not stack:
+                return None
+            cand = stack.pop()[1]
+        i = (cand & -cand).bit_length() - 1
+        stack.append((i, cand ^ 1 << i))
+        # the ends of edge i are adjacent, so their neighborhoods hold both
+        for w in iter_bits(h.adj_mask(h.edges[i][0]) | h.adj_mask(h.edges[i][1])):
+            cand &= ~incident[w]

@@ -20,9 +20,15 @@ class InconsistencyError(RuntimeError):
     """An internal cross-check failed; the result would be untrustworthy."""
 
 
-#: the most oracle queries or exhaustive candidate checks one run of a costly
-#: route may make; a run that would make more is refused before it starts
+#: the most queries, candidate checks or search steps one costly run may take;
+#: more are refused, before the run starts where the amount is known up front
 WORK_LIMIT = 1 << 16
+
+
+def refuse_over_limit(work: int, what: str) -> None:
+    """Refuse ``what`` with PreconditionError when ``work`` is above WORK_LIMIT."""
+    if work > WORK_LIMIT:
+        raise PreconditionError(f"{what}, above the limit of {WORK_LIMIT}")
 
 
 Edge = tuple[int, int]
@@ -79,17 +85,13 @@ class Graph:
         else:
             self.ecolors = None
 
-        adj = [0] * n
-        out = [0] * n
-        inn = [0] * n
+        out, inn = [0] * n, [0] * n
         for (u, v) in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        self._adj = adj
-        self._out = out
-        self._in = inn
+        self._adj = [o | i for o, i in zip(out, inn)]
+        # an undirected graph's out- and in-neighbors are all its neighbors
+        self._out, self._in = (out, inn) if directed else (self._adj, self._adj)
 
     # -- basic queries -------------------------------------------------
 
@@ -114,9 +116,7 @@ class Graph:
         return self._adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self.directed:
-            return bool(self._out[u] & (1 << v))
-        return bool(self._adj[u] & (1 << v))
+        return bool(self._out[u] & (1 << v))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

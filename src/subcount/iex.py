@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .brute import is_colorful
-from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
+from .graphs import Graph, InconsistencyError, PreconditionError, refuse_over_limit
 
 
 def prune_useless_edges(h: Graph, g: Graph) -> Graph:
@@ -47,10 +47,8 @@ def signed_subset_sum(colors, term) -> int:
     are counted first and refused above WORK_LIMIT; a negative sum means the
     oracle behind ``term`` contradicts itself."""
     calls = 1 << len(colors)
-    if calls > WORK_LIMIT:
-        raise PreconditionError(
-            f"inclusion-exclusion over {len(colors)} colors would make {calls} "
-            f"oracle calls, above the limit of {WORK_LIMIT}")
+    refuse_over_limit(calls, f"inclusion-exclusion over {len(colors)} colors would "
+                             f"make {calls} oracle calls")
     total = 0
     for r in range(len(colors) + 1):
         for sub in combinations(colors, r):

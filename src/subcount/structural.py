@@ -13,7 +13,8 @@ rather than bad input.
 from itertools import combinations
 from math import comb
 
-from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
+from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError,
+                     refuse_over_limit)
 from .gadgets import is_edge_of, validate_induced_matching
 from .brute import is_colorful
 
@@ -28,8 +29,8 @@ def ramsey_monochromatic_clique(n, color, r):
     masks, are searched in sorted color order for the lexicographically
     least r-clique.  Returns a sorted vertex tuple, or None when no
     monochromatic r-set exists; r <= 2 returns range(r) unread.  Refused
-    before the first ``color`` call when the C(n, 2) reads or the C(n, r-1)
-    bound on search nodes (see ``_least_clique``) exceed WORK_LIMIT.
+    before the first ``color`` call when the C(n, 2) reads exceed
+    WORK_LIMIT, and by ``_least_clique`` past WORK_LIMIT steps in a class.
     """
     if r < 0:
         raise PreconditionError("clique size must be nonnegative")
@@ -37,11 +38,9 @@ def ramsey_monochromatic_clique(n, color, r):
         return None
     if r <= 2:
         return tuple(range(r))
-    work = max(comb(n, 2), comb(n, r - 1))
-    if work > WORK_LIMIT:
-        raise PreconditionError(
-            f"the monochromatic {r}-clique search over {n} items would take "
-            f"{work} steps, above the limit of {WORK_LIMIT}")
+    reads = comb(n, 2)
+    refuse_over_limit(reads, f"the monochromatic {r}-clique search over {n} items "
+                             f"would take {reads} steps")
 
     classes = {}
     for u in range(n):
@@ -63,10 +62,10 @@ def _least_clique(up, r):
 
     Cliques grow by rising index, one candidates mask per prefix on an
     explicit stack, and a prefix is dropped when fewer candidates are left
-    than it still needs.  So a j-prefix is entered only below n - (r - j),
-    at most C(n, r-1) of them in all.  Returns a tuple, or None.
+    than it still needs.  Each prefix entered is one step, and the search
+    is refused past WORK_LIMIT steps.  Returns a tuple, or None.
     """
-    clique, stack = [], [(1 << len(up)) - 1]
+    clique, stack, steps = [], [(1 << len(up)) - 1], 0
     while stack:
         cand = stack[-1]
         if cand.bit_count() < r - len(clique):
@@ -74,6 +73,9 @@ def _least_clique(up, r):
             if clique:
                 clique.pop()
             continue
+        steps += 1
+        if steps > WORK_LIMIT:  # so the message is built only on refusal
+            refuse_over_limit(steps, f"the {r}-clique search would take {steps} steps")
         low = cand & -cand
         stack[-1] = cand ^ low
         v = low.bit_length() - 1

@@ -301,12 +301,36 @@ def test_search_gadget(capsys, files):
     assert code == 0 and rec["found"] is False
 
 
-def test_search_gadget_size_gate(capsys, files):
+def test_search_gadget_has_no_size_gate(capsys, files):
+    # 14 vertices; the search is bounded by its own steps, not by n
     big = files("big.g", Graph.matching(7))
-    code, _ = run(capsys, "search-gadget", "-H", big, "-k", "1")
-    assert code == 2
-    code, rec = run(capsys, "search-gadget", "-H", big, "-k", "1", "--trust")
-    assert code == 0 and rec["found"] is True
+    code, rec = run(capsys, "search-gadget", "-H", big, "-k", "1")
+    assert code == 0 and rec["matching"] == "0-1"
+    code, rec = run(capsys, "search-gadget", "-H", big, "-k", "3")
+    assert code == 0 and rec["matching"] == "0-1,2-3,4-5"
+
+
+def test_search_gadget_k12_has_no_induced_matching(capsys, files):
+    # every edge of K12 touches every other, so no candidate is checked
+    k12 = files("k12.g", Graph.complete(12))
+    for k in (3, 6):
+        t0 = time.perf_counter()
+        code, rec = run(capsys, "search-gadget", "-H", k12, "-k", str(k))
+        assert code == 0 and rec["found"] is False
+        assert time.perf_counter() - t0 < 1
+
+
+def test_search_gadget_step_limit_exits_2(capsys, files):
+    # the path 0-1-...-15 has many induced 3-matchings before its first
+    # gadget; each check costs C(16, 6) = 8008 steps, so after eight failed
+    # checks the ninth would pass the limit
+    path = files("p16.g", Graph.path(16))
+    t0 = time.perf_counter()
+    code = main(["search-gadget", "-H", path, "-k", "3"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 5
+    assert "8008 per gadget check), above the limit of 65536" in err
 
 
 def test_reduce_matchings_via_gadget(capsys, files):
@@ -395,12 +419,12 @@ def test_every_verify_flag_runs_both_routes(capsys, files, command):
 def test_reduce_matchings_via_gadget_query_limit_exits_2(capsys, files):
     # K6 on 0..5 plus the path 5-6-7 passes the gadget check for 6-7, but its
     # read-out needs 3 * 2^(15 core edges + 1 boundary vertex) = 196608
-    # queries; --trust waives only the check, not the bound
+    # queries
     k6_tail = files("k6tail.g", Graph(8, [*combinations(range(6), 2), (5, 6), (6, 7)]))
     host = files("host.g", Graph(4, [(0, 2), (1, 3), (0, 3)]))
     argv = ["reduce-matchings-via-gadget", "-H", host, "--gadget", k6_tail,
             "--matching", "6-7", "-k", "1"]
-    for extra in ([], ["--trust"], ["--verify"]):
+    for extra in ([], ["--verify"]):
         t0 = time.perf_counter()
         code = main([*argv, *extra])
         elapsed = time.perf_counter() - t0
@@ -410,7 +434,8 @@ def test_reduce_matchings_via_gadget_query_limit_exits_2(capsys, files):
 
 def test_verify_gadget_candidate_bound_exits_2(capsys, files):
     # a 20-vertex core in a 40-vertex graph has C(40, 20) candidate cores;
-    # the check refuses them before the scan, with or without --trust
+    # the check refuses them before the scan, and so does the search at
+    # its first induced 10-matching
     rng = random.Random(40)
     core = rand_graph(rng, 20, 0.3)
     g = Graph(40, [(2 * i, 2 * i + 1) for i in range(10)]
@@ -419,7 +444,7 @@ def test_verify_gadget_candidate_bound_exits_2(capsys, files):
     path = files("g40.g", g)
     spec = ",".join(f"{2 * i}-{2 * i + 1}" for i in range(10))
     for argv in (["verify-gadget", "-H", path, "--matching", spec],
-                 ["search-gadget", "-H", path, "-k", "10", "--trust"]):
+                 ["search-gadget", "-H", path, "-k", "10"]):
         t0 = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - t0
@@ -449,6 +474,42 @@ def test_reduce_matchings_via_gadget_rejects_bad_gadget(capsys, files):
     code, _ = run(capsys, "reduce-matchings-via-gadget", "-H", gp,
                   "--gadget", bad, "--matching", "0-1,2-3", "-k", "2")
     assert code == 2
+
+
+def test_reduce_matchings_via_gadget_checks_every_gadget(capsys, files, monkeypatch):
+    host = files("host.g", rand_bipartite(random.Random(2), 8, 8, 0.5))
+    # a 14-vertex gadget: the check scans one candidate core
+    m7 = files("m7.g", Graph.matching(7))
+    code, rec = run(capsys, "reduce-matchings-via-gadget", "-H", host, "--gadget", m7,
+                    "--matching", "0-1,2-3,4-5,6-7,8-9,10-11,12-13", "-k", "7")
+    assert code == 0 and rec["count"] == "358"
+    # a hub 12 on one end of each of six matched edges is no gadget
+    spider = files("spider.g", Graph(13, [(12, 2 * i) for i in range(6)]
+                                     + [(2 * i, 2 * i + 1) for i in range(6)]))
+    code = main(["reduce-matchings-via-gadget", "-H", host, "--gadget", spider,
+                 "--matching", "0-1,2-3,4-5,6-7,8-9,10-11", "-k", "6"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "core candidate (1,)" in err
+    # a 12-vertex gadget whose read-out fits (28672 queries) but whose
+    # matching multiplicity would try C(36, 19) edge sets: refused before
+    # the first query
+    edges = ("0-5 0-6 0-8 1-8 1-9 2-5 2-6 2-7 2-9 2-10 3-4 3-6 3-11 4-5 4-6 "
+             "4-9 4-11 5-7 5-9 5-10 5-11 6-7 6-8 6-9 7-11 8-10 8-11 10-11")
+    g12 = files("g12.g", Graph(12, [tuple(map(int, e.split("-"))) for e in edges.split()]))
+    code, rec = run(capsys, "search-gadget", "-H", g12, "-k", "3")
+    assert code == 0 and rec["matching"] == "0-8,2-7,3-4"
+
+    def no_query(*args):
+        raise AssertionError("the oracle was called")
+
+    monkeypatch.setattr(routes, "count_sub", no_query)
+    t0 = time.perf_counter()
+    code = main(["reduce-matchings-via-gadget", "-H", host, "--gadget", g12,
+                 "--matching", "0-8,2-7,3-4", "-k", "3"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and elapsed < 1
+    assert "8597496600 edge sets" in err
 
 
 def test_reduce_subpart_via_colmatch(capsys, files):

@@ -645,6 +645,24 @@ def test_search_exhausts_to_none():
     assert search_gadget(five_vertex_non_gadget(), 2) is None
 
 
+def test_search_grows_matchings_in_combinations_order(monkeypatch):
+    # with every check failing, the search visits each induced k-matching,
+    # in the order of the filtered combinations of the edge list
+    checked = []
+    monkeypatch.setattr("subcount.gadgets.check_matching_gadget",
+                        lambda h, m: checked.append(tuple(m)) or (0,))
+    rng = random.Random(19)
+    for _ in range(300):
+        n, k = rng.randint(0, 12), rng.randint(0, 4)
+        h = rand_graph(rng, n, rng.random())
+        want = [c for c in combinations(h.edges, k)
+                if len({v for e in c for v in e}) == 2 * k
+                and h.induced({v for e in c for v in e}).m == k]
+        checked.clear()
+        assert search_gadget(h, k) is None
+        assert checked == want
+
+
 def test_search_respects_k_zero():
     found = search_gadget(Graph.path(3), 0)
     assert found is not None and found.k == 0

@@ -24,6 +24,14 @@ def test_undirected_edges_normalized():
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
 
 
+def test_undirected_out_and_in_masks_are_the_adjacency():
+    p3 = Graph.path(3)
+    assert p3.out_mask(1) == p3.in_mask(1) == p3.adj_mask(1) == 0b101
+    # a directed graph keeps them apart
+    d = Graph(3, [(2, 0), (0, 1)], directed=True)
+    assert (d.out_mask(0), d.in_mask(0), d.adj_mask(0)) == (0b010, 0b100, 0b110)
+
+
 def test_directed_keeps_orientation():
     d = Graph(3, [(2, 0), (0, 1)], directed=True)
     assert d.has_edge(2, 0) and not d.has_edge(0, 2)

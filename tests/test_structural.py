@@ -162,15 +162,17 @@ def test_ramsey_search_is_exact():
 
 
 def test_ramsey_refused_above_work_limit_before_any_color_call():
-    # C(75, 3) = 67525 is above WORK_LIMIT = 65536, C(74, 3) = 64824 is not
+    # C(363, 2) = 65703 color reads are above WORK_LIMIT = 65536; the
+    # search is bounded by the prefixes it enters, not by C(n, 3), so n = 75
+    # is answered though C(75, 3) = 67525 is above the limit
     calls = []
     color = lambda u, v: calls.append((u, v)) or 0
-    with pytest.raises(PreconditionError, match="67525"):
-        ramsey_monochromatic_clique(75, color, 4)
+    with pytest.raises(PreconditionError, match="65703"):
+        ramsey_monochromatic_clique(363, color, 4)
     assert calls == []
-    assert ramsey_monochromatic_clique(74, color, 4) == (0, 1, 2, 3)
+    assert ramsey_monochromatic_clique(75, color, 4) == (0, 1, 2, 3)
     # each pair is read once, then the witness is re-verified
-    assert calls[:-7] == list(combinations(range(74), 2))
+    assert calls[:-7] == list(combinations(range(75), 2))
 
 
 def test_ramsey_work_counts_the_color_reads():
@@ -186,6 +188,16 @@ def test_ramsey_work_counts_the_color_reads():
     calls.clear()
     assert ramsey_monochromatic_clique(70000, color, 2) == (0, 1)
     assert calls == []
+
+
+def test_ramsey_bounds_the_prefixes_entered():
+    # color 0 joins vertices in different classes mod 3, so it has no
+    # 4-clique: on 120 vertices its search enters 63999 prefixes before
+    # color 1 gives the answer, on 150 it passes WORK_LIMIT
+    color = lambda u, v: int(u % 3 == v % 3)
+    assert ramsey_monochromatic_clique(120, color, 4) == (0, 3, 6, 9)
+    with pytest.raises(PreconditionError, match="clique search would take 65537 steps"):
+        ramsey_monochromatic_clique(150, color, 4)
 
 
 def test_least_clique_is_not_bounded_by_the_recursion_limit():
@@ -228,6 +240,21 @@ def test_extract_biclique_from_complete_bipartite():
         for v in right:
             assert g.has_edge(u, v)
     assert not g.has_edge(*left) and not g.has_edge(*right)
+
+
+def test_extract_answers_sparse_matchings():
+    # the lexicographic maximal matching of a G(200, .05) host has 93 edges;
+    # C(93, 3) = 129766 prefixes is above WORK_LIMIT, but the search enters
+    # far fewer
+    g = rand_graph(random.Random(11), 200, 0.05)
+    taken, matching = set(), []
+    for (u, v) in sorted(g.edges):
+        if u not in taken and v not in taken:
+            matching.append((u, v))
+            taken.update((u, v))
+    assert len(matching) == 93
+    assert extract_clique_biclique_or_matching(g, 2, matching) == (
+        "matching", ((0, 16), (1, 8)))
 
 
 def test_extract_too_small_returns_none():
