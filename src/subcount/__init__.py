@@ -6,8 +6,7 @@ modules each implement one counting technique on top of an injected oracle so
 that every reduction can be exercised against the brute layer.
 """
 
-from .graphs import (Graph, InconsistencyError, PreconditionError,
-                     max_matching_size, min_vertex_cover)
+from .graphs import Graph, InconsistencyError, PreconditionError, min_vertex_cover
 from .polynomials import falling_factorial
 
 __version__ = "0.1.0"
@@ -17,7 +16,6 @@ __all__ = [
     "PreconditionError",
     "InconsistencyError",
     "min_vertex_cover",
-    "max_matching_size",
     "falling_factorial",
     "__version__",
 ]

@@ -21,8 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .brute import count_subgraphs, find_embedding, is_isomorphic
-from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError, iter_bits,
-                     refuse_over_limit)
+from .graphs import Graph, InconsistencyError, PreconditionError, iter_bits, refuse_over_limit
 from .iex import signed_subset_sum
 from .polynomials import binomial_basis_from_values
 
@@ -116,20 +115,20 @@ def _candidate_cores(h, size):
 
 
 def _impostor_cores(gadget, wanted=lambda rest: True):
-    """Yield (C', H - C') for every candidate core C', in lexicographic
-    order, whose rest is bipartite and passes `wanted`, and onto which H[C]
-    maps by a boundary-preserving isomorphism.  The tests on the rest run
-    first, as they are cheaper than the isomorphism search."""
+    """Yield (i, C', H - C') for every candidate core C', the i-th in
+    lexicographic order, whose rest is bipartite and passes `wanted`, and
+    onto which H[C] maps by a boundary-preserving isomorphism.  The tests on
+    the rest run first, as they are cheaper than the isomorphism search."""
     h = gadget.h
     core = _core_view(h, gadget.core)
-    for cand in _candidate_cores(h, len(gadget.core)):
+    for i, cand in enumerate(_candidate_cores(h, len(gadget.core)), 1):
         rest = h.without_vertices(cand)
         if not wanted(rest) or not rest.is_bipartite():
             continue
         view = _core_view(h, cand)
         # an empty core embeds as (), so test against None
         if view.m == core.m and find_embedding(core, view, respect_colors=True) is not None:
-            yield cand, rest
+            yield i, cand, rest
 
 
 def _counterexample_rest(rest):
@@ -143,7 +142,15 @@ def check_matching_gadget(h, matching):
     rest is bipartite and isolated-vertex-free yet not a k-matching.
     """
     gadget = matching if isinstance(matching, MatchingGadget) else MatchingGadget(h, matching)
-    return next((cand for cand, _ in _impostor_cores(gadget, _counterexample_rest)), None)
+    found = _first_counterexample(gadget)
+    return None if found is None else found[1]
+
+
+def _first_counterexample(gadget):
+    """(i, C'): the full check's first counterexample C', found as the i-th
+    candidate core it scanned; None when the gadget passes."""
+    return next(((i, cand) for i, cand, _ in _impostor_cores(gadget, _counterexample_rest)),
+                None)
 
 
 class ReductionInstance(namedtuple("ReductionInstance", "graph host_vertices "
@@ -296,11 +303,11 @@ def search_gadget(h, k):
     lexicographic edge order; None when none qualifies.  Matchings grow by
     rising edge index, an edge dropping out once it shares or touches an
     endpoint of a chosen one.  Each partial matching entered is one step and
-    each check C(n, 2k), its candidate cores; past WORK_LIMIT steps the
-    search is refused."""
+    each failed check as many as the candidate cores it scanned; past
+    WORK_LIMIT steps the search is refused.  A check with more than
+    WORK_LIMIT candidate cores refuses itself before its scan."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    cores = comb(h.n, 2 * k)
     incident = [0] * h.n
     for i, (u, v) in enumerate(h.edges):
         incident[u] |= 1 << i
@@ -308,14 +315,15 @@ def search_gadget(h, k):
     # stack: (chosen edge index, untried candidates at its level); cand: edges that may join
     stack, cand, steps = [], (1 << h.m) - 1, 0
     while True:
-        # a check above the limit on its own refuses itself, naming its cores
-        steps += 1 + (cores if len(stack) == k and cores <= WORK_LIMIT else 0)
-        refuse_over_limit(steps, f"the gadget search would take {steps} steps (one "
-                                 f"per partial matching, {cores} per gadget check)")
+        steps += 1
+        refuse_over_limit(steps, f"the gadget search would take {steps} steps (one per "
+                                 "partial matching and per candidate core scanned)")
         if len(stack) == k:
-            matching = [h.edges[i] for i, _ in stack]
-            if check_matching_gadget(h, matching) is None:
-                return MatchingGadget(h, matching)
+            gadget = MatchingGadget(h, [h.edges[i] for i, _ in stack])
+            found = _first_counterexample(gadget)
+            if found is None:
+                return gadget
+            steps += found[0]
             cand = 0
         while cand.bit_count() < max(k - len(stack), 1):
             if not stack:

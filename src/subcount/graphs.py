@@ -1,5 +1,5 @@
-"""Small exact-combinatorics graph type and the two NP-hard primitives
-(minimum vertex cover, maximum matching) solved by branch and bound.
+"""Small exact-combinatorics graph type and its one NP-hard primitive,
+minimum vertex cover, solved by branch and bound.
 
 Vertices are 0..n-1.  Graphs are simple (no loops, no parallel edges) and
 immutable by convention: every mutator returns a fresh ``Graph``.  Optional
@@ -342,43 +342,3 @@ def min_vertex_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
         raise InconsistencyError("cover reconstruction exhausted its budget")
     return size, tuple(chosen)
 
-
-def _matching_size(adj: list[int], active: int, memo: dict[int, int]) -> int:
-    cached = memo.get(active)
-    if cached is not None:
-        return cached
-    # pendant shortcut: an edge at a degree-1 vertex is always safe to take
-    best_v, best_deg = -1, 0
-    m = active
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        d = (adj[v] & active).bit_count()
-        if d == 1:
-            u = (adj[v] & active).bit_length() - 1
-            res = 1 + _matching_size(adj, active & ~((1 << v) | (1 << u)), memo)
-            memo[active] = res
-            return res
-        if d > best_deg:
-            best_v, best_deg = v, d
-    if best_deg == 0:
-        memo[active] = 0
-        return 0
-    v = best_v
-    best = _matching_size(adj, active & ~(1 << v), memo)  # v stays unmatched
-    nb = adj[v] & active
-    while nb:
-        low = nb & -nb
-        u = low.bit_length() - 1
-        nb ^= low
-        best = max(best, 1 + _matching_size(adj, active & ~((1 << v) | (1 << u)), memo))
-    memo[active] = best
-    return best
-
-
-def max_matching_size(g: Graph) -> int:
-    """Size of a maximum matching, by exact search (no blossom machinery)."""
-    if g.directed:
-        raise PreconditionError("matching is defined on undirected graphs")
-    return _matching_size(list(g._adj), (1 << g.n) - 1, {})

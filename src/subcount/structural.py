@@ -25,12 +25,13 @@ def ramsey_monochromatic_clique(n, color, r):
     """Find r vertices of K_n whose pairwise edge colors all agree.
 
     ``color(u, v)`` is called once per pair, with u < v, and may return any
-    mutually orderable hashable.  The color classes, as forward adjacency
-    masks, are searched in sorted color order for the lexicographically
-    least r-clique.  Returns a sorted vertex tuple, or None when no
-    monochromatic r-set exists; r <= 2 returns range(r) unread.  Refused
-    before the first ``color`` call when the C(n, 2) reads exceed
-    WORK_LIMIT, and by ``_least_clique`` past WORK_LIMIT steps in a class.
+    mutually orderable hashable.  The color classes with at least C(r, 2)
+    edges, as forward adjacency masks, are searched in sorted color order
+    for the lexicographically least r-clique.  Returns a sorted vertex
+    tuple, or None when no monochromatic r-set exists; r <= 2 returns
+    range(r) unread.  Refused before the first ``color`` call when the
+    C(n, 2) reads exceed WORK_LIMIT, and by ``_least_clique`` past
+    WORK_LIMIT steps in a class.
     """
     if r < 0:
         raise PreconditionError("clique size must be nonnegative")
@@ -45,8 +46,10 @@ def ramsey_monochromatic_clique(n, color, r):
     classes = {}
     for u in range(n):
         for v in range(u + 1, n):
-            classes.setdefault(color(u, v), [0] * n)[u] |= 1 << v
-    found = (_least_clique(classes[c], r) for c in sorted(classes))
+            classes.setdefault(color(u, v), []).append((u, v))
+    # a class with fewer than C(r, 2) edges holds no r-clique
+    found = (_least_clique(_forward_masks(n, classes[c]), r) for c in sorted(classes)
+             if len(classes[c]) >= comb(r, 2))
     witness = next((w for w in found if w), None)
     if witness is None:
         return None
@@ -57,32 +60,43 @@ def ramsey_monochromatic_clique(n, color, r):
     return witness
 
 
+def _forward_masks(n, edges):
+    """Per vertex of range(n), the mask of its higher neighbours."""
+    up = [0] * n
+    for u, v in edges:
+        up[u] |= 1 << v
+    return up
+
+
 def _least_clique(up, r):
     """The lexicographically least r-clique under forward masks ``up``.
 
-    Cliques grow by rising index, one candidates mask per prefix on an
-    explicit stack, and a prefix is dropped when fewer candidates are left
-    than it still needs.  Each prefix entered is one step, and the search
-    is refused past WORK_LIMIT steps.  Returns a tuple, or None.
+    Cliques grow by rising index from each vertex with at least r - 1
+    forward neighbours, one candidates mask per prefix on an explicit
+    stack, and a prefix is dropped when fewer candidates are left than it
+    still needs.  Each prefix entered is one step, and the search is
+    refused past WORK_LIMIT steps.  Returns a tuple, or None.
     """
-    clique, stack, steps = [], [(1 << len(up)) - 1], 0
-    while stack:
-        cand = stack[-1]
-        if cand.bit_count() < r - len(clique):
-            stack.pop()
-            if clique:
-                clique.pop()
+    steps = 0
+    for root, fwd in enumerate(up):
+        if fwd.bit_count() < r - 1:
             continue
-        steps += 1
-        if steps > WORK_LIMIT:  # so the message is built only on refusal
-            refuse_over_limit(steps, f"the {r}-clique search would take {steps} steps")
-        low = cand & -cand
-        stack[-1] = cand ^ low
-        v = low.bit_length() - 1
-        clique.append(v)
-        if len(clique) == r:
-            return tuple(clique)
-        stack.append(cand & up[v])
+        clique, stack = [root], [fwd]
+        while clique:
+            steps += 1
+            if steps > WORK_LIMIT:  # so the message is built only on refusal
+                refuse_over_limit(steps, f"the {r}-clique search would take {steps} steps")
+            if len(clique) == r:
+                return tuple(clique)
+            while stack and stack[-1].bit_count() < r - len(clique):
+                stack.pop()
+                clique.pop()
+            if stack:
+                cand = stack[-1]
+                low = cand & -cand
+                stack[-1] = cand ^ low
+                clique.append(low.bit_length() - 1)
+                stack.append(cand & up[clique[-1]])
     return None
 
 

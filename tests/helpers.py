@@ -1,11 +1,12 @@
 """Shared instance generators and reference code for the test suite.
 
 All randomness flows through an explicit random.Random so every test is
-reproducible from its seed.  Besides the naive reference enumerators, this
-file also holds the paper's proof checks, which no command runs: the gadget
-no-common condition, restriction, strong sets and residue identity, the
-normal-form residue graphs of the colmatch reduction, the anchored placement
-count of the vc counter, and star numbers.
+reproducible from its seed.  Besides the naive reference enumerators and
+the matching number, which is taken from networkx, this file also holds the
+paper's proof checks, which no command runs: the gadget no-common
+condition, restriction, strong sets and residue identity, the normal-form
+residue graphs of the colmatch reduction, the anchored placement count of
+the vc counter, and star numbers.
 """
 
 import random
@@ -16,8 +17,7 @@ from math import comb
 from subcount.brute import count_embeddings, count_subgraphs, is_isomorphic
 from subcount.gadgets import (MatchingGadget, _candidate_cores,
                               _completion_count, _core_view, _impostor_cores)
-from subcount.graphs import (Graph, InconsistencyError, PreconditionError,
-                             max_matching_size)
+from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import TYPE_DAMAGE, gadget_graph
 from subcount.vc import _demand, _placement_counter
 
@@ -57,6 +57,15 @@ def petersen() -> Graph:
 def colorful(g: Graph) -> Graph:
     """Color vertex v with color v+1 (pairwise distinct)."""
     return g.with_vertex_colors(list(range(1, g.n + 1)))
+
+
+def matching_number(g: Graph) -> int:
+    """Size of a maximum matching of g, from networkx's blossom algorithm."""
+    import networkx as nx
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return len(nx.max_weight_matching(G, maxcardinality=True))
 
 
 def iter_embeddings(h: Graph, g: Graph):
@@ -208,7 +217,7 @@ def residue_classes_and_alphas(gadget):
     """
     k = gadget.k
     reps = []
-    for _cand, rest in _impostor_cores(gadget):
+    for _i, _cand, rest in _impostor_cores(gadget):
         if rest.n != 2 * k:
             raise InconsistencyError("residue does not have 2k vertices")
         if not any(is_isomorphic(rest, r) for r in reps):
@@ -304,7 +313,7 @@ def psi(g, v):
     nb = set(g.neighbors(v))
     edges = [e for e in g.edges
              if v not in e and (e[0] in nb or e[1] in nb)]
-    return max_matching_size(Graph(g.n, edges))
+    return matching_number(Graph(g.n, edges))
 
 
 def psi_max(g):

@@ -320,17 +320,27 @@ def test_search_gadget_k12_has_no_induced_matching(capsys, files):
         assert time.perf_counter() - t0 < 1
 
 
-def test_search_gadget_step_limit_exits_2(capsys, files):
-    # the path 0-1-...-15 has many induced 3-matchings before its first
-    # gadget; each check costs C(16, 6) = 8008 steps, so after eight failed
-    # checks the ninth would pass the limit
+def test_search_gadget_charges_the_cores_scanned(capsys, files):
+    # a failed check is charged the candidate cores it scanned up to its
+    # counterexample, not all C(16, 6) = 8008 of them: the ten checks that
+    # fail before the path's first 3-matching gadget scan 13821 in all
     path = files("p16.g", Graph.path(16))
+    t0 = time.perf_counter()
+    code, rec = run(capsys, "search-gadget", "-H", path, "-k", "3")
+    assert code == 0 and rec["found"] is True and rec["matching"] == "0-1,4-5,8-9"
+    assert time.perf_counter() - t0 < 5
+
+
+def test_search_gadget_step_limit_exits_2(capsys, files):
+    # the path 0-1-...-19 has many induced 3-matchings before its first
+    # gadget, and its failed checks scan more than 2^16 cores in all
+    path = files("p20.g", Graph.path(20))
     t0 = time.perf_counter()
     code = main(["search-gadget", "-H", path, "-k", "3"])
     elapsed = time.perf_counter() - t0
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and elapsed < 5
-    assert "8008 per gadget check), above the limit of 65536" in err
+    assert "per candidate core scanned), above the limit of 65536" in err
 
 
 def test_reduce_matchings_via_gadget(capsys, files):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (is_strong_set, nocommon_sufficient, rand_bipartite,
                      rand_graph, residue_classes_and_alphas,
                      residue_count_identity, restrict_gadget, subgraph_copies)
+from subcount import gadgets
 from subcount.brute import count_matchings, count_subgraphs, is_isomorphic
 from subcount.gadgets import (
     MatchingGadget,
@@ -135,6 +136,27 @@ def test_non_gadget_counterexample():
 def test_check_accepts_gadget_object():
     g = MatchingGadget(Graph.complete(4), [(0, 1)])
     assert check_matching_gadget(g.h, g) is None
+
+
+def test_check_reports_the_cores_it_scanned(monkeypatch):
+    # search_gadget charges a failed check the count it reports; that must
+    # be the number of candidate cores read up to the counterexample
+    read = []
+    scan = gadgets._candidate_cores
+    monkeypatch.setattr(gadgets, "_candidate_cores",
+                        lambda h, size: (read.append(c) or c for c in scan(h, size)))
+    rng = random.Random(7)
+    failed = 0
+    for _ in range(60):
+        h = rand_graph(rng, rng.randint(4, 9), rng.random())
+        for k in (1, 2):
+            for m in _induced_matchings(h, k):
+                read.clear()
+                found = gadgets._first_counterexample(MatchingGadget(h, m))
+                if found is not None:
+                    assert found == (len(read), read[-1])
+                    failed += 1
+    assert failed == 32
 
 
 # -- the cheap sufficient condition ---------------------------------------
@@ -649,8 +671,8 @@ def test_search_grows_matchings_in_combinations_order(monkeypatch):
     # with every check failing, the search visits each induced k-matching,
     # in the order of the filtered combinations of the edge list
     checked = []
-    monkeypatch.setattr("subcount.gadgets.check_matching_gadget",
-                        lambda h, m: checked.append(tuple(m)) or (0,))
+    monkeypatch.setattr("subcount.gadgets._first_counterexample",
+                        lambda g: checked.append(g.matching) or (1, (0,)))
     rng = random.Random(19)
     for _ in range(300):
         n, k = rng.randint(0, 12), rng.randint(0, 4)

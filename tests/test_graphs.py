@@ -4,9 +4,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subcount.graphs import (Graph, PreconditionError, max_matching_size,
-                             min_vertex_cover)
-from helpers import petersen, rand_bipartite, rand_graph
+from subcount.graphs import Graph, PreconditionError, min_vertex_cover
+from helpers import matching_number, petersen, rand_bipartite, rand_graph
 
 
 def test_rejects_loops_and_duplicates():
@@ -121,14 +120,18 @@ def test_cover_of_long_paths_and_cycles():
     assert min_vertex_cover(Graph.cycle(300))[0] == 150
 
 
-# -- matching -----------------------------------------------------------
+# -- cover against matching ----------------------------------------------
+# nu, the maximum matching size, comes from networkx, since the package
+# searches tau only; nu <= tau <= 2 nu, with equality on bipartite graphs
+# (Koenig)
 
 def test_matching_basics():
-    assert max_matching_size(Graph.empty(3)) == 0
-    assert max_matching_size(Graph.path(4)) == 2
-    assert max_matching_size(Graph.cycle(6)) == 3
-    assert max_matching_size(Graph.star(4)) == 1
-    assert max_matching_size(petersen()) == 5
+    for g, nu, tau in ((Graph.empty(3), 0, 0), (Graph.path(4), 2, 2),
+                       (Graph.cycle(6), 3, 3), (Graph.star(4), 1, 1),
+                       (petersen(), 5, 6)):
+        assert matching_number(g) == nu
+        assert min_vertex_cover(g)[0] == tau
+        assert nu <= tau <= 2 * nu
 
 
 @settings(max_examples=150, deadline=None)
@@ -136,7 +139,7 @@ def test_matching_basics():
 def test_matching_vs_cover_bounds(seed):
     rng = random.Random(seed)
     g = rand_graph(rng, rng.randint(1, 9), rng.random())
-    nu = max_matching_size(g)
+    nu = matching_number(g)
     tau = min_vertex_cover(g)[0]
     assert nu <= tau <= 2 * nu
     if g.is_bipartite():
@@ -155,4 +158,20 @@ def test_koenig_on_sparse_bipartite_graphs_and_trees():
         else:
             a = rng.randint(1, n - 1)
             g = rand_bipartite(rng, a, n - a, rng.uniform(0.02, 3 / max(a, n - a)))
-        assert min_vertex_cover(g)[0] == max_matching_size(g)
+        assert min_vertex_cover(g)[0] == matching_number(g)
+
+
+def test_koenig_on_dense_bipartite_graphs():
+    # dense hosts, out of reach of an exhaustive matching search: networkx's
+    # blossom algorithm gives nu, and the cover search takes a few ms on the
+    # 20+20 host at p = .4
+    g = rand_bipartite(random.Random(1), 20, 20, 0.4)
+    t0 = time.perf_counter()
+    assert min_vertex_cover(g)[0] == 20
+    assert time.perf_counter() - t0 < 1
+    assert matching_number(g) == 20
+    rng = random.Random(20)
+    for _ in range(60):
+        a, b = rng.randint(10, 20), rng.randint(10, 20)
+        g = rand_bipartite(rng, a, b, rng.uniform(0.1, 0.6))
+        assert min_vertex_cover(g)[0] == matching_number(g)

@@ -1,6 +1,7 @@
 """Tests for the structural toolkit."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -192,12 +193,24 @@ def test_ramsey_work_counts_the_color_reads():
 
 def test_ramsey_bounds_the_prefixes_entered():
     # color 0 joins vertices in different classes mod 3, so it has no
-    # 4-clique: on 120 vertices its search enters 63999 prefixes before
+    # 4-clique: on 120 vertices its search enters 63998 prefixes before
     # color 1 gives the answer, on 150 it passes WORK_LIMIT
     color = lambda u, v: int(u % 3 == v % 3)
     assert ramsey_monochromatic_clique(120, color, 4) == (0, 3, 6, 9)
     with pytest.raises(PreconditionError, match="clique search would take 65537 steps"):
         ramsey_monochromatic_clique(150, color, 4)
+
+
+def test_ramsey_skips_classes_too_small_for_a_clique():
+    # with every pair in its own colour no class has the C(3, 2) edges a
+    # triangle needs, so no class is searched, at the largest n whose
+    # colour reads are within WORK_LIMIT
+    calls = []
+    color = lambda u, v: calls.append((u, v)) or (u, v)
+    t0 = time.perf_counter()
+    assert ramsey_monochromatic_clique(362, color, 3) is None
+    assert time.perf_counter() - t0 < 1
+    assert calls == list(combinations(range(362), 2))
 
 
 def test_least_clique_is_not_bounded_by_the_recursion_limit():
