@@ -38,14 +38,17 @@ most six in the padding; state_matrix holds its 25 values at one padding.
 
 Without an injected oracle the gadget host is never built: per host the
 census of link-matching types, folded with the five-by-five class extension
-matrix, gives the table of all 5^k query values, and the solve reads that
-table as its query vector.  An injected oracle instead answers each query
-on the explicit edge-colored host.
+matrix by k mode products on packed integers, gives the table of all 5^k
+query values, and the solve reads that table as its query vector.  The
+solve must give back the census's own aligned count; a disagreement raises
+InconsistencyError.  An injected oracle instead answers each query on the
+explicit edge-colored host.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import product
 
@@ -230,13 +233,12 @@ class TriangleGraph:
         """
         if self._theta_counts is not None:
             return self._theta_counts
-        total = 1
-        for pairs in self.realizations:
-            total *= len(pairs)
-            if total > 20_000_000:
-                raise PreconditionError(
-                    "link matching census too large; this host is too dense "
-                    "for the structured counter")
+        total = math.prod(map(len, self.realizations))
+        if total > 20_000_000:
+            raise PreconditionError(
+                f"the link matching census would enumerate {total} combinations, "
+                "above the limit of 20000000; this host is too dense for the "
+                "structured counter")
         counts: dict = {}
         if total:
             edge_ends = []
@@ -260,16 +262,12 @@ class TriangleGraph:
 
         E = state_matrix(n - 3) counts the A_t-colorful matchings inside one
         class of n gadgets in state s; it is the same five-by-five matrix for
-        every class, so b comes from k mode products of the dense census.
+        every class, so b comes from k mode products of the dense census,
+        which ``_mode_products`` computes on packed integers.
         """
         if self._answers is None:
-            ext = state_matrix(self.n - 3)
-            vec = [0] * 5 ** self.k
-            for theta, cnt in self.theta_counts().items():
-                vec[_type_index(theta)] += cnt
-            for _ in range(self.k):
-                vec = _kron_step(vec, ext)
-            self._answers = vec
+            self._answers = _mode_products(self.theta_counts(),
+                                           state_matrix(self.n - 3), self.k)
         return self._answers
 
 
@@ -297,6 +295,47 @@ def _kron_step(vec: list[int], rows) -> list[int]:
         out[r::len(rows)] = [r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4 * v4
                              for v0, v1, v2, v3, v4 in zip(*slices)]
     return out
+
+
+#: memoryview formats of 1-, 2- and 4-byte fields; wider fields are 8-byte words
+_FIELD_FORMATS = {1: "B", 2: "H", 4: "I"}
+
+
+def _mode_products(census: dict, rows, k: int) -> list[int]:
+    """The dense census vector after k ``_kron_step`` mode products with the
+    five nonnegative ``rows``, computed on packed unsigned integers.
+
+    No entry, final or intermediate, exceeds sum(census) * max(rows)^k, so
+    each gets a field of w bytes (1, 2, 4 or whole 8-byte words) in one
+    native-order buffer.  A step reads the five contiguous blocks of the
+    leading digit as ints, forms each output row from five scalar
+    multiplies, which cannot carry between fields, and writes row r's fields
+    back at trailing digit r by strided slice assignment, one per word.
+    """
+    size = 5 ** k
+    bound = sum(census.values()) * max(map(max, rows)) ** k
+    w = max(1, (bound.bit_length() + 7) // 8)
+    w = w if w < 3 else 4 if w <= 4 else -(-w // 8) * 8
+    q = max(1, w // 8)
+    # word positions within a field, most significant first
+    words = range(q - 1, -1, -1) if sys.byteorder == "little" else range(q)
+    buf = bytearray(size * w)
+    fields = memoryview(buf).cast(_FIELD_FORMATS.get(w, "Q"))
+    for theta, cnt in census.items():
+        fields[_type_index(theta) * q + words[-1]] = cnt
+    view, blk = memoryview(buf), size // 5 * w
+    for _ in range(k):
+        xs = [int.from_bytes(view[j * blk:(j + 1) * blk], sys.byteorder)
+              for j in range(5)]
+        for r, row in enumerate(rows):
+            y = sum(e * x for e, x in zip(row, xs)).to_bytes(blk, sys.byteorder)
+            y = memoryview(y).cast(fields.format)
+            for i in range(q):
+                fields[r * q + i::5 * q] = y[i::q]
+    vals = fields[words[0]::q].tolist()
+    for j in words[1:]:
+        vals = [v << 64 | x for v, x in zip(vals, fields[j::q].tolist())]
+    return vals
 
 
 def _slot_type(u1, u2, u3) -> int:
@@ -471,15 +510,21 @@ def subpart_via_colmatch_oracle(h: Graph, g: Graph, oracle=None,
     Copies correspond exactly to complete link matchings aligned at every
     class (all three slots of each class on a single gadget), and the
     aligned count is solved out of the query values.  Without an oracle
-    they are the host's answer table; an oracle is called as
-    ``oracle(graph, colors)`` on the explicit edge-colored gadget host.
+    they are the host's answer table, and the solved count must equal the
+    census's aligned entry (InconsistencyError otherwise); an oracle is
+    called as ``oracle(graph, colors)`` on the explicit edge-colored gadget
+    host.
     """
     tg = build_triangle_graph(h, g, padding)
-    if oracle is None:
-        b = tg.answer_table()
-    else:
+    if oracle is not None:
         b = [oracle(tg.graph, tg.query_colors(t)) for t in product(TYPES, repeat=tg.k)]
-    return solve_theta_star(b, tg.n, tg.k)
+        return solve_theta_star(b, tg.n, tg.k)
+    count = solve_theta_star(tg.answer_table(), tg.n, tg.k)
+    aligned = tg.theta_counts().get((1,) * tg.k, 0)
+    if count != aligned:
+        raise InconsistencyError(
+            f"the solve gave {count} aligned copies but the census holds {aligned}")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ reproducible from its seed.  Besides the naive reference enumerators and
 the matching number, which is taken from networkx, this file also holds the
 paper's proof checks, which no command runs: the gadget no-common
 condition, restriction, strong sets and residue identity, the normal-form
-residue graphs of the colmatch reduction, the anchored placement count of
-the vc counter, and star numbers.
+residue graphs and the list-based answer table of the colmatch reduction,
+the anchored placement count of the vc counter, and star numbers.
 """
 
 import random
@@ -18,7 +18,7 @@ from subcount.brute import count_embeddings, count_subgraphs, is_isomorphic
 from subcount.gadgets import (MatchingGadget, _candidate_cores,
                               _completion_count, _core_view, _impostor_cores)
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
-from subcount.hardness import TYPE_DAMAGE, gadget_graph
+from subcount.hardness import TYPE_DAMAGE, _kron_step, _type_index, gadget_graph
 from subcount.vc import _demand, _placement_counter
 
 
@@ -272,6 +272,16 @@ def residue_graph(s: int) -> Graph:
         g = g.disjoint_union(p)
     return g
 
+
+def kron_chain(census: dict, rows, k: int) -> list[int]:
+    """The colmatch answer table as k list mode products of the dense
+    census: the reference for the packed products."""
+    vec = [0] * 5 ** k
+    for theta, cnt in census.items():
+        vec[_type_index(theta)] += cnt
+    for _ in range(k):
+        vec = _kron_step(vec, rows)
+    return vec
 
 # -- vc: the placement count at one anchor --------------------------------
 

@@ -18,7 +18,7 @@ from subcount.fileio import read_graph, save_model, write_graph
 from subcount.graphs import Graph
 from subcount.polynomials import determinant
 
-from helpers import colorful, rand_bipartite, rand_graph
+from helpers import colorful, kron_chain, rand_bipartite, rand_graph
 
 
 def run(capsys, *argv):
@@ -533,6 +533,77 @@ def test_reduce_subpart_via_colmatch(capsys, files):
     assert code == 0
     assert int(rec["count"]) == brute.count_colorpreserving_subgraphs(h, g)
     assert rec["oracle_calls"] == 5 ** 6
+
+
+def _k33_class_host(c, keep):
+    """6c vertices, vertex v coloured v // c; visiting the pairs u < v in
+    order, a pair whose colours form an edge (i, 3 + j) of the colourful
+    K_{3,3} is joined when ``keep(i, 3 + j)`` says so."""
+    edges = [(u, v) for u in range(6 * c) for v in range(u + 1, 6 * c)
+             if u // c < 3 <= v // c and keep(u // c, v // c)]
+    return Graph(6 * c, edges, vcolors=[v // c for v in range(6 * c)])
+
+
+def _random_k33_class_host(c, p):
+    rng = random.Random(1)
+    return _k33_class_host(c, lambda a, b: rng.random() < p)
+
+
+def test_reduce_subpart_via_colmatch_on_a_random_class_host(capsys, files):
+    # c = 3, p = .3: a census of 3,072 link matchings
+    h = _K33
+    g = _random_k33_class_host(3, 0.3)
+    code, rec = run(capsys, "reduce-subpart-via-colmatch", "-p", files("h.g", h),
+                    "-H", files("g.g", g))
+    assert code == 0
+    assert rec["count"] == str(brute.count_colorpreserving_subgraphs(h, g))
+
+
+def test_reduce_subpart_empty_census_is_not_refused(capsys, files):
+    # every pattern colour pair but (2, 5) is complete between its classes of
+    # 8: the census is 64^8 * 0 combinations, none to enumerate
+    h = _K33
+    g = _k33_class_host(8, lambda a, b: (a, b) != (2, 5))
+    code, rec = run(capsys, "reduce-subpart-via-colmatch", "-p", files("h.g", h),
+                    "-H", files("g.g", g))
+    assert code == 0 and rec["count"] == "0" and rec["oracle_calls"] == 5 ** 6
+    assert brute.count_colorpreserving_subgraphs(h, g) == 0
+
+
+def test_reduce_subpart_dense_census_exits_2(capsys, files):
+    h = _K33
+    g = _random_k33_class_host(5, 0.3)
+    code = main(["reduce-subpart-via-colmatch", "-p", files("h.g", h),
+                 "-H", files("g.g", g)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "would enumerate 72576000 combinations, above the limit of 20000000" in err
+
+
+def test_reduce_subpart_round_trip_disagreement_exits_3(capsys, files, monkeypatch):
+    # a table of the census plus one aligned copy solves to one copy more
+    # than the census holds
+    def table_with_one_more_copy(tg):
+        census = dict(tg.theta_counts())
+        aligned = (1,) * tg.k
+        census[aligned] = census.get(aligned, 0) + 1
+        return kron_chain(census, hardness.state_matrix(tg.n - 3), tg.k)
+
+    monkeypatch.setattr(hardness.TriangleGraph, "answer_table", table_with_one_more_copy)
+    code = main(["reduce-subpart-via-colmatch", "-p", files("h.g", _K33),
+                 "-H", files("g.g", _K33_HOST)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert "the solve gave 3 aligned copies but the census holds 2" in err
+
+
+def test_reduce_subpart_colourful_q3_in_itself(capsys, files):
+    q3 = Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3)
+                   if not u >> b & 1]).with_vertex_colors(range(8))
+    path = files("q3.g", q3)
+    code, rec = run(capsys, "reduce-subpart-via-colmatch", "-p", path, "-H", path,
+                    "--max-k", "8")
+    assert code == 0 and rec["count"] == "1" and rec["oracle_calls"] == 5 ** 8
 
 
 def test_reduce_subpart_max_k_guard(capsys, files):

@@ -9,15 +9,16 @@ from subcount.brute import (count_colorful_matchings,
                             count_matchings, count_walk_patterns)
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
-                               _type_index, build_triangle_graph,
+                               _mode_products, _type_index,
+                               build_triangle_graph,
                                directed_cycles_via_undirected, gadget_graph,
                                matchings_via_directed_cycles,
                                solve_theta_star, state_matrix,
                                subpart_via_colmatch_oracle)
 from subcount.polynomials import (binomial_basis_from_values, determinant,
                                   forward_differences)
-from helpers import (iter_colorful_matchings, rand_bipartite, rand_digraph,
-                     rand_graph, residue_graph)
+from helpers import (iter_colorful_matchings, kron_chain, rand_bipartite,
+                     rand_digraph, rand_graph, residue_graph)
 
 # the published evaluation matrix at argument 0: rows are query sets t=1..5,
 # columns alignment types s=1..5
@@ -261,6 +262,25 @@ def test_solve_theta_star_refuses_incomplete_queries():
         solve_theta_star([0] * 24, 5, 2)
     with pytest.raises(PreconditionError):
         solve_theta_star([0] * 5, 2, 1)
+
+
+@pytest.mark.parametrize("padding", [3, 4, 8, 23, 40, 100])
+def test_packed_mode_products_match_the_list_chain(padding):
+    """Empty, single-type and dense seeded censuses at k = 1..4: the field
+    widths run from one byte (the empty census) to four 8-byte words (the
+    dense census at padding 100)."""
+    rows = state_matrix(padding - 3)
+    rng = random.Random(padding)
+    widest = 0
+    for k in (1, 2, 3, 4):
+        types = list(product(TYPES, repeat=k))
+        for census in ({}, {rng.choice(types): rng.randrange(1, 50)},
+                       {theta: rng.randrange(2 ** 30) for theta in types}):
+            got = _mode_products(census, rows, k)
+            assert got == kron_chain(census, rows, k)
+            widest = max(widest, *got)
+    if padding == 100:
+        assert widest.bit_length() > 192
 
 
 # -- the full pipeline -----------------------------------------------------
