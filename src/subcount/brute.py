@@ -2,13 +2,15 @@
 
 These are the ground-truth oracles everything else in the package is checked
 against, so they favor obviousness over speed: plain backtracking over
-adjacency bitmasks, no clever algebra.  The search is exhaustive; only its
-last two levels are not walked one candidate at a time but counted by masks:
-the last by one popcount of its candidate mask, the pair by one popcount per
-candidate of the last-but-one position (or, when the two pattern vertices
-are not adjacent, by a product of popcounts less their overlap).  They are
-fast enough for the graph sizes the test corpus and the reductions feed them
-(a couple dozen vertices).
+adjacency bitmasks, no clever algebra.  Every count is an exhaustive search;
+only its last two levels are not walked one candidate at a time but counted
+by masks: the last by one popcount of its candidate mask, the pair by one
+popcount per candidate of the last-but-one position.  That holds for the
+embedding search (where, when the last two pattern vertices are not
+adjacent, the pair is a product of popcounts less their overlap) and for
+the special counters of matchings, colorful matchings, paths and cycles.
+They are fast enough for the graph sizes the test corpus and the reductions
+feed them (a couple dozen vertices).
 
 Counting conventions
 --------------------
@@ -227,7 +229,11 @@ def _edge_clashes(g: Graph) -> list[int]:
 
 def count_colorful_matchings(g: Graph, colors) -> int:
     """Edge subsets that are matchings and hit each color of ``colors``
-    exactly once.  Edges of other colors are simply not usable."""
+    exactly once.  Edges of other colors are simply not usable.
+
+    The search takes one edge per color, smallest color class first; the
+    last two classes are counted by one popcount per edge of the
+    last-but-one."""
     if g.ecolors is None:
         raise PreconditionError("host must be edge-colored")
     want = list(colors)
@@ -247,6 +253,16 @@ def count_colorful_matchings(g: Graph, colors) -> int:
         cand = groups[i] & ~blocked
         if i == last:
             return cand.bit_count()
+        if i == last - 1:
+            # the last two groups: per edge x of this one, one popcount of
+            # the last group's edges that avoid blocked | clash[x]
+            tail = groups[last] & ~blocked
+            total = 0
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                total += (tail & ~clash[low.bit_length() - 1]).bit_count()
+            return total
         total = 0
         for e in iter_bits(cand):
             total += branch(i + 1, blocked | clash[e])
@@ -256,7 +272,10 @@ def count_colorful_matchings(g: Graph, colors) -> int:
 
 
 def count_matchings(g: Graph, k: int) -> int:
-    """Number of k-edge matchings (equivalently #Sub of a k-matching)."""
+    """Number of k-edge matchings (equivalently #Sub of a k-matching).
+
+    The search takes edges in rising index order; the last two edges are
+    counted by one popcount per candidate for the last-but-one."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     if k == 0:
@@ -269,10 +288,18 @@ def count_matchings(g: Graph, k: int) -> int:
         # edges are taken in rising index order, so each matching once
         if need == 1:
             return avail.bit_count()
-        # too few edges left: cut here, above the hot need == 2 level
-        if need > 2 and avail.bit_count() < need:
-            return 0
         total = 0
+        if need == 2:
+            # the last two edges: per edge x, one popcount of the edges
+            # above x that avoid clash[x]
+            while avail:
+                low = avail & -avail
+                avail ^= low
+                total += (avail & ~clash[low.bit_length() - 1]).bit_count()
+            return total
+        # too few edges left: cut here, above the hot need == 2 level
+        if avail.bit_count() < need:
+            return 0
         while avail:
             low = avail & -avail
             avail ^= low
@@ -289,6 +316,8 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
     k >= 1, directed cycles k >= 2.  Each subgraph is counted once: paths by
     orienting from the smaller endpoint, cycles by anchoring at their minimum
     vertex (and, undirected, walking toward its smaller neighbor first).
+    The last two steps of a walk are counted by one popcount per candidate
+    for the last-but-one vertex.
     """
     if kind not in ("path", "cycle"):
         raise PreconditionError(f"unknown walk pattern kind {kind!r}")
@@ -311,6 +340,16 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
         if left == 1:
             return (nxt & last_ok).bit_count()
         total = 0
+        if left == 2:
+            # the last two steps: per next vertex x, one popcount of
+            # step[x] & ~(seen | x) & last_ok; x is never in step[x], since
+            # Graph rejects loops
+            ok = last_ok & ~seen
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                total += (step[low.bit_length() - 1] & ok).bit_count()
+            return total
         for w in iter_bits(nxt):
             total += walk(w, seen | 1 << w, left - 1, last_ok)
         return total

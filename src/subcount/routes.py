@@ -38,7 +38,10 @@ from .graphs import Graph, iter_bits, min_vertex_cover
 # 0.89 vc, 0.90 matchings and 1.00 cycles, with quartiles in 0.65-1.45.
 # g120, g60, g26 and g25 are the bench hosts at seed 1, G_2(bip10) the gadget
 # read-out's K4 probe host at padding 2, G(n, p) s is tests/helpers.rand_graph
-# at seed s, and "-" was not timed (estimated above 4 s).
+# at seed s, and "-" was not timed (estimated above 4 s).  The matchings and
+# cycles columns were timed before those counters masked their last two
+# levels, which made them faster (C7 in g60 about 18 ms, M4 in g26 about
+# 31 ms in-process); the constants were kept, so no route choice moved.
 #
 #   instance (ms)        brute      vc  matchings  cycles
 #   triangle in g120      0.86    1.79               0.94
@@ -289,10 +292,15 @@ def _estimate(route: str, h: Graph, host: _Host) -> float:
     if h.n > host.n:
         return 0.0
     if route == "matchings":
+        # one branch per j-matching, j < k; the last two levels are masked,
+        # so a (k-1)-matching is one popcount, not a call, and this still
+        # bounds the search
         return host.m + _f(sum(comb(host.m, j) for j in range(h.m)))
     if route == "cycles":
         # one node per start vertex and per path walked from it, which is
-        # the path's least vertex: one of a path and its reverse at most
+        # the path's least vertex: one of a path and its reverse at most.
+        # The last two levels are masked, so a path of k - 2 edges is one
+        # popcount, not a call, and this still bounds the search
         return _NODE * (host.n + host.paths(h.n - 2) / 2)
     return _search_work(h, host) if route == "brute" else _vc_work(h, host)
 

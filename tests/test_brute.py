@@ -391,3 +391,99 @@ def test_matchings_agree_with_direct_enumeration():
     # antiparallel arcs share both endpoints
     assert count_matchings(Graph(2, [(0, 1), (1, 0)], directed=True), 1) == 2
     assert count_matchings(Graph(4, [(0, 1), (1, 0), (2, 3)], directed=True), 2) == 2
+
+
+# -- the special counters' masked last two levels ---------------------------------
+# count_matchings, count_walk_patterns and count_colorful_matchings count their
+# last two levels by masks.  Each check below starts at the k where the masked
+# level is the search's first (2-matchings, 2-edge paths, 4-cycles undirected,
+# 3-cycles directed, colourful matchings of 2 colours) and goes up to k = n
+# (paths and cycles) or n/2 (matchings).  References: the embedding search,
+# on the host itself or on a vertex-coloured gadget that carries arc
+# directions or edge colours, and networkx for cycles.
+
+_VERTEX, _TAIL, _HEAD = -1, -2, -3
+
+
+def _arc_gadget(g):
+    """The digraph g as an undirected vertex-coloured graph: each arc u -> v
+    becomes a path u - t - h - v, with t coloured _TAIL and h _HEAD, and g's
+    own vertices coloured _VERTEX.  Colour-respecting embeddings of one
+    digraph's gadget into another's are the embeddings of the digraphs."""
+    edges = []
+    for i, (u, v) in enumerate(g.edges):
+        t, h = g.n + 2 * i, g.n + 2 * i + 1
+        edges += [(u, t), (t, h), (h, v)]
+    return Graph(g.n + 2 * g.m, edges,
+                 vcolors=[_VERTEX] * g.n + [_TAIL, _HEAD] * g.m)
+
+
+def _edge_colour_gadget(g):
+    """The edge-coloured g with each edge subdivided by a vertex of the
+    edge's colour, and g's own vertices coloured _VERTEX."""
+    edges = []
+    for i, (u, v) in enumerate(g.edges):
+        edges += [(u, g.n + i), (g.n + i, v)]
+    return Graph(g.n + g.m, edges, vcolors=[_VERTEX] * g.n + list(g.ecolors))
+
+
+def _cycle_lengths(nx, g):
+    return Counter(len(c) for c in nx.simple_cycles(_to_nx(nx, g), length_bound=g.n))
+
+
+def test_masked_counters_agree_with_subgraph_counts_and_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2222)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        g = rand_graph(rng, n, rng.uniform(0.2, 0.9))
+        for k in range(2, n + 1):
+            assert count_walk_patterns(g, "path", k) == count_subgraphs(Graph.path(k + 1), g)
+        lengths = _cycle_lengths(nx, g)
+        for k in range(4, n + 1):
+            cycles = count_walk_patterns(g, "cycle", k)
+            assert cycles == count_subgraphs(Graph.cycle(k), g) == lengths[k]
+        for k in range(2, n // 2 + 1):
+            assert count_matchings(g, k) == count_subgraphs(Graph.matching(k), g)
+
+
+def test_masked_directed_counters_agree_with_arc_gadgets_and_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3333)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        g = rand_digraph(rng, n, rng.uniform(0.1, 0.5))
+        host = _arc_gadget(g)
+
+        def embeddings(arcs, size):
+            pattern = _arc_gadget(Graph(size, arcs, directed=True))
+            return count_embeddings(pattern, host, respect_colors=True)
+
+        for k in range(2, n + 1):
+            path = [(i, i + 1) for i in range(k)]
+            assert count_walk_patterns(g, "path", k) == embeddings(path, k + 1)
+        lengths = _cycle_lengths(nx, g)
+        for k in range(3, n + 1):
+            cycle = [(i, (i + 1) % k) for i in range(k)]
+            cycles = count_walk_patterns(g, "cycle", k)
+            # a directed k-cycle has k rotations
+            assert cycles * k == embeddings(cycle, k) and cycles == lengths[k]
+        for k in range(2, n // 2 + 1):
+            matching = [(2 * i, 2 * i + 1) for i in range(k)]
+            # k! orders of a matching's arcs
+            assert count_matchings(g, k) * math.factorial(k) == embeddings(matching, 2 * k)
+
+
+def test_masked_colorful_matchings_agree_with_subdivided_embeddings():
+    rng = random.Random(4444)
+    for _ in range(300):
+        n = rng.randint(4, 8)
+        ncolors = rng.randint(2, 4)
+        g = rand_edge_colored(rng, n, rng.uniform(0.2, 0.9), ncolors)
+        host = _edge_colour_gadget(g)
+        for r in range(2, min(ncolors, n // 2) + 1):
+            want = rng.sample(range(ncolors), r)
+            pattern = _edge_colour_gadget(Graph.matching(r).with_edge_colors(want))
+            # each colourful matching, with each edge's two ends either way
+            assert (count_colorful_matchings(g, want) * 2 ** r
+                    == count_embeddings(pattern, host, respect_colors=True))

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line tool, driven through cli.main."""
 
+import gc
 import json
 import os
 import random
@@ -1016,6 +1017,77 @@ def test_startup_imports_stay_light(files):
                                           "graphs", "hardness", "iex",
                                           "polynomials", "structural", "vc")}
     assert backends <= loaded
+
+
+# Run the CLI in a fresh ``python3 -S`` process through one entry and write
+# the process's gc freeze count to a file at the end, so stdout and stderr
+# stay the CLI's own.  Entries: "main" is ``sys.exit(main())``, the body of
+# ``__main__`` before the entry freeze; "module" is ``python -m subcount.cli``
+# by runpy; anything else is a "module:function" console-script entry.
+_ENTRY_SCRIPT = """\
+import gc, os, sys
+entry = sys.argv.pop(1)
+try:
+    if entry == "main":
+        from subcount.cli import main
+        sys.exit(main())
+    elif entry == "module":
+        import runpy
+        runpy.run_module("subcount.cli", run_name="__main__")
+    else:
+        import importlib
+        module, _, function = entry.partition(":")
+        getattr(importlib.import_module(module), function)()
+finally:
+    with open(os.environ["FREEZE_COUNT_FILE"], "w") as out:
+        out.write(str(gc.get_freeze_count()))
+"""
+
+
+def _through_entry(entry, argv, tmp_path):
+    """Exit code, stdout with ``elapsed_ms`` masked, stderr and the final
+    gc freeze count of one CLI process entered through ``entry``."""
+    frozen = tmp_path / "freeze-count"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", _ENTRY_SCRIPT, entry, *argv],
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   FREEZE_COUNT_FILE=str(frozen)),
+                          capture_output=True, text=True, timeout=30)
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout)
+    return proc.returncode, out, proc.stderr, int(frozen.read_text())
+
+
+def test_process_entries_freeze_and_keep_their_output(files, tmp_path):
+    # ``python -m subcount.cli`` and the console script freeze the import
+    # heap before running main; what they print and exit with is what
+    # ``sys.exit(main())`` gives, for a count, a usage error, an unreadable
+    # file and a precondition error
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    script = tomllib.loads(pyproject.read_text())["project"]["scripts"]["subcount"]
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    c5 = files("c5.g", Graph.cycle(5))
+    cases = [(["count-sub", "-p", tri, "-H", k4], 0),
+             (["count-sub", "-p", tri], 1),
+             (["count-sub", "-p", str(tmp_path / "missing.g"), "-H", k4], 1),
+             (["count-matchings", "-H", c5, "-k", "-1"], 2)]
+    for argv, code in cases:
+        *reference, unfrozen = _through_entry("main", argv, tmp_path)
+        assert reference[0] == code and unfrozen == 0
+        for entry in ("module", script):
+            *seen, frozen = _through_entry(entry, argv, tmp_path)
+            assert seen == reference and frozen > 0, (entry, argv)
+
+
+def test_main_in_process_does_not_freeze(capsys, files):
+    # tests and outside wrappers call main in-process, on their own heap
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    before = gc.get_freeze_count()
+    code, rec = run(capsys, "count-sub", "-p", tri, "-H", k4)
+    assert code == 0 and rec["count"] == "4"
+    assert gc.get_freeze_count() == before
 
 
 _K33 = Graph.complete_bipartite(3, 3).with_vertex_colors(range(6))
