@@ -9,8 +9,14 @@ popcount per candidate of the last-but-one position.  That holds for the
 embedding search (where, when the last two pattern vertices are not
 adjacent, the pair is a product of popcounts less their overlap) and for
 the special counters of matchings, colorful matchings, paths and cycles.
-They are fast enough for the graph sizes the test corpus and the reductions
-feed them (a couple dozen vertices).
+In the embedding search a pendant last pair (the last vertex's only
+earlier neighbor is the last-but-one, as in every kK2) is the sum of
+d(x) = |N(x) & allowed| over the candidates x, one popcount per bit plane
+of d, less the pairs whose second vertex is used, whenever that takes fewer
+popcounts than one per candidate; and the walk keeps its partial maps on an
+explicit stack, so no pattern is too deep for it.  The counters are fast
+enough for the graph sizes the test corpus and the reductions feed them (a
+couple dozen vertices).
 
 Counting conventions
 --------------------
@@ -54,7 +60,9 @@ def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
     ``used`` and adjacent to the images ``image[j]`` of its pattern neighbors
     at earlier positions j.  ``count_last_two(image, used)``, for a pattern
     of at least two vertices, is the number of ways to place the last two
-    positions once all earlier ones are placed."""
+    positions once all earlier ones are placed; a pendant last pair is
+    counted by the bit planes of its degrees into the last position's
+    allowed mask when that is cheaper than one popcount per candidate."""
     if respect_colors and (h.vcolors is None or g.vcolors is None):
         raise PreconditionError("respect_colors needs vertex colors on both graphs")
     order = _search_order(h, pinned)
@@ -80,9 +88,28 @@ def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
     tail = back[last] if h.n else []
     joined = last - 1 in tail
     before = [j for j in tail if j != last - 1]
+    pendant = tail == [last - 1]
+    if pendant:
+        # bit plane k: the host vertices x whose d(x) = |adj[x] & allowed[last]|
+        # has bit k set, so the sum of d over a mask is one popcount per plane
+        d = [(a & allowed[last]).bit_count() for a in adj]
+        planes = [sum(1 << x for x in range(g.n) if d[x] >> k & 1)
+                  for k in range(max(d, default=0).bit_length())]
+        cutoff = len(planes) + h.n - 2  # the plane sum's popcounts, at most
 
     def count_last_two(image, used):
         cand = candidates(last - 1, image, used)
+        if pendant and cand.bit_count() > cutoff:
+            # the sum of d(x) over cand, less the pairs (x, u) with u in used
+            total = 0
+            for k, plane in enumerate(planes):
+                total += (cand & plane).bit_count() << k
+            ends = used & allowed[last]
+            while ends:
+                low = ends & -ends
+                total -= (adj[low.bit_length() - 1] & cand).bit_count()
+                ends ^= low
+            return total
         # the last position's candidates before position last - 1 is placed
         base = allowed[last] & ~used
         for j in before:
@@ -125,21 +152,43 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
         if not candidates(i, image, used) >> image[i] & 1:
             return 0
         used |= 1 << image[i]
-    last = h.n - 1
+    start, last = len(anchor), h.n - 1
+    if start > last - 2:  # two positions free or fewer: no walk
+        if start == h.n:
+            return 1
+        if start == last:
+            return candidates(last, image, used).bit_count()
+        return count_last_two(image, used)
+    return sum(count_last_two(image, placed)
+               for placed in _placements(candidates, image, used, start, last - 2))
 
-    def extend(i, used):
-        if i == last - 1:
-            return count_last_two(image, used)
-        cand = candidates(i, image, used)
-        if i == last:
-            return cand.bit_count()
-        total = 0
-        for gv in iter_bits(cand):
-            image[i] = gv
-            total += extend(i + 1, used | 1 << gv)
-        return total
 
-    return extend(len(anchor), used) if len(anchor) < h.n else 1
+def _placements(candidates, image, used, start, stop):
+    """Walk every placement of search positions start..stop, writing each
+    into ``image`` and yielding its used mask.  ``used`` holds the images of
+    the positions before start.  The walk keeps one candidate mask per
+    position on an explicit stack, so its depth is not bounded by Python's
+    recursion limit."""
+    stack = [0] * (stop + 1)
+    stack[start] = candidates(start, image, used)
+    i = start
+    while True:
+        cand = stack[i]
+        if not cand:
+            if i == start:
+                return
+            i -= 1
+            used ^= 1 << image[i]  # used holds the images before position i
+            continue
+        low = cand & -cand
+        stack[i] = cand ^ low
+        image[i] = low.bit_length() - 1
+        if i == stop:
+            yield used | low
+        else:
+            used |= low
+            i += 1
+            stack[i] = candidates(i, image, used)
 
 
 def find_embedding(h: Graph, g: Graph, *, respect_colors=False):
@@ -150,17 +199,7 @@ def find_embedding(h: Graph, g: Graph, *, respect_colors=False):
         return None
     order, candidates, _ = _search_plan(h, g, respect_colors)
     image = [0] * h.n
-
-    def extend(i, used):
-        if i == h.n:
-            return True
-        for gv in iter_bits(candidates(i, image, used)):
-            image[i] = gv
-            if extend(i + 1, used | 1 << gv):
-                return True
-        return False
-
-    if not extend(0, 0):
+    if h.n and next(_placements(candidates, image, 0, 0, h.n - 1), None) is None:
         return None
     found = [0] * h.n
     for i, v in enumerate(order):

@@ -42,13 +42,16 @@ from .graphs import Graph, iter_bits, min_vertex_cover
 # cycles columns were timed before those counters masked their last two
 # levels, which made them faster (C7 in g60 about 18 ms, M4 in g26 about
 # 31 ms in-process); the constants were kept, so no route choice moved.
+# * brute now counts a pendant last pair (M3's last K2) by degree bit planes,
+# which took M3 in g26 to about 0.45 of the time above; _search_nodes still
+# charges one popcount per candidate, so it overstates such patterns.
 #
 #   instance (ms)        brute      vc  matchings  cycles
 #   triangle in g120      0.86    1.79               0.94
 #   P4 in g120            3.01    3.73
 #   star5 in g120          409    0.57
 #   star5 in g60          21.3    0.33
-#   M3 in g26              222    22.5       2.44
+#   M3 in g26             222*    22.5       2.44
 #   M4 in g26                -     301       58.4
 #   C6 in g25             24.7    7.79               7.03
 #   C7 in g60              219       -               56.2
@@ -208,7 +211,10 @@ def _search_nodes(h: Graph, order, levels) -> float:
     """brute.count_embeddings' work, given upper bounds on the partial maps
     of each prefix of its search order: one node per partial map above the
     last two positions, which are counted by one popcount per candidate of
-    the last but one when they are adjacent, and by one product when not."""
+    the last but one when they are adjacent, and by one product when not.
+    brute counts a pendant last pair by degree bit planes when that is
+    cheaper; this still charges one popcount per candidate, so it overstates
+    such patterns (kK2 and anything ending in a K2 component)."""
     joined = h.n >= 2 and h.has_edge(order[-1], order[-2])
     return _NODE * (sum(levels[:-2]) + 1) + (levels[-2] if joined else 0)
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcount import brute
 from subcount.brute import (_search_order, automorphism_count,
                             count_colorful_matchings,
                             count_colorpreserving_subgraphs, count_embeddings,
@@ -81,6 +82,14 @@ def test_find_embedding_and_isomorphism():
     a = Graph(4, [(0, 1), (1, 2), (2, 3)])
     b = Graph(4, [(2, 0), (0, 3), (3, 1)])
     assert is_isomorphic(a, b)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a path of 1200 vertices places 1198 positions before its last pair
+    p = Graph.path(1200)
+    assert count_embeddings(p, p) == 2
+    assert find_embedding(p, p) in (tuple(range(1200)), tuple(range(1199, -1, -1)))
+    assert is_isomorphic(p, p)
 
 
 def test_colorpreserving_copies():
@@ -363,6 +372,80 @@ def test_last_two_levels_agree_with_networkx_monomorphisms():
                     order = _search_order(h, sorted(anchor))
                     last_pairs.add(h.has_edge(order[-2], order[-1]))
     assert last_pairs == {True, False}
+
+
+def _planted_host(rng, h, n):
+    """A host on n vertices coloured 1 or 2: a copy of the coloured h on
+    random vertices, and n/3 to n/2 more random edges, sparse enough that
+    networkx lists every monomorphism of a 3-matching in under a second."""
+    at = rng.sample(range(n), h.n)
+    edges = {tuple(sorted((at[u], at[v]))) for u, v in h.edges}
+    extra = rng.randint(n // 3, n // 2)
+    while len(edges) < h.m + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    colors = [rng.randint(1, 2) for _ in range(n)]
+    for v in range(h.n):
+        colors[at[v]] = h.vcolors[v]
+    return Graph(n, sorted(edges)).with_vertex_colors(colors)
+
+
+def test_pendant_last_pair_agrees_with_networkx_monomorphisms(monkeypatch):
+    # a search ending in a K2 component counts its last pair by the degree
+    # bit planes when the last-but-one position has more candidates than the
+    # plane sum costs, and by one popcount per candidate otherwise; check
+    # both against an outside enumerator, plain, coloured and anchored
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    k2 = Graph.path(2)
+    patterns = [Graph.matching(2), Graph.matching(3),
+                Graph.complete(3).disjoint_union(k2), Graph.path(3).disjoint_union(k2),
+                Graph.star(3).disjoint_union(k2),
+                Graph.cycle(4).disjoint_union(Graph.matching(2))]
+    branches = Counter()  # plane sum chosen: True / False
+    plan = brute._search_plan
+
+    def spy(h, g, respect_colors, pinned=()):
+        order, candidates, count_last_two = plan(h, g, respect_colors, pinned)
+        if h.n < 2 or set(h.neighbors(order[-1])) != {order[-2]}:  # not pendant
+            return order, candidates, count_last_two
+        ends = [x for x in range(g.n) if not respect_colors
+                or g.vcolors[x] == h.vcolors[order[-1]]]
+        d = max(sum(g.has_edge(x, y) for y in ends) for x in range(g.n))
+        cutoff = d.bit_length() + h.n - 2
+
+        def counted(image, used):
+            branches[candidates(h.n - 2, image, used).bit_count() > cutoff] += 1
+            return count_last_two(image, used)
+        return order, candidates, counted
+
+    monkeypatch.setattr(brute, "_search_plan", spy)
+    rng = random.Random(2317)
+    for pattern in patterns:
+        for _ in range(3):
+            h = pattern.with_vertex_colors([rng.randint(1, 2) for _ in range(pattern.n)])
+            g = _planted_host(rng, h, rng.randint(12, 22))
+            maps = [tuple(sorted(m, key=m.get)) for m in
+                    GraphMatcher(_to_nx(nx, g), _to_nx(nx, h)).subgraph_monomorphisms_iter()]
+            colored = [im for im in maps
+                       if all(h.vcolors[v] == g.vcolors[im[v]] for v in range(h.n))]
+            assert count_embeddings(h, g) == len(maps)
+            assert count_embeddings(h, g, respect_colors=True) == len(colored)
+            for pool in (maps, colored):
+                for _ in range(3):
+                    # one or two anchors, from a monomorphism when there is one
+                    image = rng.choice(pool) if pool else rng.sample(range(g.n), h.n)
+                    pinned = rng.sample(range(h.n), rng.randint(1, 2))
+                    anchor = {v: image[v] for v in pinned}
+                    for respect, among in ((False, maps), (True, colored)):
+                        want = sum(1 for im in among
+                                   if all(im[v] == gv for v, gv in anchor.items()))
+                        assert count_embeddings(h, g, respect_colors=respect,
+                                                anchor=anchor) == want
+        # in #Aut(h) the last-but-one position has only two candidates left
+        H = _to_nx(nx, pattern)
+        assert count_embeddings(pattern, pattern) == sum(
+            1 for _ in GraphMatcher(H, H).isomorphisms_iter())
+    assert branches[True] and branches[False]
 
 
 def test_cycles_agree_with_networkx_simple_cycles():

@@ -63,6 +63,12 @@ def test_count_matchings_negative_k_same_error_on_every_route(capsys, files):
     assert errors == {"subcount: error: k must be nonnegative\n"}
 
 
+def test_count_emb_brute_on_a_path_deeper_than_the_recursion_limit(capsys, files):
+    p = files("p1200", Graph.path(1200))
+    code, rec = run(capsys, "count-emb", "-p", p, "-H", p, "--algo", "brute")
+    assert code == 0 and rec["count"] == "2"
+
+
 def test_state_matrix_published_values(capsys):
     code, rec = run(capsys, "state-matrix", "--n", "0")
     assert code == 0
