@@ -8,15 +8,23 @@ by masks: the last by one popcount of its candidate mask, the pair by one
 popcount per candidate of the last-but-one position.  That holds for the
 embedding search (where, when the last two pattern vertices are not
 adjacent, the pair is a product of popcounts less their overlap) and for
-the special counters of matchings, colorful matchings, paths and cycles.
-In the embedding search a pendant last pair (the last vertex's only
-earlier neighbor is the last-but-one, as in every kK2) is the sum of
-d(x) = |N(x) & allowed| over the candidates x, one popcount per bit plane
-of d, less the pairs whose second vertex is used, whenever that takes fewer
-popcounts than one per candidate; and the walk keeps its partial maps on an
-explicit stack, so no pattern is too deep for it.  The counters are fast
-enough for the graph sizes the test corpus and the reductions feed them (a
-couple dozen vertices).
+the special counters of matchings, colorful matchings, paths and cycles;
+the matching counter takes its last two edges as the pairs of available
+edges less those sharing an endpoint, one popcount per vertex with edges,
+when there are more available edges than such vertices.  In the embedding
+search a pendant last pair (the last vertex's only earlier neighbor is the
+last-but-one, as in every kK2) is the sum of d(x) = |N(x) & allowed| over
+the candidates x, one popcount per bit plane of d, less the pairs whose
+second vertex is used, whenever that takes fewer popcounts than one per
+candidate.  When the last pair is a K2 or 2K1 component of the pattern
+(as in every kK2), its count depends on nothing but the set of host
+vertices already used, so it is counted once per distinct used set and
+looked up for every other placement that yields that set; at most
+WORK_LIMIT such counts are stored, and every placement of the earlier
+positions is still walked.  The walk keeps its partial maps on an explicit
+stack, so no pattern is too deep for it.  The counters are fast enough for
+the graph sizes the test corpus and the reductions feed them (a couple
+dozen vertices).
 
 Counting conventions
 --------------------
@@ -31,7 +39,8 @@ Counting conventions
 
 from __future__ import annotations
 
-from .graphs import Graph, InconsistencyError, PreconditionError, iter_bits
+from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError,
+                     iter_bits)
 
 
 def _search_order(h: Graph, pinned=()):
@@ -159,8 +168,22 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
         if start == last:
             return candidates(last, image, used).bit_count()
         return count_last_two(image, used)
-    return sum(count_last_two(image, placed)
-               for placed in _placements(candidates, image, used, start, last - 2))
+    placements = _placements(candidates, image, used, start, last - 2)
+    pair = 1 << order[-2] | 1 << order[-1]
+    if (h.adj_mask(order[-2]) | h.adj_mask(order[-1])) & ~pair:
+        return sum(count_last_two(image, placed) for placed in placements)
+    # the last pair is a K2 or 2K1 component of h, so its count reads only the
+    # used set: count each distinct set once, storing at most WORK_LIMIT
+    counted: dict[int, int] = {}
+    total = 0
+    for placed in placements:
+        ways = counted.get(placed)
+        if ways is None:
+            ways = count_last_two(image, placed)
+            if len(counted) < WORK_LIMIT:
+                counted[placed] = ways
+        total += ways
+    return total
 
 
 def _placements(candidates, image, used, start, stop):
@@ -256,13 +279,19 @@ def count_colorpreserving_subgraphs(h: Graph, g: Graph) -> int:
     return count_embeddings(h, g, respect_colors=True)
 
 
-def _edge_clashes(g: Graph) -> list[int]:
-    """Per edge index, the bitmask of edge indices sharing an endpoint with
-    it (itself included)."""
+def _incidence(g: Graph) -> list[int]:
+    """Per vertex, the bitmask of edge indices at it."""
     incident = [0] * g.n
     for i, (u, v) in enumerate(g.edges):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
+    return incident
+
+
+def _edge_clashes(g: Graph) -> list[int]:
+    """Per edge index, the bitmask of edge indices sharing an endpoint with
+    it (itself included)."""
+    incident = _incidence(g)
     return [incident[u] | incident[v] for (u, v) in g.edges]
 
 
@@ -313,8 +342,11 @@ def count_colorful_matchings(g: Graph, colors) -> int:
 def count_matchings(g: Graph, k: int) -> int:
     """Number of k-edge matchings (equivalently #Sub of a k-matching).
 
-    The search takes edges in rising index order; the last two edges are
-    counted by one popcount per candidate for the last-but-one."""
+    The search takes edges in rising index order.  The last two edges are
+    the pairs of available edges less those sharing an endpoint, one
+    popcount per vertex with edges, when there are more available edges
+    than such vertices; otherwise one popcount per candidate for the
+    last-but-one."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     if k == 0:
@@ -322,6 +354,12 @@ def count_matchings(g: Graph, k: int) -> int:
     if 2 * k > g.n:
         return 0
     clash = _edge_clashes(g)
+    busy = [inc for inc in _incidence(g) if inc]
+    # a digraph's antiparallel arcs share both endpoints
+    index = {e: i for i, e in enumerate(g.edges)}
+    twins = [1 << i | 1 << index[v, u] for i, (u, v) in enumerate(g.edges)
+             if index.get((v, u), -1) > i]
+    cutoff = len(busy) + len(twins)
 
     def branch(avail, need):
         # edges are taken in rising index order, so each matching once
@@ -329,8 +367,15 @@ def count_matchings(g: Graph, k: int) -> int:
             return avail.bit_count()
         total = 0
         if need == 2:
-            # the last two edges: per edge x, one popcount of the edges
-            # above x that avoid clash[x]
+            a = avail.bit_count()
+            if a > cutoff:
+                # each clashing pair is counted at each endpoint it shares, so
+                # the twins, subtracted twice, are added back once
+                for inc in busy:
+                    c = (avail & inc).bit_count()
+                    total += c * (c - 1)
+                return (a * (a - 1) - total) // 2 + sum(avail & t == t for t in twins)
+            # per edge x, one popcount of the edges above x that avoid clash[x]
             while avail:
                 low = avail & -avail
                 avail ^= low

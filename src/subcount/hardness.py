@@ -310,7 +310,9 @@ def _mode_products(census: dict, rows, k: int) -> list[int]:
     native-order buffer.  A step reads the five contiguous blocks of the
     leading digit as ints, forms each output row from five scalar
     multiplies, which cannot carry between fields, and writes row r's fields
-    back at trailing digit r by strided slice assignment, one per word.
+    back at trailing digit r by strided slice assignment: one per byte on
+    the bytearray for 1- and 2-byte fields, one per word on a memoryview
+    for wider ones, whichever is faster at that width.
     """
     size = 5 ** k
     bound = sum(census.values()) * max(map(max, rows)) ** k
@@ -329,9 +331,13 @@ def _mode_products(census: dict, rows, k: int) -> list[int]:
               for j in range(5)]
         for r, row in enumerate(rows):
             y = sum(e * x for e, x in zip(row, xs)).to_bytes(blk, sys.byteorder)
-            y = memoryview(y).cast(fields.format)
-            for i in range(q):
-                fields[r * q + i::5 * q] = y[i::q]
+            if w < 4:
+                for i in range(w):
+                    buf[r * w + i::5 * w] = y[i::w]
+            else:
+                y = memoryview(y).cast(fields.format)
+                for i in range(q):
+                    fields[r * q + i::5 * q] = y[i::q]
     vals = fields[words[0]::q].tolist()
     for j in words[1:]:
         vals = [v << 64 | x for v, x in zip(vals, fields[j::q].tolist())]

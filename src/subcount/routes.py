@@ -45,6 +45,10 @@ from .graphs import Graph, iter_bits, min_vertex_cover
 # * brute now counts a pendant last pair (M3's last K2) by degree bit planes,
 # which took M3 in g26 to about 0.45 of the time above; _search_nodes still
 # charges one popcount per candidate, so it overstates such patterns.
+# * brute also counts a last pair that is a component of the pattern (M3's
+# last K2 again) once per used set, which took M3 in g26 to 23-31 ms
+# in-process, and count_matchings counts its last two edges by vertex
+# degrees, M4 in g26 about 22 ms; the constants were kept again.
 #
 #   instance (ms)        brute      vc  matchings  cycles
 #   triangle in g120      0.86    1.79               0.94
@@ -213,8 +217,11 @@ def _search_nodes(h: Graph, order, levels) -> float:
     last two positions, which are counted by one popcount per candidate of
     the last but one when they are adjacent, and by one product when not.
     brute counts a pendant last pair by degree bit planes when that is
-    cheaper; this still charges one popcount per candidate, so it overstates
-    such patterns (kK2 and anything ending in a K2 component)."""
+    cheaper, and a last pair that is a component of h (kK2 and anything
+    ending in a K2 or 2K1 component) once per distinct used set, not once
+    per partial map; this ignores both and still charges one node per
+    partial map and one popcount per candidate, so it overstates such
+    patterns."""
     joined = h.n >= 2 and h.has_edge(order[-1], order[-2])
     return _NODE * (sum(levels[:-2]) + 1) + (levels[-2] if joined else 0)
 

@@ -21,7 +21,8 @@ def test_automorphisms_of_standard_graphs():
     assert automorphism_count(Graph.complete(4)) == 24
     assert automorphism_count(Graph.cycle(5)) == 10
     assert automorphism_count(Graph.path(4)) == 2
-    for k in range(7):  # the last two positions are one matching edge
+    for k in range(7):  # the last two positions are one matching edge,
+        # counted once per used set
         assert automorphism_count(Graph.matching(k)) == 2 ** k * math.factorial(k)
     assert automorphism_count(petersen()) == 120
 
@@ -389,19 +390,40 @@ def _planted_host(rng, h, n):
     return Graph(n, sorted(edges)).with_vertex_colors(colors)
 
 
+def _last_pair_shape(h, pinned):
+    """How the search ends: in a K2 or 2K1 component of h, in a pendant pair
+    (the last vertex's only neighbor is the last-but-one) that is not a
+    component, or otherwise."""
+    a, b = _search_order(h, pinned)[-2:]
+    if not (h.adj_mask(a) | h.adj_mask(b)) & ~(1 << a | 1 << b):
+        return "component"
+    return "pendant" if h.adj_mask(b) == 1 << a else "other"
+
+
 def test_pendant_last_pair_agrees_with_networkx_monomorphisms(monkeypatch):
     # a search ending in a K2 component counts its last pair by the degree
     # bit planes when the last-but-one position has more candidates than the
-    # plane sum costs, and by one popcount per candidate otherwise; check
-    # both against an outside enumerator, plain, coloured and anchored
+    # plane sum costs, and by one popcount per candidate otherwise; and a
+    # last pair that is a K2 or 2K1 component of h is counted once per used
+    # set.  A pendant pair that is not a component reads the image of an
+    # earlier position, so counting it once per used set would be wrong for
+    # the tadpole (K3 with a 2-vertex tail) and for P5 anchored at an end;
+    # P4 and K_{1,3} end in such a pair only when anchored, with too few
+    # positions walked for two placements to share a used set.  Check all
+    # of them against an outside enumerator, plain, coloured and anchored
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
-    k2 = Graph.path(2)
+    k2, k3 = Graph.path(2), Graph.complete(3)
+    tadpole = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
     patterns = [Graph.matching(2), Graph.matching(3),
-                Graph.complete(3).disjoint_union(k2), Graph.path(3).disjoint_union(k2),
+                k3.disjoint_union(k2), Graph.path(3).disjoint_union(k2),
                 Graph.star(3).disjoint_union(k2),
-                Graph.cycle(4).disjoint_union(Graph.matching(2))]
+                Graph.cycle(4).disjoint_union(Graph.matching(2)),
+                Graph.cycle(4).disjoint_union(Graph.empty(2)),
+                k3.disjoint_union(Graph.empty(2)),
+                Graph.path(4), Graph.star(3), Graph.path(5), tadpole]
     branches = Counter()  # plane sum chosen: True / False
+    shapes = Counter()
     plan = brute._search_plan
 
     def spy(h, g, respect_colors, pinned=()):
@@ -428,6 +450,7 @@ def test_pendant_last_pair_agrees_with_networkx_monomorphisms(monkeypatch):
                     GraphMatcher(_to_nx(nx, g), _to_nx(nx, h)).subgraph_monomorphisms_iter()]
             colored = [im for im in maps
                        if all(h.vcolors[v] == g.vcolors[im[v]] for v in range(h.n))]
+            shapes[_last_pair_shape(h, ())] += 1
             assert count_embeddings(h, g) == len(maps)
             assert count_embeddings(h, g, respect_colors=True) == len(colored)
             for pool in (maps, colored):
@@ -436,6 +459,8 @@ def test_pendant_last_pair_agrees_with_networkx_monomorphisms(monkeypatch):
                     image = rng.choice(pool) if pool else rng.sample(range(g.n), h.n)
                     pinned = rng.sample(range(h.n), rng.randint(1, 2))
                     anchor = {v: image[v] for v in pinned}
+                    if len(pinned) <= h.n - 3:  # positions are left to walk
+                        shapes[_last_pair_shape(h, sorted(pinned))] += 1
                     for respect, among in ((False, maps), (True, colored)):
                         want = sum(1 for im in among
                                    if all(im[v] == gv for v, gv in anchor.items()))
@@ -446,6 +471,36 @@ def test_pendant_last_pair_agrees_with_networkx_monomorphisms(monkeypatch):
         assert count_embeddings(pattern, pattern) == sum(
             1 for _ in GraphMatcher(H, H).isomorphisms_iter())
     assert branches[True] and branches[False]
+    assert shapes.keys() == {"component", "pendant", "other"}
+
+
+def test_component_last_pair_store_is_capped(monkeypatch):
+    # 3K2 in G(26, .3) ends in a K2 component; with the store of per-set
+    # counts capped at 8, the first 8 used sets are counted once and every
+    # later set at each placement that yields it, and the count stays put
+    g = rand_graph(random.Random(26), 26, 0.3)
+    h = Graph.matching(3)
+    order, candidates, _ = brute._search_plan(h, g, False)
+    sets = Counter(brute._placements(candidates, [0] * h.n, 0, 0, h.n - 3))
+    calls = []
+    plan = brute._search_plan
+
+    def spy(h, g, respect_colors, pinned=()):
+        order, candidates, count_last_two = plan(h, g, respect_colors, pinned)
+
+        def counted(image, used):
+            calls.append(used)
+            return count_last_two(image, used)
+        return order, candidates, counted
+
+    monkeypatch.setattr(brute, "_search_plan", spy)
+    want = 48 * count_matchings(g, 3)
+    assert count_embeddings(h, g) == want
+    assert len(calls) == len(sets) > 8
+    calls.clear()
+    monkeypatch.setattr(brute, "WORK_LIMIT", 8)
+    assert count_embeddings(h, g) == want
+    assert len(calls) == 8 + sum(list(sets.values())[8:])
 
 
 def test_cycles_agree_with_networkx_simple_cycles():
@@ -462,15 +517,24 @@ def test_cycles_agree_with_networkx_simple_cycles():
 
 
 def test_matchings_agree_with_direct_enumeration():
+    # count_matchings counts its last two edges by vertex degrees when the
+    # available edges outnumber the vertices with edges plus a digraph's
+    # antiparallel pairs, and per edge otherwise; at k = 2 every edge is
+    # available, so the corpus reaches both rules on graphs and digraphs
     rng = random.Random(5)
+    by_degrees = set()
     for trial in range(60):
         n = rng.randint(2, 9)
         g = (rand_digraph(rng, n, rng.uniform(0.2, 0.6)) if trial % 2
              else rand_graph(rng, n, rng.uniform(0.2, 0.8)))
+        busy = sum(1 for v in range(n) if g.adj_mask(v))
+        twins = sum(1 for u, v in g.edges if g.directed and u < v and g.has_edge(v, u))
+        by_degrees.add((g.directed, g.m > busy + twins))
         for k in range(5):
             direct = sum(1 for combo in combinations(g.edges, k)
                          if len({v for e in combo for v in e}) == 2 * k)
             assert count_matchings(g, k) == direct
+    assert by_degrees == {(False, True), (False, False), (True, True), (True, False)}
     # antiparallel arcs share both endpoints
     assert count_matchings(Graph(2, [(0, 1), (1, 0)], directed=True), 1) == 2
     assert count_matchings(Graph(4, [(0, 1), (1, 0), (2, 3)], directed=True), 2) == 2

@@ -268,7 +268,10 @@ def test_solve_theta_star_refuses_incomplete_queries():
 def test_packed_mode_products_match_the_list_chain(padding):
     """Empty, single-type and dense seeded censuses at k = 1..4: the field
     widths run from one byte (the empty census) to four 8-byte words (the
-    dense census at padding 100)."""
+    dense census at padding 100).  The single-type censuses at padding 3
+    and 4 take the per-byte write-back: one nonzero 1-byte case (k = 1 at
+    padding 3) and 2-byte cases holding entries above 255, so a swapped
+    byte order fails here."""
     rows = state_matrix(padding - 3)
     rng = random.Random(padding)
     widest = 0
