@@ -285,10 +285,11 @@ def _cover_size(adj: list[int], active: int, memo: dict[int, int]) -> int:
     cached = memo.get(active)
     if cached is not None:
         return cached
-    # pendant shortcut: some optimum cover takes the neighbour of a
-    # degree-1 vertex, so paths and cycles shrink without branching
-    best_v, best_deg = -1, 0
-    m = active
+    # pendant peel: some optimum cover takes the neighbour of a degree-1
+    # vertex, so paths and cycles shrink in this loop without branching;
+    # the scan restarts after each peel and drops isolated vertices
+    start, peeled = active, 0
+    best_v, best_deg, m = -1, 0, active
     while m:
         low = m & -m
         v = low.bit_length() - 1
@@ -296,20 +297,21 @@ def _cover_size(adj: list[int], active: int, memo: dict[int, int]) -> int:
         nv = adj[v] & active
         d = nv.bit_count()
         if d == 1:
-            res = 1 + _cover_size(adj, active & ~(nv | low), memo)
-            memo[active] = res
-            return res
-        if d > best_deg:
+            peeled += 1
+            active &= ~(nv | low)
+            best_v, best_deg, m = -1, 0, active
+        elif d == 0:
+            active ^= low
+        elif d > best_deg:
             best_v, best_deg = v, d
-    if best_deg == 0:
-        memo[active] = 0
-        return 0
-    nv = adj[best_v] & active
-    take_v = 1 + _cover_size(adj, active & ~(1 << best_v), memo)
-    take_nb = nv.bit_count() + _cover_size(adj, active & ~(nv | (1 << best_v)), memo)
-    res = min(take_v, take_nb)
-    memo[active] = res
-    return res
+    res = memo.get(active) if best_deg else 0
+    if res is None:
+        nv = adj[best_v] & active
+        take_v = 1 + _cover_size(adj, active & ~(1 << best_v), memo)
+        take_nb = best_deg + _cover_size(adj, active & ~(nv | (1 << best_v)), memo)
+        res = memo[active] = min(take_v, take_nb)
+    memo[start] = peeled + res
+    return peeled + res
 
 
 def min_vertex_cover(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -34,15 +34,18 @@ alignment types:
 The residue graph R_s normalizes type s to exactly three touched gadgets, so
 a class of n gadgets in state s is R_s plus (n-3) intact six-cycles.  Its
 count of A_t-colorful matchings, p_{s,t}(n-3), is a polynomial of degree at
-most six in the padding; state_matrix holds its 25 values at one padding.
+most six in the padding; state_matrix holds its 25 values at one padding,
+each a sum of falling factorials of the intact-gadget count whose
+coefficients every process computes once from CYCLE_LAYOUT.
 
 Without an injected oracle the gadget host is never built: per host the
-census of link-matching types, folded with the five-by-five class extension
-matrix by k mode products on packed integers, gives the table of all 5^k
-query values, and the solve reads that table as its query vector.  The
-solve must give back the census's own aligned count; a disagreement raises
-InconsistencyError.  An injected oracle instead answers each query on the
-explicit edge-colored host.
+census of link-matching types, counted by a dynamic programme over the
+pattern edges after an up-front bound on its work, is folded with the
+five-by-five state matrix by k mode products on packed integers into the
+table of all 5^k query values, and the solve reads that table as its query
+vector.  The solve must give back the census's own aligned count; a
+disagreement raises InconsistencyError.  An injected oracle instead answers
+each query on the explicit edge-colored host.
 """
 
 from __future__ import annotations
@@ -80,33 +83,61 @@ TYPE_DAMAGE = {
 
 TYPES = (1, 2, 3, 4, 5)
 
-#: A_t as the sorted color tuple the extension tables are keyed by
-_A_COLORS = {t: tuple(sorted(A_SETS[t])) for t in TYPES}
 
-
-def gadget_graph(missing_slots=frozenset()) -> Graph:
-    """One six-cycle gadget with the given w-slots deleted, edges colored by
-    delta color."""
-    dead = {_W_OFFSET[j] for j in missing_slots}
-    keep = [v for v in range(6) if v not in dead]
-    idx = {v: i for i, v in enumerate(keep)}
-    ed, ec = [], []
+def _matching_colors(dead: int = 0) -> list[int]:
+    """Delta-color masks (bit c - 1 for color c) of the matchings of one
+    gadget without the local vertices in ``dead``, the empty one included."""
+    found = [(0, 0)]  # (vertex mask, color mask) of each matching so far
     for (u, v, c) in CYCLE_LAYOUT:
-        if u in idx and v in idx:
-            ed.append((idx[u], idx[v]))
-            ec.append(c)
-    return Graph(len(keep), ed, ecolors=ec)
+        ends = 1 << u | 1 << v
+        if not ends & dead:
+            found += [(vs | ends, cs | 1 << c - 1) for vs, cs in found if not vs & ends]
+    return [cs for _vs, cs in found]
+
+
+@lru_cache(maxsize=None)
+def _state_coefficients() -> list:
+    """c[t][s][j] = sum over S of D_s[S] * Q_j[A_t \\ S], so that
+    p_{s,t}(x) = sum_j c[t][s][j] * (x + 3 - touched_s)_j.
+
+    D_s[S] counts the matchings of type s's damaged gadgets on color set S,
+    and Q_j[R] the splits of R into j blocks, each the color set of a
+    matching of the intact six-cycle; the (N)_j ordered choices of distinct
+    intact gadgets for the j blocks give the falling factorial.
+    """
+    blocks = [cs for cs in _matching_colors() if cs]
+    by_low = [[b for b in blocks if b & -b == 1 << i] for i in range(6)]
+    # Q_j[R] as 32-bit field j of splits[R]: one block holds R's lowest
+    # color, and the splits of the rest move up one field
+    splits = [1]
+    for rest in range(1, 64):
+        low = (rest & -rest).bit_length() - 1
+        splits.append(sum(splits[rest ^ b] for b in by_low[low] if b & rest == b) << 32)
+    damaged = []
+    for s in TYPES:
+        masks = [0]
+        for slots in TYPE_DAMAGE[s]:
+            gadget = _matching_colors(sum(1 << _W_OFFSET[j] for j in slots))
+            masks = [a | b for a in masks for b in gadget if not a & b]
+        damaged.append(masks)
+    coefficients = []
+    for t in TYPES:
+        want = sum(1 << c - 1 for c in A_SETS[t])
+        packed = [sum(splits[want ^ cs] for cs in masks if cs & want == cs)
+                  for masks in damaged]
+        coefficients.append([[p >> 32 * j & 0xFFFFFFFF for j in range(7)] for p in packed])
+    return coefficients
 
 
 def state_matrix(x: int) -> list[list[int]]:
-    """The five-by-five matrix [t][s] = p_{s,t}(x), read from the extension
-    counts of one class of x + 3 gadgets; rows are query sets, columns
-    alignment types, matching the published layout at x = 0.  The padding x
-    counts intact six-cycles, so it must be nonnegative."""
+    """The five-by-five matrix [t][s] = p_{s,t}(x) from the coefficients of
+    ``_state_coefficients``; rows are query sets, columns alignment types,
+    matching the published layout at x = 0.  The padding x counts intact
+    six-cycles, so it must be nonnegative."""
     if x < 0:
         raise PreconditionError(f"state matrix needs padding x >= 0, got {x}")
-    return [[_class_extension_count(s, _A_COLORS[t], x + 3) for s in TYPES]
-            for t in TYPES]
+    return [[sum(c * math.perm(x + 3 - len(TYPE_DAMAGE[s]), j) for j, c in enumerate(cs))
+             for s, cs in zip(TYPES, row)] for row in _state_coefficients()]
 
 
 # ---------------------------------------------------------------------------
@@ -227,33 +258,59 @@ class TriangleGraph:
         """How many complete link matchings produce each type vector.
 
         Link choices are independent across pattern edges (each w-slot
-        belongs to exactly one pattern edge), so this enumerates the product
-        of the realization lists and classifies each combination.  Cached;
-        the answer table reads it once per host.
+        belongs to exactly one pattern edge), so a dynamic programme adds
+        the pattern edges one at a time in sorted edge order, which fills
+        every class's slots in slot order.  A state holds the type of each
+        complete class and the members at the filled slots of each open
+        one, packed into one int: class a keeps slot 1 in field 2a, slot 2
+        in field 2a + 1, and its type in field 2a once slot 3 is filled.  A
+        step merges, per value of the fields its completing classes read,
+        the realizations that give the same increment.
+
+        An empty realization list leaves no state to step, so the census is
+        {}.  Otherwise the work, the sum over edges i of min(prefix product,
+        state-space size before i) * |realizations_i|, is bounded first, and
+        a bound above 20,000,000 raises PreconditionError.  Cached; the
+        answer table reads it once per host.
         """
         if self._theta_counts is not None:
             return self._theta_counts
-        total = math.prod(map(len, self.realizations))
-        if total > 20_000_000:
+        states = {0: 1} if all(self.realizations) else {}
+        sizes = [len(mem) for mem in self.members]
+        ends = [((a, self.slot[(a, (a, b))]), (b, self.slot[(b, (a, b))]))
+                for a, b in self.edge_list]
+        filled, prefix, work = [0] * self.k, 1, 0
+        for pairs, step in zip(self.realizations, ends):
+            space = math.prod(5 if f == 3 else s ** f for s, f in zip(sizes, filled))
+            work += min(prefix, space) * len(pairs)
+            prefix *= len(pairs)
+            for (a, _slot) in step:
+                filled[a] += 1
+        if states and work > 20_000_000:
             raise PreconditionError(
-                f"the link matching census would enumerate {total} combinations, "
+                f"the link matching census is bounded by {work} state updates, "
                 "above the limit of 20000000; this host is too dense for the "
                 "structured counter")
-        counts: dict = {}
-        if total:
-            edge_ends = []
-            for e_idx, (a, b) in enumerate(self.edge_list):
-                sa, sb = self.slot[(a, (a, b))], self.slot[(b, (a, b))]
-                edge_ends.append((a, sa, b, sb))
-            for combo in product(*self.realizations):
-                hit = [[None, None, None] for _ in range(self.k)]
-                for (a, sa, b, sb), (ia, ib) in zip(edge_ends, combo):
-                    hit[a][sa - 1] = ia
-                    hit[b][sb - 1] = ib
-                theta = tuple(_slot_type(h1, h2, h3) for (h1, h2, h3) in hit)
-                counts[theta] = counts.get(theta, 0) + 1
-        self._theta_counts = counts
-        return counts
+        width = max(3, max(sizes).bit_length())
+        ones = (1 << width) - 1
+        for pairs, step in zip(self.realizations, ends):
+            reads = sum(ones << 2 * a * width | ones << (2 * a + 1) * width
+                        for a, s in step if s == 3)
+            merged, new = {}, {}
+            for key, cnt in states.items():
+                ctx = key & reads
+                incs = merged.get(ctx)
+                if incs is None:
+                    incs = merged[ctx] = _increments(ctx, pairs, step, width)
+                key ^= ctx
+                for inc, mult in incs:
+                    nk = key + inc
+                    new[nk] = new.get(nk, 0) + cnt * mult
+            states = new
+        self._theta_counts = {
+            tuple(key >> 2 * a * width & ones for a in range(self.k)): cnt
+            for key, cnt in states.items()}
+        return self._theta_counts
 
     def answer_table(self) -> list[int]:
         """Every query value, b = (E x ... x E) . census, as one list indexed
@@ -344,6 +401,22 @@ def _mode_products(census: dict, rows, k: int) -> list[int]:
     return vals
 
 
+def _increments(ctx: int, pairs, step, width: int) -> list:
+    """(increment, multiplicity) for each distinct increment that one
+    census step's realizations ``pairs`` add to a state whose completing
+    classes hold the members ``ctx``; ``step`` gives (class, slot) per end."""
+    ones = (1 << width) - 1
+    out: dict = {}
+    for pair in pairs:
+        inc = 0
+        for (a, s), u in zip(step, pair):
+            lo = 2 * a * width
+            inc += (_slot_type(ctx >> lo & ones, ctx >> lo + width & ones, u) << lo
+                    if s == 3 else u << lo + (s - 1) * width)
+        out[inc] = out.get(inc, 0) + 1
+    return list(out.items())
+
+
 def _slot_type(u1, u2, u3) -> int:
     if u1 == u2 == u3:
         return 1
@@ -386,82 +459,6 @@ def build_triangle_graph(h: Graph, g: Graph, padding: int | None = None) -> Tria
     if padding < floor_n:
         raise PreconditionError(f"padding must be at least {floor_n}")
     return TriangleGraph(h, g, padding)
-
-
-# ---------------------------------------------------------------------------
-# per-class matching counts
-#
-# One class's matchings depend only on its alignment state and query set, so
-# the extension tables below give the state matrix, and through it the
-# per-host answer table.  Brute counts on the residue graphs check them in
-# the tests.
-
-
-def _submask_fold(f: list[int], g: list[int]) -> list[int]:
-    """Subset convolution h[U] = sum over V <= U of f[V] g[U\\V]."""
-    size = len(f)
-    out = [0] * size
-    for u in range(size):
-        v = u
-        while True:
-            fv = f[v]
-            if fv:
-                out[u] += fv * g[u ^ v]
-            if v == 0:
-                break
-            v = (v - 1) & u
-    return out
-
-
-def _gadget_table(damage: frozenset, colors: tuple[int, ...]) -> list[int]:
-    """Indicator table over subsets of ``colors``: can one damaged gadget
-    host a matching using exactly that color subset?"""
-    g = gadget_graph(damage)
-    pos = {c: i for i, c in enumerate(colors)}
-    masks = []
-    for (u, v), c in zip(g.edges, g.ecolors):
-        if c in pos:
-            masks.append((1 << pos[c], (1 << u) | (1 << v)))
-    size = 1 << len(colors)
-    table = [0] * size
-    for pick in range(1 << len(masks)):
-        cmask, vmask, ok = 0, 0, True
-        for i, (cm, vm) in enumerate(masks):
-            if pick >> i & 1:
-                if vmask & vm:
-                    ok = False
-                    break
-                cmask |= cm
-                vmask |= vm
-        if ok:
-            table[cmask] += 1
-    return table
-
-
-@lru_cache(maxsize=None)
-def _class_extension_count(s: int, colors: tuple[int, ...], n: int) -> int:
-    """Matchings inside one class of n gadgets in alignment state s using
-    exactly the given delta colors, one edge each: fold the damaged gadgets'
-    tables, then the intact table n - (touched) times by binary power."""
-    table = None
-    for damage in TYPE_DAMAGE[s]:
-        t = _gadget_table(damage, colors)
-        table = t if table is None else _submask_fold(table, t)
-    intact = _gadget_table(frozenset(), colors)
-    power = n - len(TYPE_DAMAGE[s])
-    if power < 0:
-        raise PreconditionError("padding smaller than the touched gadget count")
-    acc = [0] * len(table)
-    acc[0] = 1
-    base = intact
-    while power:
-        if power & 1:
-            acc = _submask_fold(acc, base)
-        power >>= 1
-        if power:
-            base = _submask_fold(base, base)
-    table = _submask_fold(table, acc)
-    return table[len(table) - 1]
 
 
 # ---------------------------------------------------------------------------

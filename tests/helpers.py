@@ -4,21 +4,24 @@ All randomness flows through an explicit random.Random so every test is
 reproducible from its seed.  Besides the naive reference enumerators and
 the matching number, which is taken from networkx, this file also holds the
 paper's proof checks, which no command runs: the gadget no-common
-condition, restriction, strong sets and residue identity, the normal-form
-residue graphs and the list-based answer table of the colmatch reduction,
-the anchored placement count of the vc counter, and star numbers.
+condition, restriction, strong sets and residue identity; for the colmatch
+reduction the gadget graphs, the normal-form residue graphs, the list-based
+answer table, the product census and the folded state matrix; the anchored
+placement count of the vc counter; and star numbers.
 """
 
 import random
 from collections import namedtuple
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
 
 from subcount.brute import count_embeddings, count_subgraphs, is_isomorphic
 from subcount.gadgets import (MatchingGadget, _candidate_cores,
                               _completion_count, _core_view, _impostor_cores)
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
-from subcount.hardness import TYPE_DAMAGE, _kron_step, _type_index, gadget_graph
+from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES, _W_OFFSET,
+                               _kron_step, _slot_type, _type_index)
 from subcount.vc import _demand, _placement_counter
 
 
@@ -45,6 +48,23 @@ def rand_vertex_colored(rng: random.Random, n: int, p: float, ncolors: int) -> G
 def rand_edge_colored(rng: random.Random, n: int, p: float, ncolors: int) -> Graph:
     g = rand_graph(rng, n, p)
     return g.with_edge_colors([rng.randrange(ncolors) for _ in g.edges])
+
+
+def class_host(h: Graph, c: int, keep) -> Graph:
+    """c host vertices per vertex of the pattern h, vertex v coloured as
+    pattern vertex v // c; visiting the pairs u < v in order, a pair whose colours form an edge
+    (a, b) of h is joined when ``keep(a, b)`` says so."""
+    n = c * h.n
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if h.has_edge(u // c, v // c) and keep(u // c, v // c)]
+    return Graph(n, edges, vcolors=[h.vcolors[v // c] for v in range(n)])
+
+
+def random_class_host(h: Graph, c: int, p: float, seed: int = 1) -> Graph:
+    """The class host of h with each pattern-edge pair joined with
+    probability p, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    return class_host(h, c, lambda a, b: rng.random() < p)
 
 
 def petersen() -> Graph:
@@ -259,7 +279,21 @@ def residue_count_identity(gadget, g, ell):
     return total
 
 
-# -- colmatch: the normal-form residue graphs -----------------------------
+# -- colmatch: gadgets, residue graphs, census and state matrix -----------
+
+def gadget_graph(missing_slots=frozenset()) -> Graph:
+    """One six-cycle gadget with the given w-slots deleted, edges colored by
+    delta color."""
+    dead = {_W_OFFSET[j] for j in missing_slots}
+    keep = [v for v in range(6) if v not in dead]
+    idx = {v: i for i, v in enumerate(keep)}
+    ed, ec = [], []
+    for (u, v, c) in CYCLE_LAYOUT:
+        if u in idx and v in idx:
+            ed.append((idx[u], idx[v]))
+            ec.append(c)
+    return Graph(len(keep), ed, ecolors=ec)
+
 
 def residue_graph(s: int) -> Graph:
     """The 15-vertex normal form of alignment type s: its damaged gadgets
@@ -282,6 +316,97 @@ def kron_chain(census: dict, rows, k: int) -> list[int]:
     for _ in range(k):
         vec = _kron_step(vec, rows)
     return vec
+
+
+def census_by_product(tg) -> dict:
+    """The link-matching census of a gadget host by enumerating the product
+    of its realization lists and classifying each combination: the
+    reference for the census dynamic programme."""
+    counts = {}
+    ends = [(a, tg.slot[(a, (a, b))], b, tg.slot[(b, (a, b))]) for a, b in tg.edge_list]
+    for combo in product(*tg.realizations):
+        hit = [[None, None, None] for _ in range(tg.k)]
+        for (a, sa, b, sb), (ia, ib) in zip(ends, combo):
+            hit[a][sa - 1] = ia
+            hit[b][sb - 1] = ib
+        theta = tuple(_slot_type(*triple) for triple in hit)
+        counts[theta] = counts.get(theta, 0) + 1
+    return counts
+
+
+def _submask_fold(f: list[int], g: list[int]) -> list[int]:
+    """Subset convolution h[U] = sum over V <= U of f[V] g[U\\V]."""
+    size = len(f)
+    out = [0] * size
+    for u in range(size):
+        v = u
+        while True:
+            fv = f[v]
+            if fv:
+                out[u] += fv * g[u ^ v]
+            if v == 0:
+                break
+            v = (v - 1) & u
+    return out
+
+
+def _gadget_table(damage: frozenset, colors: tuple[int, ...]) -> list[int]:
+    """Indicator table over subsets of ``colors``: can one damaged gadget
+    host a matching using exactly that color subset?"""
+    g = gadget_graph(damage)
+    pos = {c: i for i, c in enumerate(colors)}
+    masks = []
+    for (u, v), c in zip(g.edges, g.ecolors):
+        if c in pos:
+            masks.append((1 << pos[c], (1 << u) | (1 << v)))
+    size = 1 << len(colors)
+    table = [0] * size
+    for pick in range(1 << len(masks)):
+        cmask, vmask, ok = 0, 0, True
+        for i, (cm, vm) in enumerate(masks):
+            if pick >> i & 1:
+                if vmask & vm:
+                    ok = False
+                    break
+                cmask |= cm
+                vmask |= vm
+        if ok:
+            table[cmask] += 1
+    return table
+
+
+@lru_cache(maxsize=None)
+def _class_extension_count(s: int, colors: tuple[int, ...], n: int) -> int:
+    """Matchings inside one class of n gadgets in alignment state s using
+    exactly the given delta colors, one edge each: fold the damaged gadgets'
+    tables, then the intact table n - (touched) times by binary power."""
+    table = None
+    for damage in TYPE_DAMAGE[s]:
+        t = _gadget_table(damage, colors)
+        table = t if table is None else _submask_fold(table, t)
+    intact = _gadget_table(frozenset(), colors)
+    power = n - len(TYPE_DAMAGE[s])
+    if power < 0:
+        raise PreconditionError("padding smaller than the touched gadget count")
+    acc = [0] * len(table)
+    acc[0] = 1
+    base = intact
+    while power:
+        if power & 1:
+            acc = _submask_fold(acc, base)
+        power >>= 1
+        if power:
+            base = _submask_fold(base, base)
+    table = _submask_fold(table, acc)
+    return table[len(table) - 1]
+
+
+def folded_state_matrix(x: int) -> list[list[int]]:
+    """The state matrix [t][s] = p_{s,t}(x) by subset-convolution folds of
+    the gadget tables over one class of x + 3 gadgets: the reference for the
+    falling-factorial coefficients."""
+    return [[_class_extension_count(s, tuple(sorted(A_SETS[t])), x + 3) for s in TYPES]
+            for t in TYPES]
 
 # -- vc: the placement count at one anchor --------------------------------
 

@@ -19,7 +19,8 @@ from subcount.fileio import read_graph, save_model, write_graph
 from subcount.graphs import Graph
 from subcount.polynomials import determinant
 
-from helpers import colorful, kron_chain, rand_bipartite, rand_graph
+from helpers import (class_host, colorful, kron_chain, rand_bipartite, rand_graph,
+                     random_class_host)
 
 
 def run(capsys, *argv):
@@ -542,24 +543,10 @@ def test_reduce_subpart_via_colmatch(capsys, files):
     assert rec["oracle_calls"] == 5 ** 6
 
 
-def _k33_class_host(c, keep):
-    """6c vertices, vertex v coloured v // c; visiting the pairs u < v in
-    order, a pair whose colours form an edge (i, 3 + j) of the colourful
-    K_{3,3} is joined when ``keep(i, 3 + j)`` says so."""
-    edges = [(u, v) for u in range(6 * c) for v in range(u + 1, 6 * c)
-             if u // c < 3 <= v // c and keep(u // c, v // c)]
-    return Graph(6 * c, edges, vcolors=[v // c for v in range(6 * c)])
-
-
-def _random_k33_class_host(c, p):
-    rng = random.Random(1)
-    return _k33_class_host(c, lambda a, b: rng.random() < p)
-
-
 def test_reduce_subpart_via_colmatch_on_a_random_class_host(capsys, files):
     # c = 3, p = .3: a census of 3,072 link matchings
     h = _K33
-    g = _random_k33_class_host(3, 0.3)
+    g = random_class_host(_K33, 3, 0.3)
     code, rec = run(capsys, "reduce-subpart-via-colmatch", "-p", files("h.g", h),
                     "-H", files("g.g", g))
     assert code == 0
@@ -570,7 +557,7 @@ def test_reduce_subpart_empty_census_is_not_refused(capsys, files):
     # every pattern colour pair but (2, 5) is complete between its classes of
     # 8: the census is 64^8 * 0 combinations, none to enumerate
     h = _K33
-    g = _k33_class_host(8, lambda a, b: (a, b) != (2, 5))
+    g = class_host(_K33, 8, lambda a, b: (a, b) != (2, 5))
     code, rec = run(capsys, "reduce-subpart-via-colmatch", "-p", files("h.g", h),
                     "-H", files("g.g", g))
     assert code == 0 and rec["count"] == "0" and rec["oracle_calls"] == 5 ** 6
@@ -578,13 +565,30 @@ def test_reduce_subpart_empty_census_is_not_refused(capsys, files):
 
 
 def test_reduce_subpart_dense_census_exits_2(capsys, files):
+    # classes of 8 with every pattern colour pair joined: 64 realizations
+    # per pattern edge, and the census work bound is refused before any step
     h = _K33
-    g = _random_k33_class_host(5, 0.3)
-    code = main(["reduce-subpart-via-colmatch", "-p", files("h.g", h),
-                 "-H", files("g.g", g)])
+    g = class_host(_K33, 8, lambda a, b: True)
+    hp, gp = files("h.g", h), files("g.g", g)
+    start = time.perf_counter()
+    code = main(["reduce-subpart-via-colmatch", "-p", hp, "-H", gp])
+    elapsed = time.perf_counter() - start
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "would enumerate 72576000 combinations, above the limit of 20000000" in err
+    assert ("bounded by 1527418944 state updates, above the limit of 20000000"
+            in err)
+    assert elapsed < 1.0
+
+
+def test_reduce_subpart_dense_census_is_counted(capsys, files):
+    # c = 5, p = .3: 72,576,000 link matchings, which the product census
+    # refused; the dynamic programme counts them
+    h = _K33
+    g = random_class_host(_K33, 5, 0.3)
+    code, rec = run(capsys, "reduce-subpart-via-colmatch", "-p", files("h.g", h),
+                    "-H", files("g.g", g))
+    assert code == 0 and rec["count"] == "0"
+    assert brute.count_colorpreserving_subgraphs(h, g) == 0
 
 
 def test_reduce_subpart_round_trip_disagreement_exits_3(capsys, files, monkeypatch):

@@ -109,15 +109,23 @@ def test_cover_witness_valid_and_minimal(seed):
     from itertools import combinations
     for small in combinations(range(g.n), size - 1) if size else ():
         assert not _is_cover(g, small)
+    # and the witness is the first optimum cover in lexicographic order
+    assert w == next(c for c in combinations(range(g.n), size) if _is_cover(g, c))
 
 
 def test_cover_of_long_paths_and_cycles():
     # a degree-1 vertex's neighbour is taken without branching, so paths and
-    # (after one branch) cycles cost linear recursion depth
+    # (after one branch) cycles are peeled in a loop
     t0 = time.perf_counter()
     assert min_vertex_cover(Graph.path(60)) == (30, tuple(range(0, 60, 2)))
     assert time.perf_counter() - t0 < 1
     assert min_vertex_cover(Graph.cycle(300))[0] == 150
+
+
+def test_cover_of_paths_and_cycles_longer_than_the_recursion_limit():
+    # the peel takes one pendant step per loop turn, not per stack frame
+    assert min_vertex_cover(Graph.path(2100)) == (1050, tuple(range(0, 2100, 2)))
+    assert min_vertex_cover(Graph.cycle(2101)) == (1051, (0, *range(1, 2100, 2)))
 
 
 # -- cover against matching ----------------------------------------------

@@ -11,14 +11,16 @@ from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.hardness import (A_SETS, CYCLE_LAYOUT, TYPE_DAMAGE, TYPES,
                                _mode_products, _type_index,
                                build_triangle_graph,
-                               directed_cycles_via_undirected, gadget_graph,
+                               directed_cycles_via_undirected,
                                matchings_via_directed_cycles,
                                solve_theta_star, state_matrix,
                                subpart_via_colmatch_oracle)
 from subcount.polynomials import (binomial_basis_from_values, determinant,
                                   forward_differences)
-from helpers import (iter_colorful_matchings, kron_chain, rand_bipartite,
-                     rand_digraph, rand_graph, residue_graph)
+from helpers import (census_by_product, class_host, folded_state_matrix,
+                     gadget_graph, iter_colorful_matchings, kron_chain,
+                     rand_bipartite, rand_digraph, rand_graph,
+                     random_class_host, residue_graph)
 
 # the published evaluation matrix at argument 0: rows are query sets t=1..5,
 # columns alignment types s=1..5
@@ -69,6 +71,13 @@ def test_residue_graphs_have_fifteen_vertices():
 
 def test_state_matrix_matches_published_values():
     assert state_matrix(0) == PUBLISHED_MATRIX
+
+
+def test_state_matrix_equals_the_folded_tables():
+    # the falling-factorial coefficients against the subset-convolution
+    # folds of the gadget tables, class by class
+    for x in range(41):
+        assert state_matrix(x) == folded_state_matrix(x)
 
 
 def test_state_matrix_rejects_negative_padding():
@@ -177,6 +186,63 @@ def test_theta_census_matches_brute_classification():
     assert brute == census
     # the aligned vector appears twice: the exact copy and the duplicate copy
     assert census.get((1, 1, 1, 1, 1, 1)) == 2
+
+
+def q3_colorful():
+    return Graph(8, [(u, u | 1 << b) for u in range(8) for b in range(3)
+                     if not u >> b & 1]).with_vertex_colors(range(8))
+
+
+def test_census_dp_matches_the_product_census():
+    # seeded K33 and Q3 class hosts with c = 1..4 and p = .1..9; hosts whose
+    # product census would pass 20,000 combinations are skipped, so the dense
+    # ones go to the brute comparison below
+    checked, params = 0, set()
+    for seed in range(2000):
+        rng = random.Random(seed)
+        h = rng.choice((colorful_k33(), q3_colorful()))
+        c, p = rng.randint(1, 4), rng.randint(1, 9) / 10
+        tg = build_triangle_graph(h, random_class_host(h, c, p, seed))
+        if math.prod(map(len, tg.realizations)) > 20_000:
+            continue
+        assert tg.theta_counts() == census_by_product(tg), (seed, h.n, c, p)
+        checked += 1
+        params.add((h.n, c))
+        if checked == 220:
+            break
+    assert checked == 220
+    assert params == {(k, c) for k in (6, 8) for c in (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_census_dp_with_one_empty_realization_list(which):
+    # the only empty list is the first, or the last, pattern edge in sorted
+    # order: the census is empty, also where the other lists are too dense
+    # for the work bound
+    for h in (colorful_k33(), q3_colorful()):
+        gone = sorted(h.edges)[which]
+        for c, p, seed in ((2, 0.8, 4), (3, 0.6, 5), (9, 1.0, 1)):
+            rng = random.Random(seed)
+            g = class_host(h, c, lambda a, b: (a, b) != gone and rng.random() < p)
+            tg = build_triangle_graph(h, g)
+            assert [i for i, r in enumerate(tg.realizations) if not r] == [
+                which % h.m]
+            assert tg.theta_counts() == census_by_product(tg) == {}
+            assert subpart_via_colmatch_oracle(h, g) == 0
+
+
+@pytest.mark.parametrize("k, c, p, want", [
+    (6, 3, 0.5, 1), (6, 4, 0.5, 17), (6, 5, 0.3, 0), (8, 2, 0.8, 28)])
+def test_census_dp_on_dense_class_hosts(k, c, p, want):
+    # hosts whose product census has 0.96M to 116M combinations
+    h = colorful_k33() if k == 6 else q3_colorful()
+    g = random_class_host(h, c, p)
+    assert count_colorpreserving_subgraphs(h, g) == want
+    tg = build_triangle_graph(h, g)
+    census = tg.theta_counts()
+    assert sum(census.values()) == math.prod(map(len, tg.realizations))
+    assert census.get((1,) * k, 0) == want
+    assert solve_theta_star(tg.answer_table(), tg.n, k) == want
 
 
 def test_structured_counter_agrees_with_generic():
