@@ -20,7 +20,7 @@ from collections import namedtuple
 from itertools import combinations
 from math import comb
 
-from .brute import count_subgraphs, find_embedding, is_isomorphic
+from .brute import _incidence, count_subgraphs, find_embedding, is_isomorphic
 from .graphs import Graph, InconsistencyError, PreconditionError, iter_bits, refuse_over_limit
 from .iex import signed_subset_sum
 from .polynomials import binomial_basis_from_values
@@ -308,10 +308,7 @@ def search_gadget(h, k):
     WORK_LIMIT candidate cores refuses itself before its scan."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    incident = [0] * h.n
-    for i, (u, v) in enumerate(h.edges):
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
+    incident = _incidence(h)
     # stack: (chosen edge index, untried candidates at its level); cand: edges that may join
     stack, cand, steps = [], (1 << h.m) - 1, 0
     while True:

@@ -18,11 +18,10 @@ so the choice is a function of (h, g) alone.
 """
 
 from functools import lru_cache
-from itertools import product
 from math import comb, factorial, inf
 
 from . import brute, vc
-from .graphs import Graph, iter_bits, min_vertex_cover
+from .graphs import Graph, iter_bits
 
 # A count by a route is estimated to take CALL_SECONDS[route] +
 # SECONDS_PER_UNIT[route] * estimate seconds, and a #Sub count by brute or vc
@@ -231,57 +230,15 @@ def _search_work(h: Graph, host: _Host) -> float:
     return host.n + _search_nodes(h, order, _tree_levels(h, order, host))
 
 
-def _bell(k: int) -> float:
-    """The Bell number B_k, or inf once the row passes the float range."""
-    row = [1]
-    for _ in range(k):
-        if row[0] > 1e300:
-            return inf
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
-
-
-def _term_bound(sizes) -> float:
-    """Upper bound on vc's placement terms for demand classes of ``sizes``:
-    one class of size d gives the d monomials N^1..N^d, classes of size one
-    give Bell(#classes) partitions, and in general the blocks holding one
-    vertex of the first class, taken recursively, reach every partition."""
-    if len(sizes) == 1:
-        return sizes[0]
-    if max(sizes, default=0) <= 1:
-        return _bell(len(sizes))
-    states = 1
-    for x in sizes:
-        states *= x + 1
-    if states > 1 << 8:
-        return _bell(sum(sizes))
-    memo = {}
-
-    def walk(d):
-        if d not in memo:
-            j0 = next((j for j, x in enumerate(d) if x), None)
-            if j0 is None:
-                return 1
-            blocks = product(*(range(j == j0, x + 1) for j, x in enumerate(d)))
-            memo[d] = sum(walk(tuple(x - y for x, y in zip(d, b))) for b in blocks)
-        return memo[d]
-
-    return walk(tuple(sizes))
-
-
 def _vc_work(h: Graph, host: _Host) -> float:
     """vc.count_emb_vc: the anchor loop, one anchor per orbit of the twin
     swaps, with Hall's cut taken only as "an anchor image has a neighbour";
     then per anchor one popcount chain per block key and one product per
-    placement term."""
-    core = vc._degree_first_core(h)
-    _tau, cover = min_vertex_cover(core)
-    demand = vc._demand(core, cover)
-    prev, _weight = vc._twin_cut(core, cover, demand)
-    terms = _f(_term_bound(sorted(demand.values())))
+    placement term.  inf when vc refuses h for its number of terms."""
+    core, cover, demand, terms, twins = vc._plan(h)
+    if twins is None:
+        return inf
+    prev, _weight = twins
     keys = 1 if len(demand) == 1 else _f(2 ** min(len(demand), len(cover)) - 1)
     levels = _tree_levels(core.induced(cover), range(len(cover)), host,
                           roots=host.at_least(1))

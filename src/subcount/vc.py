@@ -18,15 +18,21 @@ equal K(u) form a demand class, so the terms come from partitions of the
 demand multiset, not from the Bell(|U|) set partitions of U, and terms with
 equal key multisets are merged: K_{1,12} gets 12 terms, not 4.2 million.
 
-Anchors are enumerated by backtracking over the cover positions, each taking
-a free vertex adjacent to the images of its earlier cover neighbours; a branch
-is cut once Hall's condition fails for a demand class whose K(u) is placed.
+Anchors are walked by brute's placement walk, on its explicit stack, over
+the cover positions, each taking a free vertex adjacent to the images of its
+earlier cover neighbours; a vertex is not taken at the last position of a
+demand class's K(u) when Hall's condition then fails for that class.
 H is first relabelled by descending degree, so the lexicographically least
 minimum cover takes hubs, whose internal edges tie anchors to host edges.
 Cover positions are twins when swapping them keeps those edges and the
 demand multiset (a matching, an even cycle).  Twin swaps keep the anchored
 count and act freely on injective anchors, so only anchors whose images
 rise along each twin class are visited, and the sum is scaled by prod |class|!.
+
+The number of terms is bounded from the demand class sizes before they are
+built, and a pattern whose bound is above WORK_LIMIT (a path of 24 vertices
+has 12 singleton classes and Bell(12) = 4,213,597 partitions) is refused
+with PreconditionError, before the twin cut and before any expansion.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache, reduce
 from itertools import compress, product
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 from operator import or_
 
-from .brute import copies_from_embeddings
-from .graphs import Graph, PreconditionError, iter_bits, min_vertex_cover
+from .brute import _placements, copies_from_embeddings
+from .graphs import (WORK_LIMIT, Graph, PreconditionError, iter_bits, min_vertex_cover,
+                     refuse_over_limit)
 from .polynomials import falling_factorial
 
 
@@ -53,9 +60,51 @@ def _demand(h: Graph, cover: tuple[int, ...]) -> dict[int, int]:
     return demand
 
 
-def _placement_counter(demand: dict[int, int]) -> Callable[[int, list[int]], int]:
-    """The placement count as a function of the free-vertex mask and the
-    anchor images' adjacency masks (by cover position)."""
+def _bell(k: int) -> float:
+    """The Bell number B_k, or inf once the row passes the float range."""
+    row = [1]
+    for _ in range(k):
+        if row[0] > 1e300:
+            return inf
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def _term_bound(sizes) -> float:
+    """Upper bound on vc's placement terms for demand classes of ``sizes``:
+    one class of size d gives the d monomials N^1..N^d, classes of size one
+    give Bell(#classes) partitions, and in general the blocks holding one
+    vertex of the first class, taken recursively, reach every partition."""
+    if len(sizes) == 1:
+        return sizes[0]
+    if max(sizes, default=0) <= 1:
+        return _bell(len(sizes))
+    states = 1
+    for x in sizes:
+        states *= x + 1
+    if states > 1 << 8:
+        return _bell(sum(sizes))
+    memo = {}
+
+    def walk(d):
+        if d not in memo:
+            j0 = next((j for j, x in enumerate(d) if x), None)
+            if j0 is None:
+                return 1
+            blocks = product(*(range(j == j0, x + 1) for j, x in enumerate(d)))
+            memo[d] = sum(walk(tuple(x - y for x, y in zip(d, b))) for b in blocks)
+        return memo[d]
+
+    return walk(tuple(sizes))
+
+
+def _placement_counter(demand: dict[int, int]) -> Callable[[int, list[int], list[int]], int]:
+    """The placement count as a function of the free-vertex mask, the anchor
+    (the host vertex at each cover position) and the host's adjacency
+    masks."""
     classes = list(demand)
     # a monomial prod N(S)^e_S is one int with a field of ``width`` bits per
     # S holding e_S; e_S <= |U| < 2**width, so fields never carry and
@@ -97,12 +146,12 @@ def _placement_counter(demand: dict[int, int]) -> Callable[[int, list[int]], int
     def evaluate(sizes):
         return sum(c * prod(map(sizes.__getitem__, idx)) for c, idx in terms)
 
-    def placements(free, images):
+    def placements(free, image, adj):
         sizes = []
         for positions in keys:
             mask = free
             for p in positions:
-                mask &= images[p]
+                mask &= adj[image[p]]
             sizes.append(mask.bit_count())
         return evaluate(tuple(sizes))
 
@@ -141,63 +190,74 @@ def _twin_cut(h: Graph, cover: tuple[int, ...],
     return prev, weight
 
 
+@lru_cache(maxsize=64)
+def _plan(h: Graph):
+    """vc's plan for h, made here only: h's degree-first core, the core's
+    minimum vertex cover, its demand classes, the bound on the placement
+    terms, and the twin cut (prev, weight), which is None when the term
+    bound is above WORK_LIMIT, since such a count is refused.  Cached per
+    pattern, so estimating a route and counting by it take one cover."""
+    core = _degree_first_core(h)
+    _tau, cover = min_vertex_cover(core)
+    demand = _demand(core, cover)
+    terms = _term_bound(sorted(demand.values()))
+    twins = None if terms > WORK_LIMIT else _twin_cut(core, cover, demand)
+    return core, cover, demand, terms, twins
+
+
 def count_emb_vc(h: Graph, g: Graph) -> int:
     """#Emb(h -> g) by summing anchored counts over the injective images of
     a minimum vertex cover of h that keep the cover's internal edges, one
-    image per orbit of the twin swaps, times the orbit size."""
+    image per orbit of the twin swaps, times the orbit size.  Refused with
+    PreconditionError when the placement terms could exceed WORK_LIMIT."""
     if h.directed or g.directed:
         raise PreconditionError("embedding counting is for undirected graphs")
     if h.n > g.n:
         return 0
+    core, cover, demand, terms, twins = _plan(h)
+    size = f"{terms:.3g}" if terms < inf else "more than 1e300"
+    refuse_over_limit(terms, f"the vertex-cover count would sum up to {size} placement "
+                             f"terms per anchor over {len(demand)} demand classes")
     # isolated pattern vertices go injectively to whatever host vertices the
     # rest leaves free: one falling factorial, outside the plan
-    core = _degree_first_core(h)
     loose = falling_factorial(g.n - core.n, h.n - core.n)
-    h = core
-    _tau, cover = min_vertex_cover(h)
-    demand = _demand(h, cover)
     placements = _placement_counter(demand)
-    # cover positions j < i adjacent to position i in h
-    earlier = [[j for j in range(i) if h.has_edge(cover[i], cover[j])]
+    adj = [g.adj_mask(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    if not cover:
+        return loose * placements(full, (), adj)
+    # cover positions j < i adjacent to position i in the core
+    earlier = [[j for j in range(i) if core.has_edge(cover[i], cover[j])]
                for i in range(len(cover))]
-    # one anchor per orbit of the twin swaps: images rise along each class;
-    # low[i] masks the vertices above position i's image, low[-1] all of them
-    prev, weight = _twin_cut(h, cover, demand)
-    low = [-1] * (len(cover) + 1)
-    # Hall's condition, checked once position max(K) is placed: the vertices
-    # u with K(u) >= K need distinct free common neighbours of K's images,
-    # and later positions only take free vertices away
+    # one anchor per orbit of the twin swaps: images rise along each class
+    prev, weight = twins
+    # Hall's condition, checked at position max(K): the vertices u with
+    # K(u) >= K need distinct free common neighbours of K's images, and
+    # later positions only take free vertices away
     halls: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in cover]
     for key in demand:
         need = sum(d for k, d in demand.items() if k & key == key)
-        halls[key.bit_length() - 1].append((tuple(iter_bits(key)), need))
-    adj = [g.adj_mask(v) for v in range(g.n)]
-    images: list[int] = []
+        *before, last = iter_bits(key)
+        halls[last].append((tuple(before), need))
 
-    def extend(free):
-        i = len(images)
-        if i == len(cover):
-            return placements(free, images)
-        cand = free & low[prev[i]]
+    def candidates(i, image, used):
+        free = full & ~used
+        cand = free if prev[i] < 0 else free & -2 << image[prev[i]]
         for j in earlier[i]:
-            cand &= images[j]
-        total = 0
-        for v in iter_bits(cand):
-            images.append(adj[v])
-            low[i] = -2 << v
-            rest = free & ~(1 << v)
-            for positions, need in halls[i]:
-                mask = rest
-                for p in positions:
-                    mask &= images[p]
-                if mask.bit_count() < need:
-                    break
-            else:
-                total += extend(rest)
-            images.pop()
-        return total
+            cand &= adj[image[j]]
+        for before, need in halls[i]:
+            common = free
+            for p in before:
+                common &= adj[image[p]]
+            for v in iter_bits(cand):
+                if (common & adj[v]).bit_count() < need:
+                    cand ^= 1 << v
+        return cand
 
-    return weight * loose * extend((1 << g.n) - 1)
+    image = [0] * len(cover)
+    total = sum(placements(full & ~used, image, adj)
+                for used in _placements(candidates, image, 0, 0, len(cover) - 1))
+    return weight * loose * total
 
 
 def count_sub_vc(h: Graph, g: Graph) -> int:

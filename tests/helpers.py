@@ -431,7 +431,7 @@ def anchored_embedding_count(h: Graph, cover: tuple[int, ...], g: Graph,
                 return 0
     free = (1 << g.n) - 1 - sum(1 << v for v in image)
     return _placement_counter(_demand(h, cover))(
-        free, [g.adj_mask(v) for v in image])
+        free, image, [g.adj_mask(v) for v in range(g.n)])
 
 
 # -- subdivided stars ------------------------------------------------------

@@ -141,6 +141,25 @@ def test_verify_mode(capsys, files):
     assert rec["algorithm"] == "brute+vc" and rec["oracle_calls"] == 2
 
 
+def test_vc_refuses_before_expanding_its_terms(capsys, files, monkeypatch):
+    # P24 in itself: 12 singleton demand classes, Bell(12) = 4,213,597
+    # placement terms, refused before the twin cut or any expansion; auto
+    # counts it by brute
+    def never(*args):
+        raise AssertionError("a refused count must not build its plan's terms")
+
+    p24 = files("p24.g", Graph.path(24))
+    code, rec = run(capsys, "count-emb", "-p", p24, "-H", p24)
+    assert code == 0 and rec["count"] == "2" and rec["algorithm"] == "brute"
+    monkeypatch.setattr(vc, "_twin_cut", never)
+    monkeypatch.setattr(vc, "_placement_counter", never)
+    vc._plan.cache_clear()
+    for route in (["--algo", "vc"], ["--verify"]):
+        code = main(["count-emb", "-p", p24, "-H", p24, *route])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "4.21e+06" in err
+
+
 def test_count_subpart_routes_agree(capsys, files):
     rng = random.Random(5)
     h = Graph.cycle(4).with_vertex_colors([0, 1, 2, 3])

@@ -109,9 +109,21 @@ def test_choose_makes_no_count(monkeypatch):
         assert routes.choose(h, g) in routes.applicable(h)
 
 
+def test_vc_estimate_of_a_refused_pattern_skips_the_twin_cut(monkeypatch):
+    # P1100 has 550 singleton demand classes: vc refuses it, so its estimate
+    # is inf before the twin cut, which takes seconds on such a cover
+    def never(*args):
+        raise AssertionError("the twin cut of a refused pattern must not run")
+
+    monkeypatch.setattr(vc, "_twin_cut", never)
+    vc._plan.cache_clear()
+    p = Graph.path(1100)
+    assert routes.estimate("vc", p, p) == float("inf")
+
+
 def test_estimates_past_the_float_range():
     # exact counts past the float range end as inf, never as an error or
-    # nan: the orderings of a 171-vertex twin class of vc's cover, the tree
+    # nan: vc's Bell(171) placement terms for a 171-matching, the tree
     # bounds of a 250-leaf star, the walks of a 150-cycle in K150 and the
     # edge subsets of a 171-matching in K342
     ring = Graph(342, [(i, (i + 1) % 342) for i in range(342)])
@@ -122,7 +134,8 @@ def test_estimates_past_the_float_range():
     for route, h, g in big:
         assert routes.estimate(route, h, g) == float("inf")
     # no anchor image and orderings past the float range: 0 anchors, not nan
-    work = routes.estimate("vc", Graph.matching(171), Graph(342))
+    # (K_{171,171}: a 171-position twin class, one demand class of 171)
+    work = routes.estimate("vc", Graph.complete_bipartite(171, 171), Graph(342))
     assert 0 <= work < float("inf")
     assert routes.choose(Graph.matching(200), Graph(400)) == "matchings"
     assert routes.choose(Graph.matching(171), ring, sub=False) == "matchings"

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from subcount.brute import count_embeddings, count_subgraphs
 from subcount.graphs import Graph, PreconditionError, min_vertex_cover
 from subcount.polynomials import falling_factorial
-from subcount.vc import (_degree_first_core, _demand, _twin_cut, count_emb_vc,
-                         count_sub_vc)
+from subcount.vc import _plan, count_emb_vc, count_sub_vc
 from helpers import anchored_embedding_count, petersen, rand_graph
 
 
@@ -122,6 +121,16 @@ def test_sub_vc_equals_brute(seed):
     assert count_sub_vc(h, g) == count_subgraphs(h, g)
 
 
+def test_vc_count_equals_brute_on_a_seeded_corpus():
+    # the anchor walk, twin cut and Hall filter against brute's search on
+    # fixed pairs: patterns of 1-7 vertices in hosts of up to 14
+    rng = random.Random(26)
+    for _ in range(600):
+        h = rand_graph(rng, rng.randint(1, 7), rng.random())
+        g = rand_graph(rng, rng.randint(1, 14), rng.random())
+        assert count_emb_vc(h, g) == count_embeddings(h, g), (h.edges, g.n, g.edges)
+
+
 def test_vc_count_equals_networkx_monomorphisms():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
@@ -151,9 +160,7 @@ LEAVES_AND_SQUARE = Graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5)])
 
 
 def twin_plan(h):
-    core = _degree_first_core(h)
-    _, cover = min_vertex_cover(core)
-    prev, weight = _twin_cut(core, cover, _demand(core, cover))
+    core, cover, _demand, _terms, (prev, weight) = _plan(h)
     return core, cover, prev, weight
 
 
