@@ -45,12 +45,13 @@ def _record(count, algorithm, calls):
 
 def _count(args, run, pick, label=""):
     """Run the route --algo names, brute or vc, or under auto the route
-    ``pick()`` returns; under --verify run brute and vc and require
-    agreement.  ``run(route)`` returns (count, oracle calls).  Return the
+    ``pick()`` returns; under --verify run vc, then brute, and require
+    agreement (vc first, so a pattern vc refuses is refused before brute's
+    search).  ``run(route)`` returns (count, oracle calls).  Return the
     record, its algorithm prefixed by ``label``."""
     if args.verify:
-        nb, cb = run("brute")
         nv, cv = run("vc")
+        nb, cb = run("brute")
         if nb != nv:
             raise InconsistencyError(f"cross-check failed: brute={nb} vc={nv}")
         return _record(nb, label + "brute+vc", cb + cv)

@@ -233,9 +233,11 @@ def _search_work(h: Graph, host: _Host) -> float:
 def _vc_work(h: Graph, host: _Host) -> float:
     """vc.count_emb_vc: the anchor loop, one anchor per orbit of the twin
     swaps, with Hall's cut taken only as "an anchor image has a neighbour";
-    then per anchor one popcount chain per block key and one product per
-    placement term.  inf when vc refuses h for its number of terms."""
-    core, cover, demand, terms, twins = vc._plan(h)
+    then per anchor one popcount chain per block key and the placement
+    recurrence's steps, counted exactly by vc._lattice_work.  inf when vc
+    refuses h for its number of steps.  The per-anchor constants were fitted
+    to the placement terms that the steps replaced, so they overstate vc."""
+    core, cover, demand, steps, twins = vc._plan(h)
     if twins is None:
         return inf
     prev, _weight = twins
@@ -254,8 +256,8 @@ def _vc_work(h: Graph, host: _Host) -> float:
             work += above * host.n
         above = level / scale if level < inf else inf
         work += _NODE * above
-    per_anchor = _NODE + (keys + terms) * max(len(cover), len(demand))
-    return host.n + work + _times(above, per_anchor) + terms * len(demand)
+    per_anchor = _NODE + (keys + steps) * max(len(cover), len(demand))
+    return host.n + work + _times(above, per_anchor) + steps * len(demand)
 
 
 def _estimate(route: str, h: Graph, host: _Host) -> float:

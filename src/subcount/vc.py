@@ -13,10 +13,11 @@ with mu(pi) = prod_B (-1)^(|B|-1) (|B|-1)!, K(B) the union of K(u) over B,
 and N(S) the number of free host vertices adjacent to the images of all of S:
 one popcount of the free mask ANDed with their adjacency masks.
 
-The terms depend on H alone and are built once per count.  Vertices with
-equal K(u) form a demand class, so the terms come from partitions of the
-demand multiset, not from the Bell(|U|) set partitions of U, and terms with
-equal key multisets are merged: K_{1,12} gets 12 terms, not 4.2 million.
+Vertices with equal K(u) form a demand class.  Per anchor the sum is one
+numeric recurrence over the sub-vectors of the demand vector, whose steps
+depend on H alone and are built once per count, not a sum over the Bell(|U|)
+set partitions of U: K_{1,12} takes 12 steps, the falling factorial (N)_12,
+not 4.2 million terms.
 
 Anchors are walked by brute's placement walk, on its explicit stack, over
 the cover positions, each taking a free vertex adjacent to the images of its
@@ -29,10 +30,10 @@ demand multiset (a matching, an even cycle).  Twin swaps keep the anchored
 count and act freely on injective anchors, so only anchors whose images
 rise along each twin class are visited, and the sum is scaled by prod |class|!.
 
-The number of terms is bounded from the demand class sizes before they are
-built, and a pattern whose bound is above WORK_LIMIT (a path of 24 vertices
-has 12 singleton classes and Bell(12) = 4,213,597 partitions) is refused
-with PreconditionError, before the twin cut and before any expansion.
+The recurrence's steps are counted exactly from the demand class sizes
+before any is built, and a pattern with more than WORK_LIMIT of them (a path
+of 24 vertices has 12 singleton classes and (3^12 - 1)/2 = 265,720 steps) is
+refused with PreconditionError, before the twin cut and before any step.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from collections.abc import Callable
 from functools import lru_cache, reduce
 from itertools import compress, product
 from math import comb, factorial, inf, prod
-from operator import or_
+from operator import or_, sub
 
 from .brute import _placements, copies_from_embeddings
 from .graphs import (WORK_LIMIT, Graph, PreconditionError, iter_bits, min_vertex_cover,
@@ -60,91 +61,68 @@ def _demand(h: Graph, cover: tuple[int, ...]) -> dict[int, int]:
     return demand
 
 
-def _bell(k: int) -> float:
-    """The Bell number B_k, or inf once the row passes the float range."""
-    row = [1]
-    for _ in range(k):
-        if row[0] > 1e300:
-            return inf
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
+def _lattice_work(sizes) -> float:
+    """The number of steps in _steps for demand classes of ``sizes``, in
+    ascending order, as a float, or inf past 1e300.  The states whose first
+    non-empty class i is not the last take one step per block, d_i(d_i+1)/2
+    * prod_{j>i} (d_j+1)(d_j+2)/2 in all; the last class alone takes d_last."""
+    if not sizes:
+        return 0.0
+    work, scale = sizes[-1], 1
+    for i in range(len(sizes) - 1, 0, -1):
+        scale *= (sizes[i] + 1) * (sizes[i] + 2) // 2
+        work += sizes[i - 1] * (sizes[i - 1] + 1) // 2 * scale
+    return float(work) if work <= 1e300 else inf
 
 
-def _term_bound(sizes) -> float:
-    """Upper bound on vc's placement terms for demand classes of ``sizes``:
-    one class of size d gives the d monomials N^1..N^d, classes of size one
-    give Bell(#classes) partitions, and in general the blocks holding one
-    vertex of the first class, taken recursively, reach every partition."""
-    if len(sizes) == 1:
-        return sizes[0]
-    if max(sizes, default=0) <= 1:
-        return _bell(len(sizes))
-    states = 1
-    for x in sizes:
-        states *= x + 1
-    if states > 1 << 8:
-        return _bell(sum(sizes))
-    memo = {}
+def _steps(demand: dict[int, int]):
+    """The placement sum as one recurrence over the sub-vectors x of the
+    demand vector: (block keys as cover positions, steps, number of states).
 
-    def walk(d):
-        if d not in memo:
-            j0 = next((j for j, x in enumerate(d) if x), None)
-            if j0 is None:
-                return 1
-            blocks = product(*(range(j == j0, x + 1) for j, x in enumerate(d)))
-            memo[d] = sum(walk(tuple(x - y for x, y in zip(d, b))) for b in blocks)
-        return memo[d]
-
-    return walk(tuple(sizes))
+    p[x], the Moebius sum over the set partitions of x's vertices, sums over
+    the block of one fixed vertex of the first non-empty class j0: taking b_j
+    of each class j, it is one of prod_j C(x_j, b_j) * b_j0 / x_j0 blocks,
+    each of weight (-1)^(s-1) (s-1)! with s = sum b, and leaves p[x - b].
+    A step (x, x - b, weight, key) adds weight * N[key] * p[x - b] to p[x].
+    The classes go smallest first, so the last class alone is the falling
+    factorial (N_last)_x, one factor per step: N_last is N[0], and N[-x] is
+    N_last - x + 1."""
+    classes = sorted(demand, key=demand.get)
+    states = list(product(*(range(demand[k] + 1) for k in classes)))
+    where = {x: i for i, x in enumerate(states)}  # rising mixed-radix order
+    index = {classes[-1]: 0} if classes else {}  # block key -> place in N
+    steps: list[tuple[int, int, int, int]] = []
+    for x in states[1:]:
+        j0 = next(j for j, d in enumerate(x) if d)
+        if j0 == len(x) - 1:
+            steps.append((where[x], where[x[:-1] + (x[-1] - 1,)], 1, -x[-1]))
+            continue
+        for b in product(*(range(j == j0, d + 1) for j, d in enumerate(x))):
+            s = sum(b)
+            weight = ((-1) ** (s - 1) * factorial(s - 1) * comb(x[j0] - 1, b[j0] - 1)
+                      * prod(map(comb, x[j0 + 1:], b[j0 + 1:])))
+            key = index.setdefault(reduce(or_, compress(classes, b)), len(index))
+            steps.append((where[x], where[tuple(map(sub, x, b))], weight, key))
+    return [tuple(iter_bits(s)) for s in index], steps, len(states)
 
 
 def _placement_counter(demand: dict[int, int]) -> Callable[[int, list[int], list[int]], int]:
     """The placement count as a function of the free-vertex mask, the anchor
     (the host vertex at each cover position) and the host's adjacency
     masks."""
-    classes = list(demand)
-    # a monomial prod N(S)^e_S is one int with a field of ``width`` bits per
-    # S holding e_S; e_S <= |U| < 2**width, so fields never carry and
-    # multiplying two monomials is adding their ints
-    width = sum(demand.values()).bit_length()
-    unit: dict[int, int] = {}  # S as a bitmask -> 1 in its field
-    memo: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def expand(d):
-        """{monomial: coefficient} over the set partitions of demand vector
-        d.  The block of one fixed vertex of the first non-empty class j0
-        takes b_j of each class j, in prod_j C(d_j, b_j) * b_j0 / d_j0 ways."""
-        if d in memo:
-            return memo[d]
-        live = [j for j, x in enumerate(d) if x]
-        if not live:
-            return {0: 1}
-        j0 = live[0]
-        out = memo[d] = {}
-        for b in product(*(range(j == j0, x + 1) for j, x in enumerate(d))):
-            size = sum(b)
-            weight = ((-1) ** (size - 1) * factorial(size - 1)
-                      * prod(map(comb, d, b)) * b[j0] // d[j0])
-            key = reduce(or_, compress(classes, b))
-            one = unit.setdefault(key, 1 << width * len(unit))
-            for mono, coef in expand(tuple(x - y for x, y in zip(d, b))).items():
-                out[mono + one] = out.get(mono + one, 0) + weight * coef
-        return out
-
-    poly = expand(tuple(demand.values()))
-    keys = [tuple(iter_bits(s)) for s in unit]
-    terms = [(c, [i for i in range(len(keys))
-                  for _ in range(mono >> width * i & (1 << width) - 1)])
-             for mono, c in poly.items() if c]
+    keys, steps, states = _steps(demand)
+    top = max(demand.values(), default=0)
 
     # anchors with equal N(S) tuples are common (every anchor in a complete
-    # host), so a bounded memo skips re-summing the terms
+    # host), so a bounded memo skips re-running the steps
     @lru_cache(maxsize=4096)
-    def evaluate(sizes):
-        return sum(c * prod(map(sizes.__getitem__, idx)) for c, idx in terms)
+    def evaluate(n):
+        if top:
+            n += tuple(range(n[0] - top + 1, n[0] + 1))
+        p = [1] + [0] * (states - 1)
+        for state, rest, weight, key in steps:
+            p[state] += weight * n[key] * p[rest]
+        return p[-1]
 
     def placements(free, image, adj):
         sizes = []
@@ -193,31 +171,32 @@ def _twin_cut(h: Graph, cover: tuple[int, ...],
 @lru_cache(maxsize=64)
 def _plan(h: Graph):
     """vc's plan for h, made here only: h's degree-first core, the core's
-    minimum vertex cover, its demand classes, the bound on the placement
-    terms, and the twin cut (prev, weight), which is None when the term
-    bound is above WORK_LIMIT, since such a count is refused.  Cached per
-    pattern, so estimating a route and counting by it take one cover."""
+    minimum vertex cover, its demand classes, the placement recurrence's
+    steps per anchor, and the twin cut (prev, weight), which is None when
+    the steps are above WORK_LIMIT, since such a count is refused.  Cached
+    per pattern, so estimating a route and counting by it take one cover."""
     core = _degree_first_core(h)
     _tau, cover = min_vertex_cover(core)
     demand = _demand(core, cover)
-    terms = _term_bound(sorted(demand.values()))
-    twins = None if terms > WORK_LIMIT else _twin_cut(core, cover, demand)
-    return core, cover, demand, terms, twins
+    steps = _lattice_work(sorted(demand.values()))
+    twins = None if steps > WORK_LIMIT else _twin_cut(core, cover, demand)
+    return core, cover, demand, steps, twins
 
 
 def count_emb_vc(h: Graph, g: Graph) -> int:
     """#Emb(h -> g) by summing anchored counts over the injective images of
     a minimum vertex cover of h that keep the cover's internal edges, one
     image per orbit of the twin swaps, times the orbit size.  Refused with
-    PreconditionError when the placement terms could exceed WORK_LIMIT."""
+    PreconditionError when the placement recurrence runs more than
+    WORK_LIMIT steps per anchor."""
     if h.directed or g.directed:
         raise PreconditionError("embedding counting is for undirected graphs")
     if h.n > g.n:
         return 0
-    core, cover, demand, terms, twins = _plan(h)
-    size = f"{terms:.3g}" if terms < inf else "more than 1e300"
-    refuse_over_limit(terms, f"the vertex-cover count would sum up to {size} placement "
-                             f"terms per anchor over {len(demand)} demand classes")
+    core, cover, demand, steps, twins = _plan(h)
+    size = f"{steps:.3g}" if steps < inf else "more than 1e300"
+    refuse_over_limit(steps, f"the vertex-cover count would run {size} recurrence "
+                             f"steps per anchor over {len(demand)} demand classes")
     # isolated pattern vertices go injectively to whatever host vertices the
     # rest leaves free: one falling factorial, outside the plan
     loose = falling_factorial(g.n - core.n, h.n - core.n)

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import random
 import re
@@ -142,9 +143,9 @@ def test_verify_mode(capsys, files):
 
 
 def test_vc_refuses_before_expanding_its_terms(capsys, files, monkeypatch):
-    # P24 in itself: 12 singleton demand classes, Bell(12) = 4,213,597
-    # placement terms, refused before the twin cut or any expansion; auto
-    # counts it by brute
+    # P24 in itself: 12 singleton demand classes, (3^12 - 1)/2 = 265,720
+    # recurrence steps per anchor, refused before the twin cut or any step
+    # is built; auto counts it by brute
     def never(*args):
         raise AssertionError("a refused count must not build its plan's terms")
 
@@ -157,7 +158,32 @@ def test_vc_refuses_before_expanding_its_terms(capsys, files, monkeypatch):
     for route in (["--algo", "vc"], ["--verify"]):
         code = main(["count-emb", "-p", p24, "-H", p24, *route])
         out, err = capsys.readouterr()
-        assert code == 2 and out == "" and "4.21e+06" in err
+        assert code == 2 and out == "" and "2.66e+05" in err
+
+
+def test_verify_runs_vc_before_brute(capsys, files, monkeypatch):
+    # vc refuses P1100 in itself at once, so --verify exits 2 without brute
+    # searching a pattern it would count in full first
+    def never(*args, **kwargs):
+        raise AssertionError("brute must not run once vc has refused")
+
+    monkeypatch.setattr(brute, "count_embeddings", never)
+    vc._plan.cache_clear()
+    p1100 = files("p1100.g", Graph.path(1100))
+    code = main(["count-emb", "-p", p1100, "-H", p1100, "--verify"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "recurrence steps" in err
+
+
+def test_vc_counts_a_thousand_leaf_star_in_itself(capsys, files):
+    # one demand class of 1000 leaves: 1000 falling-factorial steps per
+    # anchor, with no recursion
+    star = files("star1000.g", Graph.star(1000))
+    t0 = time.perf_counter()
+    code, rec = run(capsys, "count-emb", "-p", star, "-H", star)
+    assert time.perf_counter() - t0 < 5
+    assert code == 0 and rec["algorithm"] == "vc"
+    assert rec["count"] == str(math.factorial(1000))
 
 
 def test_count_subpart_routes_agree(capsys, files):

@@ -123,7 +123,8 @@ def test_vc_estimate_of_a_refused_pattern_skips_the_twin_cut(monkeypatch):
 
 def test_estimates_past_the_float_range():
     # exact counts past the float range end as inf, never as an error or
-    # nan: vc's Bell(171) placement terms for a 171-matching, the tree
+    # nan: vc refuses a 171-matching, whose 171 singleton demand classes
+    # take (3^171 - 1)/2 recurrence steps per anchor, the tree
     # bounds of a 250-leaf star, the walks of a 150-cycle in K150 and the
     # edge subsets of a 171-matching in K342
     ring = Graph(342, [(i, (i + 1) % 342) for i in range(342)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from subcount.brute import count_embeddings, count_subgraphs
 from subcount.graphs import Graph, PreconditionError, min_vertex_cover
 from subcount.polynomials import falling_factorial
-from subcount.vc import _plan, count_emb_vc, count_sub_vc
+from subcount.vc import _lattice_work, _plan, _steps, count_emb_vc, count_sub_vc
 from helpers import anchored_embedding_count, petersen, rand_graph
 
 
@@ -121,14 +121,48 @@ def test_sub_vc_equals_brute(seed):
     assert count_sub_vc(h, g) == count_subgraphs(h, g)
 
 
+def spider(*legs):
+    """A centre with one path of each length in ``legs`` hanging off it."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Graph(n, edges)
+
+
+# patterns whose demand classes are large or many: stars, complete bipartite
+# graphs, spiders, and patterns with extra isolated vertices
+STRUCTURED = ([Graph.star(b) for b in range(1, 8)]
+              + [Graph.complete_bipartite(a, b) for a in range(1, 4) for b in range(1, 6)]
+              + [spider(*legs) for legs in ((2, 1), (2, 2), (2, 2, 1), (3, 1), (2, 2, 2),
+                                            (3, 2, 1), (1, 1, 1, 2))]
+              + [Graph(h.n + k, h.edges) for h in (Graph.path(3), Graph.cycle(4),
+                                                   Graph.star(3), Graph.matching(2),
+                                                   Graph.complete_bipartite(2, 2))
+                 for k in (1, 3)])
+
+
 def test_vc_count_equals_brute_on_a_seeded_corpus():
-    # the anchor walk, twin cut and Hall filter against brute's search on
-    # fixed pairs: patterns of 1-7 vertices in hosts of up to 14
+    # the anchor walk, twin cut, Hall filter and placement recurrence against
+    # brute's search on fixed pairs: patterns of 1-7 vertices in hosts of up
+    # to 14, then the structured patterns in hosts of up to 12
     rng = random.Random(26)
-    for _ in range(600):
-        h = rand_graph(rng, rng.randint(1, 7), rng.random())
-        g = rand_graph(rng, rng.randint(1, 14), rng.random())
-        assert count_emb_vc(h, g) == count_embeddings(h, g), (h.edges, g.n, g.edges)
+    pairs = [(rand_graph(rng, rng.randint(1, 7), rng.random()),
+              rand_graph(rng, rng.randint(1, 14), rng.random())) for _ in range(600)]
+    pairs += [(h, rand_graph(rng, rng.randint(h.n, 12), rng.uniform(0.3, 1)))
+              for h in STRUCTURED for _ in range(4)]
+    for h, g in pairs:
+        assert count_emb_vc(h, g) == count_embeddings(h, g), (h.n, h.edges, g.n, g.edges)
+
+
+def test_lattice_work_counts_the_recurrence_steps():
+    # demand vectors of 0-5 classes of size 1-4, with distinct keys
+    rng = random.Random(27)
+    for _ in range(200):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
+        demand = {1 << j | rng.getrandbits(3) << 5: d for j, d in enumerate(sizes)}
+        _keys, steps, _states = _steps(demand)
+        assert len(steps) == _lattice_work(sorted(sizes)), sizes
 
 
 def test_vc_count_equals_networkx_monomorphisms():
