@@ -2,29 +2,28 @@
 
 These are the ground-truth oracles everything else in the package is checked
 against, so they favor obviousness over speed: plain backtracking over
-adjacency bitmasks, no clever algebra.  Every count is an exhaustive search;
-only its last two levels are not walked one candidate at a time but counted
-by masks: the last by one popcount of its candidate mask, the pair by one
-popcount per candidate of the last-but-one position.  That holds for the
-embedding search (where, when the last two pattern vertices are not
-adjacent, the pair is a product of popcounts less their overlap) and for
-the special counters of matchings, colorful matchings, paths and cycles;
-the matching counter takes its last two edges as the pairs of available
-edges less those sharing an endpoint, one popcount per vertex with edges,
-when there are more available edges than such vertices.  In the embedding
-search a pendant last pair (the last vertex's only earlier neighbor is the
-last-but-one, as in every kK2) is the sum of d(x) = |N(x) & allowed| over
-the candidates x, one popcount per bit plane of d, less the pairs whose
-second vertex is used, whenever that takes fewer popcounts than one per
-candidate.  When the last pair is a K2 or 2K1 component of the pattern
-(as in every kK2), its count depends on nothing but the set of host
-vertices already used, so it is counted once per distinct used set and
-looked up for every other placement that yields that set; at most
-WORK_LIMIT such counts are stored, and every placement of the earlier
-positions is still walked.  The walk keeps its partial maps on an explicit
-stack, so no pattern is too deep for it.  The counters are fast enough for
-the graph sizes the test corpus and the reductions feed them (a couple
-dozen vertices).
+adjacency bitmasks, no clever algebra.  Every counter (embeddings, matchings,
+colorful matchings, paths and cycles) walks its placements on one explicit
+stack, _placements, so no pattern is too deep for it.  Only the last two
+positions are not walked one candidate at a time but counted by masks: the
+last by one popcount of its candidate mask, the pair by one popcount per
+candidate of the last-but-one position, in _pair_count.  In the embedding
+search a non-adjacent last pair is a product of popcounts less their
+overlap, and the matching counter takes its last two edges as the pairs of
+available edges less those sharing an endpoint, one popcount per vertex
+with edges, when there are more available edges than such vertices.  In the
+embedding search a pendant last pair (the last vertex's only earlier
+neighbor is the last-but-one, as in every kK2) is the sum of d(x) =
+|N(x) & allowed| over the candidates x, one popcount per bit plane of d,
+less the pairs whose second vertex is used, whenever that takes fewer
+popcounts than one per candidate.  When the last pair is a K2 or 2K1
+component of the pattern (as in every kK2), its count depends on nothing
+but the set of host vertices already used, so it is counted once per
+distinct used set and looked up for every other placement that yields that
+set; at most WORK_LIMIT such counts are stored, and every placement of the
+earlier positions is still walked.  The counters are fast enough for the
+graph sizes the test corpus and the reductions feed them (a couple dozen
+vertices).
 
 Counting conventions
 --------------------
@@ -124,12 +123,7 @@ def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
         for j in before:
             base &= adj[image[j]]
         if joined:  # x is never in adj[x], since Graph rejects loops
-            total = 0
-            while cand:
-                low = cand & -cand
-                total += (base & adj[low.bit_length() - 1]).bit_count()
-                cand ^= low
-            return total
+            return _pair_count(cand, base, adj)
         # every pair (x, y) from cand x base with x != y
         return cand.bit_count() * base.bit_count() - (cand & base).bit_count()
 
@@ -212,6 +206,25 @@ def _placements(candidates, image, used, start, stop):
             used |= low
             i += 1
             stack[i] = candidates(i, image, used)
+
+
+def _leaf_sum(last_two, candidates, image, used, start, stop):
+    """The sum of ``last_two(used)`` over the placements of positions
+    start..stop, or ``last_two(used)`` itself when start > stop."""
+    if start > stop:
+        return last_two(used)
+    return sum(map(last_two, _placements(candidates, image, used, start, stop)))
+
+
+def _pair_count(cand, base, masks):
+    """The sum over x in ``cand`` of |base & masks[x]|: one popcount per
+    candidate of the last-but-one position."""
+    total = 0
+    while cand:
+        low = cand & -cand
+        total += (base & masks[low.bit_length() - 1]).bit_count()
+        cand ^= low
+    return total
 
 
 def find_embedding(h: Graph, g: Graph, *, respect_colors=False):
@@ -299,9 +312,9 @@ def count_colorful_matchings(g: Graph, colors) -> int:
     """Edge subsets that are matchings and hit each color of ``colors``
     exactly once.  Edges of other colors are simply not usable.
 
-    The search takes one edge per color, smallest color class first; the
-    last two classes are counted by one popcount per edge of the
-    last-but-one."""
+    The placement walk takes one edge per color, smallest color class
+    first, from the edges that clash with no earlier choice; the last two
+    classes are counted by one popcount per edge of the last-but-one."""
     if g.ecolors is None:
         raise PreconditionError("host must be edge-colored")
     want = list(colors)
@@ -314,83 +327,76 @@ def count_colorful_matchings(g: Graph, colors) -> int:
         if c in by_color:
             by_color[c] |= 1 << i
     groups = sorted(by_color.values(), key=int.bit_count)
-    clash = _edge_clashes(g)
     last = len(groups) - 1
+    if not last:
+        return groups[0].bit_count()
+    full = (1 << g.m) - 1
+    avoid = [full ^ c for c in _edge_clashes(g)]
+    free = [full] * last  # free[i]: the edges that clash with no choice before i
 
-    def branch(i, blocked):
-        cand = groups[i] & ~blocked
-        if i == last:
-            return cand.bit_count()
-        if i == last - 1:
-            # the last two groups: per edge x of this one, one popcount of
-            # the last group's edges that avoid blocked | clash[x]
-            tail = groups[last] & ~blocked
-            total = 0
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                total += (tail & ~clash[low.bit_length() - 1]).bit_count()
-            return total
-        total = 0
-        for e in iter_bits(cand):
-            total += branch(i + 1, blocked | clash[e])
-        return total
+    def candidates(i, image, used):
+        if i:
+            free[i] = free[i - 1] & avoid[image[i - 1]]
+        return groups[i] & free[i]
 
-    return branch(0, 0)
+    def last_two(used):
+        rest = free[last - 2] & avoid[image[last - 2]] if last > 1 else full
+        return _pair_count(groups[last - 1] & rest, groups[last] & rest, avoid)
+
+    image = [0] * last
+    return _leaf_sum(last_two, candidates, image, 0, 0, last - 2)
 
 
 def count_matchings(g: Graph, k: int) -> int:
     """Number of k-edge matchings (equivalently #Sub of a k-matching).
 
-    The search takes edges in rising index order.  The last two edges are
-    the pairs of available edges less those sharing an endpoint, one
-    popcount per vertex with edges, when there are more available edges
-    than such vertices; otherwise one popcount per candidate for the
-    last-but-one."""
+    The placement walk takes edges in rising index order, each from the
+    edges that clash with no earlier choice.  The last two edges are the
+    pairs of available edges less those sharing an endpoint, one popcount
+    per vertex with edges, when there are more available edges than such
+    vertices; otherwise one popcount per available edge."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     if k == 0:
         return 1
     if 2 * k > g.n:
         return 0
-    clash = _edge_clashes(g)
+    if k == 1:
+        return g.m
+    # the edges above e that share no endpoint with it: edges rise along the
+    # positions, so each matching is taken once
+    full = (1 << g.m) - 1
+    later = [full & ~c & -2 << e for e, c in enumerate(_edge_clashes(g))]
     busy = [inc for inc in _incidence(g) if inc]
     # a digraph's antiparallel arcs share both endpoints
     index = {e: i for i, e in enumerate(g.edges)}
     twins = [1 << i | 1 << index[v, u] for i, (u, v) in enumerate(g.edges)
              if index.get((v, u), -1) > i]
     cutoff = len(busy) + len(twins)
+    last = k - 1
+    free = [full] * last  # free[i]: position i's candidates
 
-    def branch(avail, need):
-        # edges are taken in rising index order, so each matching once
-        if need == 1:
-            return avail.bit_count()
+    def candidates(i, image, used):
+        if i:
+            free[i] = free[i - 1] & later[image[i - 1]]
+        # too few edges left: cut here, above the hot last pair
+        return free[i] if free[i].bit_count() >= k - i else 0
+
+    def last_two(used):
+        avail = free[last - 2] & later[image[last - 2]] if last > 1 else full
+        a = avail.bit_count()
+        if a <= cutoff:
+            return _pair_count(avail, avail, later)
+        # each clashing pair is counted at each endpoint it shares, so the
+        # twins, subtracted twice, are added back once
         total = 0
-        if need == 2:
-            a = avail.bit_count()
-            if a > cutoff:
-                # each clashing pair is counted at each endpoint it shares, so
-                # the twins, subtracted twice, are added back once
-                for inc in busy:
-                    c = (avail & inc).bit_count()
-                    total += c * (c - 1)
-                return (a * (a - 1) - total) // 2 + sum(avail & t == t for t in twins)
-            # per edge x, one popcount of the edges above x that avoid clash[x]
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                total += (avail & ~clash[low.bit_length() - 1]).bit_count()
-            return total
-        # too few edges left: cut here, above the hot need == 2 level
-        if avail.bit_count() < need:
-            return 0
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            total += branch(avail & ~clash[low.bit_length() - 1], need - 1)
-        return total
+        for inc in busy:
+            c = (avail & inc).bit_count()
+            total += c * (c - 1)
+        return (a * (a - 1) - total) // 2 + sum(avail & t == t for t in twins)
 
-    return branch((1 << g.m) - 1, k)
+    image = [0] * last
+    return _leaf_sum(last_two, candidates, image, 0, 0, last - 2)
 
 
 def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
@@ -400,8 +406,8 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
     k >= 1, directed cycles k >= 2.  Each subgraph is counted once: paths by
     orienting from the smaller endpoint, cycles by anchoring at their minimum
     vertex (and, undirected, walking toward its smaller neighbor first).
-    The last two steps of a walk are counted by one popcount per candidate
-    for the last-but-one vertex.
+    The walk's vertices are placed by the placement walk, and its last two
+    are counted by one popcount per candidate for the last-but-one.
     """
     if kind not in ("path", "cycle"):
         raise PreconditionError(f"unknown walk pattern kind {kind!r}")
@@ -416,43 +422,37 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
         return 0  # more vertices than the host has
 
     step = [g.out_mask(v) for v in range(g.n)]
+    last = k if kind == "path" else k - 1  # the position of the walk's last vertex
+    image = [0] * (last + 1)
 
-    def walk(v, seen, left, last_ok):
-        """Number of ``left``-step walks from v through vertices not in
-        ``seen``, visiting none twice, that end in ``last_ok``."""
-        nxt = step[v] & ~seen
-        if left == 1:
-            return (nxt & last_ok).bit_count()
-        total = 0
-        if left == 2:
-            # the last two steps: per next vertex x, one popcount of
-            # step[x] & ~(seen | x) & last_ok; x is never in step[x], since
-            # Graph rejects loops
-            ok = last_ok & ~seen
-            while nxt:
-                low = nxt & -nxt
-                nxt ^= low
-                total += (step[low.bit_length() - 1] & ok).bit_count()
-            return total
-        for w in iter_bits(nxt):
-            total += walk(w, seen | 1 << w, left - 1, last_ok)
-        return total
+    def candidates(i, image, used):
+        return step[image[i - 1]] & ~used
 
-    if kind == "path":
-        # undirected: the last vertex lies above the first
-        return sum(walk(s, 1 << s, k, -1 if g.directed else -1 << (s + 1))
-                   for s in range(g.n))
+    def last_two(used):  # x is never in step[x], since Graph rejects loops
+        return _pair_count(step[image[last - 2]] & ~used, ok & ~used, step)
 
-    # cycles: s is the minimum vertex, so every vertex up to s counts as seen,
-    # and the last vertex must step back into s
+    def walks(first, used):  # on from image[first - 1], avoiding used
+        if first == last:
+            return (step[image[last - 1]] & ok & ~used).bit_count()
+        return _leaf_sum(last_two, candidates, image, used, first, last - 2)
+
     total = 0
-    for s in range(g.n):
+    for s in range(g.n):  # ok: where the walk's last vertex may lie
+        image[0] = s
+        # cycles: s is the minimum vertex, so every vertex up to s counts as
+        # seen, and the last vertex must step back into s
         below = (1 << (s + 1)) - 1
-        if g.directed:
-            total += walk(s, below, k - 1, g.in_mask(s))
-            continue
-        # undirected: the last vertex lies above the second, so each cycle
-        # is walked in one direction only
-        for w in iter_bits(step[s] & ~below):
-            total += walk(w, below | 1 << w, k - 2, g.adj_mask(s) & (-1 << (w + 1)))
+        if kind == "path":  # undirected: the last vertex lies above the first
+            ok = (1 << g.n) - (1 if g.directed else 2 << s)
+            total += walks(1, 1 << s)
+        elif g.directed:
+            ok = g.in_mask(s)
+            total += walks(1, below)
+        else:
+            # undirected: the last vertex lies above the second, so each
+            # cycle is walked in one direction only
+            for w in iter_bits(step[s] & ~below):
+                image[1] = w
+                ok = g.adj_mask(s) & -2 << w
+                total += walks(2, below | 1 << w)
     return total

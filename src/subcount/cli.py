@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import permutations
 from types import SimpleNamespace
 
-from . import brute, gadgets, hardness, iex, routes, structural, vc
+from . import brute, gadgets, hardness, iex, routes, structural
 from .fileio import (GraphParseError, dumps, format_matching, load_model,
                      parse_matching, read_graph, save_model, write_graph)
 from .graphs import WORK_LIMIT, Graph, InconsistencyError, PreconditionError
@@ -127,13 +127,14 @@ def _cmd_count_matchings(args):
         raise PreconditionError("k must be nonnegative")
 
     # a k-matching is a subgraph copy of the k-edge matching pattern; every
-    # route but vc is brute's matching counter
+    # route but vc is brute's matching counter.  A matching with more
+    # vertices than the host has none, and its pattern is not built.
     def run(route):
-        if route == "vc":
-            return vc.count_sub_vc(Graph.matching(k), g), 1
-        return brute.count_matchings(g, k), 1
+        if 2 * k > g.n:
+            return 0, 1
+        return routes.count_sub("matchings" if route == "brute" else route,
+                                Graph.matching(k), g), 1
 
-    # a matching with more vertices than the host has none
     return _count(args, run, lambda: "matchings" if 2 * k > g.n
                   else routes.choose(Graph.matching(k), g))
 

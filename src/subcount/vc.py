@@ -44,7 +44,7 @@ from itertools import compress, product
 from math import comb, factorial, inf, prod
 from operator import or_, sub
 
-from .brute import _placements, copies_from_embeddings
+from .brute import _leaf_sum, copies_from_embeddings
 from .graphs import (WORK_LIMIT, Graph, PreconditionError, iter_bits, min_vertex_cover,
                      refuse_over_limit)
 from .polynomials import falling_factorial
@@ -203,8 +203,6 @@ def count_emb_vc(h: Graph, g: Graph) -> int:
     placements = _placement_counter(demand)
     adj = [g.adj_mask(v) for v in range(g.n)]
     full = (1 << g.n) - 1
-    if not cover:
-        return loose * placements(full, (), adj)
     # cover positions j < i adjacent to position i in the core
     earlier = [[j for j in range(i) if core.has_edge(cover[i], cover[j])]
                for i in range(len(cover))]
@@ -234,8 +232,8 @@ def count_emb_vc(h: Graph, g: Graph) -> int:
         return cand
 
     image = [0] * len(cover)
-    total = sum(placements(full & ~used, image, adj)
-                for used in _placements(candidates, image, 0, 0, len(cover) - 1))
+    total = _leaf_sum(lambda used: placements(full & ~used, image, adj),
+                      candidates, image, 0, 0, len(cover) - 1)
     return weight * loose * total
 
 

@@ -91,6 +91,15 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     assert count_embeddings(p, p) == 2
     assert find_embedding(p, p) in (tuple(range(1200)), tuple(range(1199, -1, -1)))
     assert is_isomorphic(p, p)
+    # the special counters walk the same stack: one level per matching
+    # edge, colour class or walk vertex
+    assert count_matchings(Graph.matching(1000), 1000) == 1
+    assert count_walk_patterns(Graph.cycle(1100), "cycle", 1100) == 1
+    ring = Graph(1100, [(i, (i + 1) % 1100) for i in range(1100)], directed=True)
+    assert count_walk_patterns(ring, "cycle", 1100) == 1
+    assert count_walk_patterns(Graph.path(1100), "path", 1099) == 1
+    perfect = Graph.matching(1000).with_edge_colors(list(range(1000)))
+    assert count_colorful_matchings(perfect, range(1000)) == 1
 
 
 def test_colorpreserving_copies():

@@ -300,6 +300,17 @@ def test_count_matchings_perfect_matching_of_a_large_host(capsys, files):
         assert code == 0 and rec["count"] == "1"
 
 
+def test_deep_matchings_and_cycles_answer(capsys, files):
+    # a 1000-edge perfect matching and a 1100-cycle in themselves: one
+    # search level per edge or vertex, past Python's recursion limit
+    for argv in (["count-matchings", "-H", files("m.g", Graph.matching(1000)), "-k", "1000"],
+                 ["count-cycles", "-H", files("c.g", Graph.cycle(1100)), "-k", "1100"]):
+        t0 = time.perf_counter()
+        code, rec = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 5
+        assert code == 0 and rec["count"] == "1"
+
+
 def test_count_matchings_vc_route(capsys, files):
     gp = files("g.g", Graph.complete_bipartite(3, 3))
     code, rec = run(capsys, "count-matchings", "-H", gp, "-k", "2",

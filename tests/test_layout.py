@@ -4,8 +4,9 @@ The modules under ``src/subcount`` must import each other without a cycle,
 every name a module imports must be used there or re-exported through its
 ``__all__``, no module imports ``fractions``, ``decimal``, ``argparse`` or
 ``re``, ``json`` is imported only inside a function, in ``cli.py`` only
-``main`` and ``_parse`` print, and every top-level definition is reached from
-a command or ``subcount.__all__`` unless an allow-list names it.
+``main`` and ``_parse`` print, no function in ``brute`` or ``vc`` calls
+itself, and every top-level definition is reached from a command or
+``subcount.__all__`` unless an allow-list names it.
 """
 
 import ast
@@ -136,6 +137,17 @@ def test_only_main_and_parse_print_in_cli():
     inside = sum(len(prints(node)) for node in cli.body
                  if isinstance(node, ast.FunctionDef) and node.name in printers)
     assert len(prints(cli)) == inside, "print at module level or in a class"
+
+
+def test_brute_and_vc_do_not_recurse():
+    # their searches run on brute's explicit placement stack, so no pattern
+    # is too deep for Python's recursion limit; nested closures count too
+    found = [f"{name}.{node.name}" for name in ("brute", "vc")
+             for node in ast.walk(MODULES[name])
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                     and n.func.id == node.name for n in ast.walk(node))]
+    assert not found, f"calls itself: {found}"
 
 
 # Top-level definitions that no command reaches yet, each kept for the
