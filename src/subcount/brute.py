@@ -38,25 +38,32 @@ Counting conventions
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError,
                      iter_bits)
 
 
 def _search_order(h: Graph, pinned=()):
     """Vertex order for backtracking: pinned first, then greedily prefer
-    vertices with many already-placed neighbors (ties: higher degree)."""
-    order = list(pinned)
+    vertices with many already-placed neighbors (ties: higher degree, then
+    lower index), popped from a heap that skips the keys gone stale."""
+    order, placed = list(pinned), set(pinned)
     back = [0] * h.n  # placed neighbors, kept up to date as vertices are placed
     for v in order:
         for u in h.neighbors(v):
             back[u] += 1
-    rest = set(range(h.n)).difference(order)
-    while rest:
-        best = max(rest, key=lambda v: (back[v], h.degree(v), -v))
-        rest.remove(best)
-        order.append(best)
-        for u in h.neighbors(best):
-            back[u] += 1
+    # a sorted list is a heap
+    heap = sorted((-back[v], -h.degree(v), v) for v in range(h.n) if v not in placed)
+    while heap:
+        b, _, v = heappop(heap)
+        if -b == back[v]:
+            placed.add(v)
+            order.append(v)
+            for u in h.neighbors(v):
+                back[u] += 1
+                if u not in placed:
+                    heappush(heap, (-back[u], -h.degree(u), u))
     return order
 
 
@@ -143,11 +150,6 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
     anchor = dict(anchor or {})
     order, candidates, count_last_two = _search_plan(h, g, respect_colors,
                                                      pinned=sorted(anchor))
-    for hv, gv in anchor.items():
-        if respect_colors and h.vcolors[hv] != g.vcolors[gv]:
-            return 0
-    if len(set(anchor.values())) != len(anchor):
-        return 0
     # image[i] is the host vertex at search position i; anchors come first
     image = [anchor.get(v, 0) for v in order]
     used = 0

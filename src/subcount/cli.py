@@ -26,15 +26,14 @@ from .polynomials import binomial_basis_from_values, determinant
 
 
 class _Counted:
-    """Wrap an oracle so the number of queries can be reported."""
+    """``routes.count_sub`` on one route, called as (pattern, host), counting its calls."""
 
-    def __init__(self, fun):
-        self.fun = fun
-        self.calls = 0
+    def __init__(self, route):
+        self.route, self.calls = route, 0
 
-    def __call__(self, *args):
+    def __call__(self, pattern, host):
         self.calls += 1
-        return self.fun(*args)
+        return routes.count_sub(self.route, pattern, host)
 
 
 def _record(count, algorithm, calls):
@@ -88,7 +87,7 @@ def _cmd_count_subpart(args):
             return brute.count_colorpreserving_subgraphs(h, g), 1
         # the other routes count the plain pattern in 2^colors parts of the
         # pruned host: an inclusion-exclusion transfer
-        oracle = _Counted(lambda p, part: routes.count_sub(route, p, part))
+        oracle = _Counted(route)
         return iex.subpart_via_sub_oracle(h, g, oracle), oracle.calls
 
     def pick():
@@ -114,7 +113,7 @@ def _cmd_count_colorful_matchings(args):
         raise PreconditionError("host must be edge-colored")
     colors = sorted(set(g.ecolors))
     if args.via == "matchings":
-        oracle = _Counted(brute.count_matchings)
+        oracle = _Counted("matchings")
         count = iex.colmatch_via_match_oracle(g, colors, oracle)
         return _record(count, "via-matchings", oracle.calls)
     return _record(brute.count_colorful_matchings(g, colors), "brute", 1)
@@ -173,9 +172,8 @@ def _cmd_reduce_matchings_via_gadget(args):
             f"not a matching gadget: core candidate {bad} breaks the check")
 
     def run(route):
-        oracle = _Counted(lambda p, probe: routes.count_sub(route, p, probe))
-        count = gadgets.count_matchings_via_gadget(g, args.k, gadget, oracle=oracle)
-        return count, oracle.calls
+        oracle = _Counted(route)
+        return gadgets.count_matchings_via_gadget(g, args.k, gadget, oracle), oracle.calls
 
     # one route for every query, picked on the largest padded instance
     return _count(args, run, lambda: routes.choose(
@@ -199,9 +197,9 @@ def _cmd_reduce_subpart_via_colmatch(args):
 
 def _cmd_reduce_matchings_via_cycles(args):
     g = read_graph(args.host)
-    oracle = _Counted(lambda dg, length: brute.count_walk_patterns(dg, "cycle", length))
-    count = hardness.matchings_via_directed_cycles(g, args.k, oracle)
-    return _record(count, "cycles", oracle.calls)
+    oracle = _Counted("cycles")
+    return _record(hardness.matchings_via_directed_cycles(g, args.k, oracle), "cycles",
+                   oracle.calls)
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,20 @@ Everything here is exhaustive and meant for small H: the checker
 enumerates candidate cores directly, and the check, the search and the
 read-out each refuse work above WORK_LIMIT.  Every isomorphism
 question runs on brute's embedding search, with the boundary carried as
-vertex colors.
+vertex colors.  The read-out asks ``oracle(pattern, host)`` for #Sub, by
+default ``routes.count_sub`` on the brute route.
 """
 
 from collections import namedtuple
+from functools import partial
 from itertools import combinations
 from math import comb
 
-from .brute import _incidence, count_subgraphs, find_embedding, is_isomorphic
+from .brute import _incidence, find_embedding, is_isomorphic
 from .graphs import Graph, InconsistencyError, PreconditionError, iter_bits, refuse_over_limit
 from .iex import signed_subset_sum
 from .polynomials import binomial_basis_from_values
+from .routes import count_sub
 
 
 def boundary(h, verts):
@@ -206,7 +209,7 @@ def _requirement_families(gadget):
     return core_edges, [v for v in gadget.core if v not in inner], gadget.core_boundary
 
 
-def count_T_ell(gadget, g, ell, oracle=None):
+def count_T_ell(gadget, g, ell, oracle=partial(count_sub, "brute")):
     """Number of copies of H in the padded instance that use the whole core
     copy and give every boundary vertex a neighbor on the host side.
 
@@ -216,8 +219,6 @@ def count_T_ell(gadget, g, ell, oracle=None):
     Each term is one #Sub(H -> G') query on the instance without the
     dropped requirements.
     """
-    if oracle is None:
-        oracle = count_subgraphs
     inst = build_G_ell(gadget, g, ell)
     pos = dict(zip(sorted(gadget.core), inst.core_vertices))
     edges, lone, boundary_ids = _requirement_families(gadget)
@@ -266,7 +267,7 @@ def matching_alpha(gadget):
     return alpha
 
 
-def count_matchings_via_gadget(g, k, gadget, oracle=None):
+def count_matchings_via_gadget(g, k, gadget, oracle=partial(count_sub, "brute")):
     """Count k-matchings of a bipartite host through subgraph-count queries.
 
     Evaluates the constrained-copy count at paddings 0..2k, a polynomial of

@@ -45,19 +45,20 @@ five-by-five state matrix by k mode products on packed integers into the
 table of all 5^k query values, and the solve reads that table as its query
 vector.  The solve must give back the census's own aligned count; a
 disagreement raises InconsistencyError.  An injected oracle instead answers
-each query on the explicit edge-colored host.
+each query on the explicit edge-colored host as ``oracle(graph, colors)``:
+#ColMatch is the one oracle query that is not #Sub(pattern -> host).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
-from .brute import count_walk_patterns
 from .graphs import Graph, InconsistencyError, PreconditionError
 from .polynomials import determinant
+from .routes import count_sub
 
 # (local u, local v, delta color) along the gadget cycle
 CYCLE_LAYOUT = ((0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 0, 1))
@@ -534,8 +535,8 @@ def subpart_via_colmatch_oracle(h: Graph, g: Graph, oracle=None,
 # matchings from cycles, directed cycles from undirected cycles
 
 
-def matchings_via_directed_cycles(g: Graph, k: int, oracle=None) -> int:
-    """#k-matchings of a bipartite graph from one directed-cycle count.
+def matchings_via_directed_cycles(g: Graph, k: int, oracle=partial(count_sub, "cycles")) -> int:
+    """#k-matchings of a bipartite graph from one #Sub(directed 2k-cycle) count.
 
     Orient every edge left-to-right, add every right-to-left arc, and each
     k-matching closes into a directed 2k-cycle in exactly (k-1)! ways.
@@ -547,15 +548,16 @@ def matchings_via_directed_cycles(g: Graph, k: int, oracle=None) -> int:
     parts = g.bipartition()
     if parts is None:
         raise PreconditionError("matching-to-cycle counting needs a bipartite graph")
+    if 2 * k > g.n:  # no 2k-cycle; its pattern's bitmasks would take O(k^2) bits
+        return 0
     left, right = parts
     lset = set(left)
     arcs = [(u, v) if u in lset else (v, u) for (u, v) in g.edges]
     existing = set(arcs)
     arcs += [(r, l) for r in right for l in left if (r, l) not in existing]
     d = Graph(g.n, arcs, directed=True)
-    if oracle is None:
-        oracle = lambda dg, length: count_walk_patterns(dg, "cycle", length)
-    raw = oracle(d, 2 * k)
+    cycle = Graph(2 * k, [(i, (i + 1) % (2 * k)) for i in range(2 * k)], directed=True)
+    raw = oracle(cycle, d)
     divisor = math.factorial(k - 1)
     if raw % divisor:
         raise InconsistencyError(
@@ -563,8 +565,8 @@ def matchings_via_directed_cycles(g: Graph, k: int, oracle=None) -> int:
     return raw // divisor
 
 
-def directed_cycles_via_undirected(d: Graph, k: int, oracle=None) -> int:
-    """#directed k-cycles (k >= 2) from k+1 undirected cycle counts.
+def directed_cycles_via_undirected(d: Graph, k: int, oracle=partial(count_sub, "cycles")) -> int:
+    """#directed k-cycles (k >= 2) from k+1 #Sub(4k-cycle) counts.
 
     Split each vertex into an in/out pair with k parallel internal
     connections labeled 1..k, turn arcs into out-to-in edges, and subdivide
@@ -576,9 +578,7 @@ def directed_cycles_via_undirected(d: Graph, k: int, oracle=None) -> int:
         raise PreconditionError("input must be a directed graph")
     if k < 2:
         raise PreconditionError("k must be at least 2")
-    if oracle is None:
-        oracle = lambda ug, length: count_walk_patterns(ug, "cycle", length)
-    n, arcs = d.n, d.edges
+    cycle, n, arcs = Graph.cycle(4 * k), d.n, d.edges
 
     def split_graph(labels: int) -> Graph:
         # v_in = 2v, v_out = 2v+1; then arc subdividers; then one subdivider
@@ -599,7 +599,7 @@ def directed_cycles_via_undirected(d: Graph, k: int, oracle=None) -> int:
 
     total = 0
     for j in range(k + 1):
-        nj = oracle(split_graph(j), 4 * k)
+        nj = oracle(cycle, split_graph(j))
         sign = 1 if (k - j) % 2 == 0 else -1
         total += sign * math.comb(k, j) * nj
     if total < 0 or total % math.factorial(k):

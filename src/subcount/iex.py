@@ -1,12 +1,12 @@
 """Inclusion-exclusion transfers between counting problems.
 
-Two reductions, each written against an injected oracle so the caller decides
-what actually does the counting:
+Two reductions, each written against an injected #Sub oracle(pattern, host)
+so the caller decides what actually does the counting:
 
-* color-preserving pattern copies from a plain subgraph-count oracle, by
+* color-preserving pattern copies from counts of the uncolored pattern, by
   signed summation over color classes of the host;
-* edge-colorful matchings from a plain k-matching oracle, by signed summation
-  over color subsets.
+* edge-colorful matchings from counts of the k-edge matching, by signed
+  summation over color subsets.
 
 Both make exactly 2^(number of colors) oracle calls, including the empty set,
 and refuse before the first call when that is above WORK_LIMIT.
@@ -80,19 +80,20 @@ def subpart_via_sub_oracle(h: Graph, g: Graph, oracle) -> int:
 
 def colmatch_via_match_oracle(g: Graph, colors, oracle) -> int:
     """#matchings picking exactly one edge of each color in ``colors``, using
-    only an uncolored matching-count oracle(graph, k).
+    only an uncolored subgraph-count oracle(pattern, host).
 
-    For each color subset S, count |colors|-matchings among S-colored edges;
-    inclusion-exclusion keeps the matchings hitting every color.
+    For each color subset S, count |colors|-edge matchings among S-colored
+    edges; inclusion-exclusion keeps the matchings hitting every color.
     """
     if g.ecolors is None:
         raise PreconditionError("host must be edge-colored")
     want = sorted(set(colors))
     if len(want) != len(list(colors)):
         raise PreconditionError("color set has repeats")
+    pattern = Graph.matching(len(want))
 
     def term(keep):
         ed = [e for e, c in zip(g.edges, g.ecolors) if c in keep]
-        return oracle(Graph(g.n, ed), len(want))
+        return oracle(pattern, Graph(g.n, ed))
 
     return signed_subset_sum(want, term)

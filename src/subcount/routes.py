@@ -5,13 +5,18 @@ Four routes count #Sub(h -> g) and #Emb(h -> g):
 * ``brute``: the exhaustive search (brute.count_subgraphs / count_embeddings);
 * ``vc``: the vertex-cover counter (vc.count_sub_vc / count_emb_vc);
 * ``matchings``: h is kK2 with no isolated vertex, brute.count_matchings(g, k);
-* ``cycles``: h is C_k with k >= 3, brute.count_walk_patterns(g, "cycle", k).
+* ``cycles``: h is C_k with k >= 3, brute.count_walk_patterns(g, "cycle", k);
+  on a directed host, h the directed k-cycle (k >= 2), the directed copies.
 
 The last two count copies; #Emb = #Sub * |Aut h| with the closed forms
 |Aut kK2| = 2^k k! and |Aut C_k| = 2k.
 
-``estimate(route, h, g)`` bounds a route's work from h and from g's degree
-sequence (for cycles, its walk counts) before any counting starts.
+Every reduction asks ``oracle(pattern, host)`` for #Sub, and every oracle
+in the package, default or built by the command line, is ``count_sub``.
+
+``_estimate(route, h, host)`` bounds a route's work (#Emb for brute and vc,
+#Sub for matchings and cycles) from h and from g's degree sequence (for
+cycles, its walk counts) before any counting starts.
 ``choose`` takes the applicable route of least estimated seconds,
 CALL_SECONDS + SECONDS_PER_UNIT * estimate.  Nothing is timed at run time,
 so the choice is a function of (h, g) alone.
@@ -261,7 +266,7 @@ def _vc_work(h: Graph, host: _Host) -> float:
 
 
 def _estimate(route: str, h: Graph, host: _Host) -> float:
-    if h.n > host.n:
+    if h.n > host.n:  # every route answers 0 at once
         return 0.0
     if route == "matchings":
         # one branch per j-matching, j < k; the last two levels are masked,
@@ -275,13 +280,6 @@ def _estimate(route: str, h: Graph, host: _Host) -> float:
         # popcount, not a call, and this still bounds the search
         return _NODE * (host.n + host.paths(h.n - 2) / 2)
     return _search_work(h, host) if route == "brute" else _vc_work(h, host)
-
-
-def estimate(route: str, h: Graph, g: Graph) -> float:
-    """Upper bound on the work of ``route``'s count of h in g: #Emb for brute
-    and vc, #Sub for matchings and cycles; 0 when h has more vertices than
-    g, since every route answers 0 at once then."""
-    return _estimate(route, h, _Host(g))
 
 
 @lru_cache(maxsize=64)

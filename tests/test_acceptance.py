@@ -8,11 +8,12 @@ corpora are seeded, so reruns see the same instances.
 import random
 import time
 from collections import Counter
+from functools import partial
 from itertools import combinations, product
 
 import pytest
 
-from subcount import brute, gadgets, hardness, iex, structural, vc
+from subcount import brute, gadgets, hardness, iex, routes, structural, vc
 from subcount.brute import (automorphism_count, count_colorful_matchings,
                             count_colorpreserving_subgraphs, count_embeddings,
                             count_matchings, count_subgraphs,
@@ -121,6 +122,8 @@ def _all_graphs(n):
 
 
 def test_c04_colorful_to_uncolored_transfers():
+    # the matching transfer asks #Sub(M_k -> host), here of the matchings route
+    by_matchings = partial(routes.count_sub, "matchings")
     t0 = time.perf_counter()
     rng = random.Random(404)
     checked = 0
@@ -146,7 +149,7 @@ def test_c04_colorful_to_uncolored_transfers():
         for coloring in product(range(4), repeat=g_plain.m):
             g = g_plain.with_edge_colors(coloring)
             colors = sorted(set(coloring))
-            got = iex.colmatch_via_match_oracle(g, colors, count_matchings)
+            got = iex.colmatch_via_match_oracle(g, colors, by_matchings)
             assert got == count_colorful_matchings(g, colors)
             checked += 1
 
@@ -167,7 +170,7 @@ def test_c04_colorful_to_uncolored_transfers():
         palette = rng.randint(1, 8)
         g = g.with_edge_colors([rng.randrange(palette) for _ in range(g.m)])
         colors = sorted(set(g.ecolors))
-        got = iex.colmatch_via_match_oracle(g, colors, count_matchings)
+        got = iex.colmatch_via_match_oracle(g, colors, by_matchings)
         assert got == count_colorful_matchings(g, colors)
         checked += 1
 

@@ -75,6 +75,37 @@ def test_search_order_matches_direct_formula():
         assert _search_order(h, pinned) == _reference_search_order(h, pinned)
 
 
+def _scan_search_order(h, pinned=()):
+    # the greedy order by a max over every unplaced vertex at each step,
+    # quadratic in |V(h)|: the reference for brute's heap
+    order = list(pinned)
+    back = [0] * h.n
+    for v in order:
+        for u in h.neighbors(v):
+            back[u] += 1
+    rest = set(range(h.n)).difference(order)
+    while rest:
+        best = max(rest, key=lambda v: (back[v], h.degree(v), -v))
+        rest.remove(best)
+        order.append(best)
+        for u in h.neighbors(best):
+            back[u] += 1
+    return order
+
+
+def test_search_order_heap_matches_the_max_scan():
+    rng = random.Random(2929)
+    for _ in range(3000):
+        n = rng.randint(1, 14)
+        h = rand_graph(rng, n, rng.choice([0.1, 0.25, 0.5, 0.8]))
+        pinned = rng.sample(range(n), min(n, rng.randint(0, 3)))
+        assert _search_order(h, pinned) == _scan_search_order(h, pinned)
+    for h in (Graph.matching(300), Graph.path(400), Graph.cycle(300), Graph.star(300),
+              Graph.complete_bipartite(20, 30), petersen()):
+        assert _search_order(h) == _scan_search_order(h)
+        assert _search_order(h, [h.n - 1]) == _scan_search_order(h, [h.n - 1])
+
+
 def test_find_embedding_and_isomorphism():
     assert find_embedding(Graph.cycle(4), Graph.complete_bipartite(2, 2)) is not None
     assert is_isomorphic(Graph.cycle(4), Graph.complete_bipartite(2, 2))

@@ -311,6 +311,36 @@ def test_deep_matchings_and_cycles_answer(capsys, files):
         assert code == 0 and rec["count"] == "1"
 
 
+def test_count_matchings_above_half_the_host_builds_no_pattern(capsys, files, monkeypatch):
+    # 2k > |V(host)|: every route answers 0 before the 2k-vertex pattern is
+    # built, which at k = 10^9 would not fit in memory
+    def never(k):
+        raise AssertionError(f"Graph.matching({k}) was built")
+
+    monkeypatch.setattr(Graph, "matching", staticmethod(never))
+    gp = files("g.g", Graph.complete(5))
+    for route, algorithm in ((["--algo", "vc"], "vc"), (["--algo", "brute"], "brute"),
+                             (["--verify"], "brute+vc"), ([], "matchings")):
+        code, rec = run(capsys, "count-matchings", "-H", gp, "-k", str(10 ** 9), *route)
+        assert code == 0 and rec["count"] == "0" and rec["algorithm"] == algorithm
+
+
+def test_directed_count_sub_and_emb_exit_2(capsys, files):
+    # auto sends a directed pattern or host to brute, and vc refuses it too:
+    # both name the problem and print no record
+    dtri = files("dtri.g", Graph(3, [(0, 1), (1, 2), (2, 0)], directed=True))
+    dk4 = files("dk4.g", Graph(4, [(u, v) for u in range(4) for v in range(4) if u != v],
+                               directed=True))
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    for command in ("count-sub", "count-emb"):
+        for pattern, host in ((dtri, k4), (tri, dk4), (dtri, dk4)):
+            for route in ([], ["--algo", "vc"]):
+                code = main([command, "-p", pattern, "-H", host, *route])
+                out, err = capsys.readouterr()
+                assert code == 2 and out == "" and "undirected" in err
+
+
 def test_count_matchings_vc_route(capsys, files):
     gp = files("g.g", Graph.complete_bipartite(3, 3))
     code, rec = run(capsys, "count-matchings", "-H", gp, "-k", "2",
@@ -694,6 +724,18 @@ def test_reduce_matchings_via_cycles(capsys, files):
         assert int(rec["count"]) == brute.count_matchings(g, k)
 
 
+def test_reduce_matchings_via_cycles_above_half_the_host(capsys, files):
+    # 2k > |V(host)|: no 2k-cycle, so 0 at once, with no oracle call and no
+    # 2k-vertex cycle pattern (at k = 2 * 10^5 its bitmasks alone would
+    # take gigabytes)
+    gp = files("k33.g", Graph.complete_bipartite(3, 3))
+    for k in (4, 2 * 10 ** 5, 10 ** 9):
+        t0 = time.perf_counter()
+        code, rec = run(capsys, "reduce-matchings-via-cycles", "-H", gp, "-k", str(k))
+        assert time.perf_counter() - t0 < 1
+        assert code == 0 and rec["count"] == "0" and rec["oracle_calls"] == 0
+
+
 def test_make_bicubic_files(capsys, files, tmp_path):
     hp = files("h.g", Graph.matching(1))
     out = str(tmp_path / "dagger.g")
@@ -761,6 +803,23 @@ def test_extract(capsys, files):
     code, rec = run(capsys, "extract", "-H", pp, "-k", "2",
                     "--matching", "0-1,2-3,4-5,6-7")
     assert code == 0 and rec["found"] is False
+
+
+def test_extract_clique_and_biclique_records(capsys, files):
+    # in K8 every pair of matching edges has all four cross edges: the
+    # first endpoints of the first k edges are a clique
+    spec = "0-1,2-3,4-5,6-7"
+    code, rec = run(capsys, "extract", "-H", files("k8.g", Graph.complete(8)), "-k", "2",
+                    "--matching", spec)
+    assert code == 0 and rec["found"] is True
+    assert rec["kind"] == "clique" and rec["vertices"] == [0, 2]
+    # only x_i - y_j for i < j: the first endpoints of the low edges against
+    # the second endpoints of the high ones, with independent sides
+    cross = [(2 * i, 2 * j + 1) for i in range(4) for j in range(i + 1, 4)]
+    g = Graph(8, [*Graph.matching(4).edges, *cross])
+    code, rec = run(capsys, "extract", "-H", files("b.g", g), "-k", "2", "--matching", spec)
+    assert code == 0 and rec["found"] is True
+    assert rec["kind"] == "biclique" and rec["left"] == [0, 2] and rec["right"] == [5, 7]
 
 
 def test_extract_answers_whenever_a_witness_exists(capsys, files):

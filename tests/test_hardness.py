@@ -470,5 +470,5 @@ def test_full_matching_chain_composes():
     for _ in range(5):
         g = rand_bipartite(rng, 3, 3, 0.5)
         via = matchings_via_directed_cycles(
-            g, 2, oracle=lambda dg, length: directed_cycles_via_undirected(dg, length))
+            g, 2, oracle=lambda cycle, dg: directed_cycles_via_undirected(dg, cycle.n))
         assert via == count_matchings(g, 2)

@@ -1,16 +1,22 @@
 import random
+from functools import partial
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subcount.brute import (count_colorful_matchings,
-                            count_colorpreserving_subgraphs, count_matchings,
+                            count_colorpreserving_subgraphs,
                             count_subgraphs)
 from subcount.graphs import Graph, InconsistencyError, PreconditionError
 from subcount.iex import (colmatch_via_match_oracle, prune_useless_edges,
                           subpart_via_sub_oracle)
+from subcount.routes import count_sub
 from helpers import colorful, rand_edge_colored, rand_graph, rand_vertex_colored
+
+# the #Sub oracle the matching transfer asks, #Sub(M_k -> host), by the
+# matchings route
+by_matchings = partial(count_sub, "matchings")
 
 
 class CountingOracle:
@@ -86,23 +92,23 @@ def test_subpart_transfer_wider_patterns():
 
 def test_colmatch_transfer_small_cases():
     g = Graph.path(4).with_edge_colors([1, 2, 1])
-    oracle = CountingOracle(count_matchings)
+    oracle = CountingOracle(by_matchings)
     assert colmatch_via_match_oracle(g, [1], oracle) == 2
-    assert colmatch_via_match_oracle(g, [1, 2], count_matchings) == 0
-    assert colmatch_via_match_oracle(g, [], count_matchings) == 1
+    assert colmatch_via_match_oracle(g, [1, 2], by_matchings) == 0
+    assert colmatch_via_match_oracle(g, [], by_matchings) == 1
     assert oracle.calls == 2
 
 
 def test_colmatch_transfer_rejects_lying_oracle():
     g = Graph.path(3).with_edge_colors([1, 2])
     with pytest.raises(InconsistencyError):
-        colmatch_via_match_oracle(g, [1, 2], lambda gg, k: 0 if gg.m == g.m else 1)
+        colmatch_via_match_oracle(g, [1, 2], lambda p, gg: 0 if gg.m == g.m else 1)
 
 
 def test_colmatch_transfer_call_budget():
     rng = random.Random(5)
     g = rand_edge_colored(rng, 8, 0.5, 4)
-    oracle = CountingOracle(count_matchings)
+    oracle = CountingOracle(by_matchings)
     want = [0, 1, 2, 3]
     got = colmatch_via_match_oracle(g, want, oracle)
     assert got == count_colorful_matchings(g, want)
@@ -128,7 +134,7 @@ def test_colmatch_transfer_matches_brute(seed):
     ncol = rng.randint(1, 4)
     g = rand_edge_colored(rng, rng.randint(2, 8), rng.random(), ncol)
     want = sorted(rng.sample(range(ncol), rng.randint(0, ncol)))
-    assert colmatch_via_match_oracle(g, want, count_matchings) == \
+    assert colmatch_via_match_oracle(g, want, by_matchings) == \
         count_colorful_matchings(g, want)
 
 
@@ -137,7 +143,7 @@ def test_colmatch_transfer_wide_color_sets():
     for _ in range(6):
         g = rand_edge_colored(rng, 10, 0.6, 8)
         want = list(range(8))
-        oracle = CountingOracle(count_matchings)
+        oracle = CountingOracle(by_matchings)
         got = colmatch_via_match_oracle(g, want, oracle)
         assert got == count_colorful_matchings(g, want)
         assert oracle.calls == 2 ** 8

@@ -5,8 +5,9 @@ every name a module imports must be used there or re-exported through its
 ``__all__``, no module imports ``fractions``, ``decimal``, ``argparse`` or
 ``re``, ``json`` is imported only inside a function, in ``cli.py`` only
 ``main`` and ``_parse`` print, no function in ``brute`` or ``vc`` calls
-itself, and every top-level definition is reached from a command or
-``subcount.__all__`` unless an allow-list names it.
+itself, every oracle goes through ``routes.count_sub``, and every top-level
+definition is reached from a command or ``subcount.__all__`` unless an
+allow-list names it.
 """
 
 import ast
@@ -150,13 +151,39 @@ def test_brute_and_vc_do_not_recurse():
     assert not found, f"calls itself: {found}"
 
 
+def test_oracles_go_through_routes():
+    # every #Sub answer comes from routes.count_sub: hardness and gadgets
+    # import no brute counter for a default oracle, and the CLI builds each
+    # oracle as _Counted(route), never hands a reduction a lambda or a bare
+    # brute counter
+    def stray(arg):
+        return isinstance(arg, ast.Lambda) or (
+            isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "brute")
+
+    found = [f"{name} imports brute.{a.name}" for name in ("hardness", "gadgets")
+             for node in ast.walk(MODULES[name])
+             if isinstance(node, ast.ImportFrom) and node.module == "brute"
+             for a in node.names if a.name.startswith("count_")]
+    for node in ast.walk(MODULES["cli"]):
+        if not isinstance(node, ast.Call):
+            continue
+        args = [*node.args, *(k.value for k in node.keywords)]
+        if getattr(node.func, "id", None) == "_Counted":
+            found += [f"cli line {node.lineno}: _Counted({ast.unparse(a)})" for a in args
+                      if not isinstance(a, (ast.Name, ast.Constant))]
+        elif getattr(getattr(node.func, "value", None), "id", None) in ("iex", "gadgets",
+                                                                        "hardness"):
+            found += [f"cli line {node.lineno}: {ast.unparse(a)} as an oracle" for a in args
+                      if stray(a)]
+    assert not found, found
+
+
 # Top-level definitions that no command reaches yet, each kept for the
 # ROADMAP item named beside it.  The list may only shrink.
 UNREACHED_ALLOWED = {
     "structural.TreeDecomposition",             # item 4: the hom route
     "structural.exact_tree_decomposition",      # item 4: the hom route
     "hardness.directed_cycles_via_undirected",  # item 7: --undirected
-    "routes.estimate",                          # item 2: --budget
 }
 
 

@@ -10,12 +10,13 @@ import random
 
 import pytest
 
-from subcount import brute, routes, vc
+from subcount import brute, gadgets, hardness, iex, routes, vc
 from subcount.cli import main
 from subcount.fileio import write_graph
 from subcount.graphs import Graph
 
-from helpers import rand_graph
+from helpers import (colorful, rand_bipartite, rand_digraph, rand_edge_colored,
+                     rand_graph, rand_vertex_colored)
 
 
 def _bench_host(name, n, p, seed=1):
@@ -118,7 +119,7 @@ def test_vc_estimate_of_a_refused_pattern_skips_the_twin_cut(monkeypatch):
     monkeypatch.setattr(vc, "_twin_cut", never)
     vc._plan.cache_clear()
     p = Graph.path(1100)
-    assert routes.estimate("vc", p, p) == float("inf")
+    assert routes._estimate("vc", p, routes._Host(p)) == float("inf")
 
 
 def test_estimates_past_the_float_range():
@@ -133,10 +134,11 @@ def test_estimates_past_the_float_range():
            ("cycles", Graph.cycle(150), Graph.complete(150)),
            ("matchings", Graph.matching(171), Graph.complete(342))]
     for route, h, g in big:
-        assert routes.estimate(route, h, g) == float("inf")
+        assert routes._estimate(route, h, routes._Host(g)) == float("inf")
     # no anchor image and orderings past the float range: 0 anchors, not nan
     # (K_{171,171}: a 171-position twin class, one demand class of 171)
-    work = routes.estimate("vc", Graph.complete_bipartite(171, 171), Graph(342))
+    work = routes._estimate("vc", Graph.complete_bipartite(171, 171),
+                            routes._Host(Graph(342)))
     assert 0 <= work < float("inf")
     assert routes.choose(Graph.matching(200), Graph(400)) == "matchings"
     assert routes.choose(Graph.matching(171), ring, sub=False) == "matchings"
@@ -161,7 +163,7 @@ def test_matchings_estimate_bounds_the_branches():
     g = _rand(14, 0.4, 5)
     for k in range(1, 5):
         nodes = sum(brute.count_matchings(g, j) for j in range(k))
-        assert nodes <= routes.estimate("matchings", Graph.matching(k), g)
+        assert nodes <= routes._estimate("matchings", Graph.matching(k), routes._Host(g))
 
 
 def test_five_matching_counts_under_auto(capsys, tmp_path):
@@ -172,3 +174,65 @@ def test_five_matching_counts_under_auto(capsys, tmp_path):
     record = json.loads(capsys.readouterr().out)
     assert code == 0 and record["count"] == "17791796"
     assert record["algorithm"] == "matchings"
+
+
+class _Recording:
+    """A #Sub oracle by ``routes.count_sub`` on one route that keeps every
+    call's arguments."""
+
+    def __init__(self, route):
+        self.route, self.calls = route, []
+
+    def __call__(self, *args):
+        self.calls.append(args)
+        return routes.count_sub(self.route, *args)
+
+
+def test_every_reduction_asks_sub_of_a_pattern_in_a_host():
+    # each reduction calls its oracle as oracle(pattern, host), two Graphs,
+    # with the pattern it reduces to; routes.count_sub on the route the
+    # command passes gives the default's count (or, where the reduction has
+    # no default, brute's direct count)
+    rng = random.Random(2929)
+    checked = []
+
+    def run(reduce, route, pattern_ok, want):
+        oracle = _Recording(route)
+        assert reduce(oracle) == want
+        assert oracle.calls and all(
+            len(args) == 2 and all(type(x) is Graph for x in args)
+            and pattern_ok(args[0]) for args in oracle.calls)
+        checked.append(len(oracle.calls))
+
+    for _ in range(4):
+        g = rand_edge_colored(rng, 8, 0.5, 3)
+        colors = sorted(set(g.ecolors))
+        run(lambda o: iex.colmatch_via_match_oracle(g, colors, o), "matchings",
+            lambda p: p == Graph.matching(len(colors)),
+            brute.count_colorful_matchings(g, colors))
+        h = colorful(Graph.path(3))
+        host = rand_vertex_colored(rng, 9, 0.5, 3)
+        for route in ("brute", "vc"):
+            run(lambda o: iex.subpart_via_sub_oracle(h, host, o), route,
+                lambda p: p == Graph(h.n, h.edges),
+                brute.count_colorpreserving_subgraphs(h, host))
+        b = rand_bipartite(rng, 3, 4, 0.6)
+        for k in (1, 2, 3):
+            run(lambda o: hardness.matchings_via_directed_cycles(b, k, o), "cycles",
+                lambda p: p == Graph(2 * k, [(i, (i + 1) % (2 * k)) for i in range(2 * k)],
+                                     directed=True),
+                hardness.matchings_via_directed_cycles(b, k))
+        d = rand_digraph(rng, 4, 0.4)
+        for k in (2, 3):
+            run(lambda o: hardness.directed_cycles_via_undirected(d, k, o), "cycles",
+                lambda p: p == Graph.cycle(4 * k),
+                hardness.directed_cycles_via_undirected(d, k))
+        for hg, matching in ((Graph.complete(4), ((0, 1),)),
+                             (Graph.matching(2), Graph.matching(2).edges)):
+            gadget = gadgets.MatchingGadget(hg, matching)
+            host = rand_bipartite(rng, 3, 3, 0.6)
+            for route in ("brute", "vc"):
+                run(lambda o: gadgets.count_matchings_via_gadget(host, gadget.k, gadget, o),
+                    route, lambda p: p == hg,
+                    gadgets.count_matchings_via_gadget(host, gadget.k, gadget))
+    assert len(checked) == 4 * 12
