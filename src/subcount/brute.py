@@ -4,7 +4,9 @@ These are the ground-truth oracles everything else in the package is checked
 against, so they favor obviousness over speed: plain backtracking over
 adjacency bitmasks, no clever algebra.  Every counter (embeddings, matchings,
 colorful matchings, paths and cycles) walks its placements on one explicit
-stack, _placements, so no pattern is too deep for it.  Only the last two
+stack, _placements, so no pattern is too deep for it; so do the clique and
+gadget searches.  Walks of k rising items take candidates from _rising, which
+leaves out the top k - i - 1 items at position i.  Only the last two
 positions are not walked one candidate at a time but counted by masks: the
 last by one popcount of its candidate mask, the pair by one popcount per
 candidate of the last-but-one position, in _pair_count.  In the embedding
@@ -158,12 +160,10 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
             return 0
         used |= 1 << image[i]
     start, last = len(anchor), h.n - 1
-    if start > last - 2:  # two positions free or fewer: no walk
+    if start >= last:  # one position free or none: no pair to count
         if start == h.n:
             return 1
-        if start == last:
-            return candidates(last, image, used).bit_count()
-        return count_last_two(image, used)
+        return candidates(last, image, used).bit_count()
     placements = _placements(candidates, image, used, start, last - 2)
     pair = 1 << order[-2] | 1 << order[-1]
     if (h.adj_mask(order[-2]) | h.adj_mask(order[-1])) & ~pair:
@@ -184,10 +184,14 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
 
 def _placements(candidates, image, used, start, stop):
     """Walk every placement of search positions start..stop, writing each
-    into ``image`` and yielding its used mask.  ``used`` holds the images of
-    the positions before start.  The walk keeps one candidate mask per
-    position on an explicit stack, so its depth is not bounded by Python's
-    recursion limit."""
+    into ``image`` and yielding its used mask; with no position (start =
+    stop + 1) the one placement is empty, and ``used`` is yielded.  ``used``
+    holds the images of the positions before start.  The walk keeps one
+    candidate mask per position on an explicit stack, so its depth is not
+    bounded by Python's recursion limit."""
+    if start > stop:
+        yield used
+        return
     stack = [0] * (stop + 1)
     stack[start] = candidates(start, image, used)
     i = start
@@ -210,12 +214,22 @@ def _placements(candidates, image, used, start, stop):
             stack[i] = candidates(i, image, used)
 
 
-def _leaf_sum(last_two, candidates, image, used, start, stop):
-    """The sum of ``last_two(used)`` over the placements of positions
-    start..stop, or ``last_two(used)`` itself when start > stop."""
-    if start > stop:
-        return last_two(used)
-    return sum(map(last_two, _placements(candidates, image, used, start, stop)))
+def _rising(masks, full, k):
+    """``candidates`` for a walk of k items of ``full`` in rising order, each in
+    masks[x] of every item x before it (masks[x] holds items above x only), and
+    ``free``: free[i] = free[i-1] & masks[image[i-1]].  candidates(i) is free[i]
+    less its top k - i - 1 items, none of which has k - i - 1 items above it."""
+    free = [full] * k
+
+    def candidates(i, image, used):
+        if i:
+            free[i] = free[i - 1] & masks[image[i - 1]]
+        cand = free[i]
+        for _ in range(k - i - 1):
+            cand ^= 1 << cand.bit_length() >> 1  # the top item, or nothing
+        return cand
+
+    return candidates, free
 
 
 def _pair_count(cand, base, masks):
@@ -237,7 +251,7 @@ def find_embedding(h: Graph, g: Graph, *, respect_colors=False):
         return None
     order, candidates, _ = _search_plan(h, g, respect_colors)
     image = [0] * h.n
-    if h.n and next(_placements(candidates, image, 0, 0, h.n - 1), None) is None:
+    if next(_placements(candidates, image, 0, 0, h.n - 1), None) is None:
         return None
     found = [0] * h.n
     for i, v in enumerate(order):
@@ -346,14 +360,14 @@ def count_colorful_matchings(g: Graph, colors) -> int:
         return _pair_count(groups[last - 1] & rest, groups[last] & rest, avoid)
 
     image = [0] * last
-    return _leaf_sum(last_two, candidates, image, 0, 0, last - 2)
+    return sum(map(last_two, _placements(candidates, image, 0, 0, last - 2)))
 
 
 def count_matchings(g: Graph, k: int) -> int:
     """Number of k-edge matchings (equivalently #Sub of a k-matching).
 
-    The placement walk takes edges in rising index order, each from the
-    edges that clash with no earlier choice.  The last two edges are the
+    The rising walk (_rising) takes edges in rising index order, each from
+    the edges that clash with no earlier choice.  The last two edges are the
     pairs of available edges less those sharing an endpoint, one popcount
     per vertex with edges, when there are more available edges than such
     vertices; otherwise one popcount per available edge."""
@@ -376,13 +390,7 @@ def count_matchings(g: Graph, k: int) -> int:
              if index.get((v, u), -1) > i]
     cutoff = len(busy) + len(twins)
     last = k - 1
-    free = [full] * last  # free[i]: position i's candidates
-
-    def candidates(i, image, used):
-        if i:
-            free[i] = free[i - 1] & later[image[i - 1]]
-        # too few edges left: cut here, above the hot last pair
-        return free[i] if free[i].bit_count() >= k - i else 0
+    candidates, free = _rising(later, full, k)
 
     def last_two(used):
         avail = free[last - 2] & later[image[last - 2]] if last > 1 else full
@@ -398,7 +406,7 @@ def count_matchings(g: Graph, k: int) -> int:
         return (a * (a - 1) - total) // 2 + sum(avail & t == t for t in twins)
 
     image = [0] * last
-    return _leaf_sum(last_two, candidates, image, 0, 0, last - 2)
+    return sum(map(last_two, _placements(candidates, image, 0, 0, last - 2)))
 
 
 def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
@@ -436,7 +444,7 @@ def count_walk_patterns(g: Graph, kind: str, k: int) -> int:
     def walks(first, used):  # on from image[first - 1], avoiding used
         if first == last:
             return (step[image[last - 1]] & ok & ~used).bit_count()
-        return _leaf_sum(last_two, candidates, image, used, first, last - 2)
+        return sum(map(last_two, _placements(candidates, image, used, first, last - 2)))
 
     total = 0
     for s in range(g.n):  # ok: where the walk's last vertex may lie

@@ -127,10 +127,10 @@ def _cmd_count_matchings(args):
 
     # a k-matching is a subgraph copy of the k-edge matching pattern; every
     # route but vc is brute's matching counter.  A matching with more
-    # vertices than the host has none, and its pattern is not built.
+    # vertices than the host has none, asks no query and is not built.
     def run(route):
         if 2 * k > g.n:
-            return 0, 1
+            return 0, 0
         return routes.count_sub("matchings" if route == "brute" else route,
                                 Graph.matching(k), g), 1
 

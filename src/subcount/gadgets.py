@@ -10,8 +10,9 @@ subgraph-count queries alone: pad the host, glue on a copy of H[C] joined
 completely to the host side, and interpolate away the padding.
 
 Everything here is exhaustive and meant for small H: the checker
-enumerates candidate cores directly, and the check, the search and the
-read-out each refuse work above WORK_LIMIT.  Every isomorphism
+enumerates candidate cores directly, the search takes induced matchings
+from brute's placement walk on _rising's candidates, and the check, the
+search and the read-out each refuse work above WORK_LIMIT.  Every isomorphism
 question runs on brute's embedding search, with the boundary carried as
 vertex colors.  The read-out asks ``oracle(pattern, host)`` for #Sub, by
 default ``routes.count_sub`` on the brute route.
@@ -22,8 +23,8 @@ from functools import partial
 from itertools import combinations
 from math import comb
 
-from .brute import _incidence, find_embedding, is_isomorphic
-from .graphs import Graph, InconsistencyError, PreconditionError, iter_bits, refuse_over_limit
+from .brute import _incidence, _placements, _rising, find_embedding, is_isomorphic
+from .graphs import Graph, InconsistencyError, PreconditionError, refuse_over_limit
 from .iex import signed_subset_sum
 from .polynomials import binomial_basis_from_values
 from .routes import count_sub
@@ -301,34 +302,39 @@ def count_matchings_via_gadget(g, k, gadget, oracle=partial(count_sub, "brute"))
 
 def search_gadget(h, k):
     """First induced k-matching of h that passes the full gadget check, in
-    lexicographic edge order; None when none qualifies.  Matchings grow by
-    rising edge index, an edge dropping out once it shares or touches an
-    endpoint of a chosen one.  Each partial matching entered is one step and
-    each failed check as many as the candidate cores it scanned; past
-    WORK_LIMIT steps the search is refused.  A check with more than
-    WORK_LIMIT candidate cores refuses itself before its scan."""
+    lexicographic edge order; None when none qualifies.  The matchings are
+    the placements of brute's rising walk over keep[e], the edges above e
+    touching no end of e and no neighbor of one.  Each matching entered,
+    partial or complete, is a step, and a failed check as many as the
+    candidate cores it scanned; past WORK_LIMIT steps the search is refused,
+    and a check of more than WORK_LIMIT cores refuses itself before its scan."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    incident = _incidence(h)
-    # stack: (chosen edge index, untried candidates at its level); cand: edges that may join
-    stack, cand, steps = [], (1 << h.m) - 1, 0
-    while True:
+    incident, full = _incidence(h), (1 << h.m) - 1
+    near = [0] * h.n  # near[w]: the edges at a neighbor of w, w's own included
+    for u, v in h.edges:
+        near[u] |= incident[v]
+        near[v] |= incident[u]
+    keep = [full & ~(near[u] | near[v]) & -2 << e for e, (u, v) in enumerate(h.edges)]
+    rising, _ = _rising(keep, full, k)
+    steps = 0
+
+    def step():
+        nonlocal steps
         steps += 1
         refuse_over_limit(steps, f"the gadget search would take {steps} steps (one per "
                                  "partial matching and per candidate core scanned)")
-        if len(stack) == k:
-            gadget = MatchingGadget(h, [h.edges[i] for i, _ in stack])
-            found = _first_counterexample(gadget)
-            if found is None:
-                return gadget
-            steps += found[0]
-            cand = 0
-        while cand.bit_count() < max(k - len(stack), 1):
-            if not stack:
-                return None
-            cand = stack.pop()[1]
-        i = (cand & -cand).bit_length() - 1
-        stack.append((i, cand ^ 1 << i))
-        # the ends of edge i are adjacent, so their neighborhoods hold both
-        for w in iter_bits(h.adj_mask(h.edges[i][0]) | h.adj_mask(h.edges[i][1])):
-            cand &= ~incident[w]
+
+    def candidates(i, image, used):
+        step()
+        return rising(i, image, used)
+
+    image = [0] * k
+    for _ in _placements(candidates, image, 0, 0, k - 1):
+        step()
+        gadget = MatchingGadget(h, [h.edges[e] for e in image])
+        found = _first_counterexample(gadget)
+        if found is None:
+            return gadget
+        steps += found[0]
+    return None

@@ -281,28 +281,29 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def _cover_size(adj: list[int], active: int, memo: dict[int, int]) -> int:
-    """Exact vertex cover size of the subgraph induced by ``active``."""
+    """Exact vertex cover size of g[active]; refused past WORK_LIMIT memo states."""
     cached = memo.get(active)
     if cached is not None:
         return cached
+    refuse_over_limit(len(memo), f"the vertex cover search would store {len(memo)} states")
     # pendant peel: some optimum cover takes the neighbour of a degree-1
-    # vertex, so paths and cycles shrink in this loop without branching;
-    # the scan restarts after each peel and drops isolated vertices
-    start, peeled = active, 0
-    best_v, best_deg, m = -1, 0, active
+    # vertex, and the peel lowers degrees only around it, so m, the vertices
+    # to look at (lowest first), takes back just its neighbours
+    start, peeled, m = active, 0, active
     while m:
         low = m & -m
-        v = low.bit_length() - 1
         m ^= low
-        nv = adj[v] & active
-        d = nv.bit_count()
-        if d == 1:
+        nv = adj[low.bit_length() - 1] & active
+        if not nv:
+            active ^= low
+        elif not nv & (nv - 1):
             peeled += 1
             active &= ~(nv | low)
-            best_v, best_deg, m = -1, 0, active
-        elif d == 0:
-            active ^= low
-        elif d > best_deg:
+            m = (m | adj[nv.bit_length() - 1]) & active
+    best_v, best_deg = -1, 0  # the lowest vertex of highest degree
+    for v in iter_bits(active):
+        d = (adj[v] & active).bit_count()
+        if d > best_deg:
             best_v, best_deg = v, d
     res = memo.get(active) if best_deg else 0
     if res is None:
@@ -320,7 +321,8 @@ def min_vertex_cover(g: Graph) -> tuple[int, tuple[int, ...]]:
     The witness is the optimum cover whose sorted vertex tuple is
     lexicographically least.  It is grown by self-reduction: scan vertices in
     ascending order and keep v exactly when some optimum cover of the current
-    residual graph contains v.  Isolated vertices are never taken.
+    residual graph contains v.  Isolated vertices are never taken.  Refused
+    with PreconditionError once the search stores more than WORK_LIMIT states.
     """
     if g.directed:
         raise PreconditionError("vertex cover is defined on undirected graphs")

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial, inf
 
 from . import brute, vc
-from .graphs import Graph, iter_bits
+from .graphs import Graph, PreconditionError, iter_bits
 
 # A count by a route is estimated to take CALL_SECONDS[route] +
 # SECONDS_PER_UNIT[route] * estimate seconds, and a #Sub count by brute or vc
@@ -240,9 +240,12 @@ def _vc_work(h: Graph, host: _Host) -> float:
     swaps, with Hall's cut taken only as "an anchor image has a neighbour";
     then per anchor one popcount chain per block key and the placement
     recurrence's steps, counted exactly by vc._lattice_work.  inf when vc
-    refuses h for its number of steps.  The per-anchor constants were fitted
+    refuses h's cover search or steps.  The per-anchor constants were fitted
     to the placement terms that the steps replaced, so they overstate vc."""
-    core, cover, demand, steps, twins = vc._plan(h)
+    try:
+        core, cover, demand, steps, twins = vc._plan(h)
+    except PreconditionError:
+        return inf
     if twins is None:
         return inf
     prev, _weight = twins

@@ -4,19 +4,20 @@ decompositions and the instance-lifting constructions.
 Everything in here is constructive and self-auditing.  Procedures that search
 for a witness either return one that has been re-verified from first
 principles or return ``None``; a witness is never wrong, and the searches
-are exhaustive, so ``None`` means that no witness exists.  Procedures that are
-backed by a counting identity validate their own output and raise
-``InconsistencyError`` when an internal guarantee fails, which indicates a bug
-rather than bad input.
+are exhaustive (the clique search on brute's placement walk, _placements, with
+_rising's candidates, which leave out the top r - i - 1 items at position i),
+so ``None`` means that no witness exists.  Procedures that are backed by a
+counting identity validate their own output and raise ``InconsistencyError``
+when an internal guarantee fails, which indicates a bug rather than bad input.
 """
 
 from itertools import combinations
 from math import comb
 
 from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError,
-                     refuse_over_limit)
+                     iter_bits, refuse_over_limit)
 from .gadgets import is_edge_of, validate_induced_matching
-from .brute import is_colorful
+from .brute import _placements, _rising, is_colorful
 
 
 # -- monochromatic cliques by an exact search --------------------------------
@@ -69,35 +70,21 @@ def _forward_masks(n, edges):
 
 
 def _least_clique(up, r):
-    """The lexicographically least r-clique under forward masks ``up``.
-
-    Cliques grow by rising index from each vertex with at least r - 1
-    forward neighbours, one candidates mask per prefix on an explicit
-    stack, and a prefix is dropped when fewer candidates are left than it
-    still needs.  Each prefix entered is one step, and the search is
-    refused past WORK_LIMIT steps.  Returns a tuple, or None.
-    """
+    """The lexicographically least r-clique under forward masks ``up``, as
+    a tuple, or None: the first placement of brute's rising walk.  Each
+    prefix entered is one step; past WORK_LIMIT steps it is refused."""
+    rising, _ = _rising(up, (1 << len(up)) - 1, r)
     steps = 0
-    for root, fwd in enumerate(up):
-        if fwd.bit_count() < r - 1:
-            continue
-        clique, stack = [root], [fwd]
-        while clique:
-            steps += 1
-            if steps > WORK_LIMIT:  # so the message is built only on refusal
-                refuse_over_limit(steps, f"the {r}-clique search would take {steps} steps")
-            if len(clique) == r:
-                return tuple(clique)
-            while stack and stack[-1].bit_count() < r - len(clique):
-                stack.pop()
-                clique.pop()
-            if stack:
-                cand = stack[-1]
-                low = cand & -cand
-                stack[-1] = cand ^ low
-                clique.append(low.bit_length() - 1)
-                stack.append(cand & up[clique[-1]])
-    return None
+
+    def candidates(i, image, used):
+        nonlocal steps
+        steps += 1
+        if steps > WORK_LIMIT:  # so the message is built only on refusal
+            refuse_over_limit(steps, f"the {r}-clique search would take {steps} steps")
+        return rising(i, image, used)
+
+    image = [0] * r
+    return next((tuple(image) for _ in _placements(candidates, image, 0, 0, r - 1)), None)
 
 
 def _check_clique(g, verts):
@@ -277,11 +264,8 @@ def exact_tree_decomposition(h):
         frontier = 1 << v
         while frontier:
             grown = 0
-            m = frontier
-            while m:
-                low = m & -m
-                grown |= nbr[low.bit_length() - 1]
-                m ^= low
+            for x in iter_bits(frontier):
+                grown |= nbr[x]
             grown &= ~seen
             seen |= grown
             frontier = grown & t_mask
@@ -293,12 +277,8 @@ def exact_tree_decomposition(h):
     for s in range(1, full + 1):
         best = n + 1
         pick = -1
-        m = s
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            c = max(cost[s ^ low], back_degree(s ^ low, v))
+        for v in iter_bits(s):
+            c = max(cost[s ^ 1 << v], back_degree(s ^ 1 << v, v))
             if c < best:
                 best, pick = c, v
         cost[s] = best

@@ -44,7 +44,7 @@ from itertools import compress, product
 from math import comb, factorial, inf, prod
 from operator import or_, sub
 
-from .brute import _leaf_sum, copies_from_embeddings
+from .brute import _placements, copies_from_embeddings
 from .graphs import (WORK_LIMIT, Graph, PreconditionError, iter_bits, min_vertex_cover,
                      refuse_over_limit)
 from .polynomials import falling_factorial
@@ -232,8 +232,8 @@ def count_emb_vc(h: Graph, g: Graph) -> int:
         return cand
 
     image = [0] * len(cover)
-    total = _leaf_sum(lambda used: placements(full & ~used, image, adj),
-                      candidates, image, 0, 0, len(cover) - 1)
+    total = sum(placements(full & ~used, image, adj)
+                for used in _placements(candidates, image, 0, 0, len(cover) - 1))
     return weight * loose * total
 
 

@@ -40,6 +40,17 @@ def rand_bipartite(rng: random.Random, a: int, b: int, p: float) -> Graph:
     return Graph(a + b, edges)
 
 
+def rand_cubic(rng: random.Random, n: int) -> Graph:
+    """A random 3-regular graph on an even n: three stubs per vertex paired
+    at random, drawn again until no pair is a loop or a repeated edge."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return Graph(n, sorted(edges))
+
+
 def rand_vertex_colored(rng: random.Random, n: int, p: float, ncolors: int) -> Graph:
     g = rand_graph(rng, n, p)
     return g.with_vertex_colors([rng.randrange(1, ncolors + 1) for _ in range(n)])

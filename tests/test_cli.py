@@ -323,6 +323,7 @@ def test_count_matchings_above_half_the_host_builds_no_pattern(capsys, files, mo
                              (["--verify"], "brute+vc"), ([], "matchings")):
         code, rec = run(capsys, "count-matchings", "-H", gp, "-k", str(10 ** 9), *route)
         assert code == 0 and rec["count"] == "0" and rec["algorithm"] == algorithm
+        assert rec["oracle_calls"] == 0  # no query was made
 
 
 def test_directed_count_sub_and_emb_exit_2(capsys, files):

@@ -11,7 +11,7 @@ from helpers import (is_strong_set, nocommon_sufficient, rand_bipartite,
                      rand_graph, residue_classes_and_alphas,
                      residue_count_identity, restrict_gadget, subgraph_copies)
 from subcount import gadgets
-from subcount.brute import count_matchings, count_subgraphs, is_isomorphic
+from subcount.brute import _incidence, count_matchings, count_subgraphs, is_isomorphic
 from subcount.gadgets import (
     MatchingGadget,
     boundary,
@@ -23,7 +23,8 @@ from subcount.gadgets import (
     search_gadget,
     validate_induced_matching,
 )
-from subcount.graphs import Graph, InconsistencyError, PreconditionError
+from subcount.graphs import (Graph, InconsistencyError, PreconditionError, iter_bits,
+                             refuse_over_limit)
 
 
 def k4_minus_edge():
@@ -688,3 +689,58 @@ def test_search_grows_matchings_in_combinations_order(monkeypatch):
 def test_search_respects_k_zero():
     found = search_gadget(Graph.path(3), 0)
     assert found is not None and found.k == 0
+
+
+def _stack_search_gadget(h, k):
+    # the search on its own explicit stack of (edge, untried candidates),
+    # popped while fewer candidates are left than the matching still needs:
+    # the reference for the rising placement walk
+    incident = _incidence(h)
+    stack, cand, steps = [], (1 << h.m) - 1, 0
+    while True:
+        steps += 1
+        refuse_over_limit(steps, f"the gadget search would take {steps} steps (one per "
+                                 "partial matching and per candidate core scanned)")
+        if len(stack) == k:
+            gadget = MatchingGadget(h, [h.edges[i] for i, _ in stack])
+            found = gadgets._first_counterexample(gadget)
+            if found is None:
+                return gadget
+            steps += found[0]
+            cand = 0
+        while cand.bit_count() < max(k - len(stack), 1):
+            if not stack:
+                return None
+            cand = stack.pop()[1]
+        i = (cand & -cand).bit_length() - 1
+        stack.append((i, cand ^ 1 << i))
+        for w in iter_bits(h.adj_mask(h.edges[i][0]) | h.adj_mask(h.edges[i][1])):
+            cand &= ~incident[w]
+
+
+def _outcome(search, h, k):
+    try:
+        found = search(h, k)
+    except PreconditionError as e:
+        return str(e)
+    return None if found is None else found.matching
+
+
+def test_search_walk_matches_the_stack_search(monkeypatch):
+    # the same gadget or None as the stack search on 2,000 seeded (graph, k),
+    # then the same refusal, steps included, with the limit cut to 20 (which
+    # also refuses every check of more than 20 candidate cores)
+    rng = random.Random(3030)
+    cases = []
+    for _ in range(2000):
+        n, k = rng.randint(1, 10), rng.randint(0, 3)
+        cases.append((rand_graph(rng, n, rng.random()), k))
+    outcomes = [_outcome(search_gadget, h, k) for h, k in cases]
+    assert outcomes == [_outcome(_stack_search_gadget, h, k) for h, k in cases]
+    assert 900 < sum(isinstance(o, tuple) for o in outcomes) < 1100
+    monkeypatch.setattr("subcount.graphs.WORK_LIMIT", 20)
+    outcomes = [_outcome(search_gadget, h, k) for h, k in cases]
+    assert outcomes == [_outcome(_stack_search_gadget, h, k) for h, k in cases]
+    assert sum("gadget search would take" in str(o) for o in outcomes) > 100
+    assert sum("candidate cores" in str(o) for o in outcomes) > 200
+    assert sum(isinstance(o, tuple) for o in outcomes) > 600

@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subcount import graphs
 from subcount.graphs import Graph, PreconditionError, min_vertex_cover
-from helpers import matching_number, petersen, rand_bipartite, rand_graph
+from helpers import matching_number, petersen, rand_bipartite, rand_cubic, rand_graph
 
 
 def test_rejects_loops_and_duplicates():
@@ -126,6 +127,58 @@ def test_cover_of_paths_and_cycles_longer_than_the_recursion_limit():
     # the peel takes one pendant step per loop turn, not per stack frame
     assert min_vertex_cover(Graph.path(2100)) == (1050, tuple(range(0, 2100, 2)))
     assert min_vertex_cover(Graph.cycle(2101)) == (1051, (0, *range(1, 2100, 2)))
+
+
+def _restart_cover_size(adj, active, memo):
+    # the cover search whose peel scan restarts from the lowest vertex after
+    # every peel: the reference for the peel that looks again only at the
+    # peeled neighbour's neighbours
+    cached = memo.get(active)
+    if cached is not None:
+        return cached
+    start, peeled = active, 0
+    best_v, best_deg, m = -1, 0, active
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        nv = adj[v] & active
+        d = nv.bit_count()
+        if d == 1:
+            peeled += 1
+            active &= ~(nv | low)
+            best_v, best_deg, m = -1, 0, active
+        elif d == 0:
+            active ^= low
+        elif d > best_deg:
+            best_v, best_deg = v, d
+    res = memo.get(active) if best_deg else 0
+    if res is None:
+        nv = adj[best_v] & active
+        take_v = 1 + _restart_cover_size(adj, active & ~(1 << best_v), memo)
+        take_nb = best_deg + _restart_cover_size(adj, active & ~(nv | (1 << best_v)), memo)
+        res = memo[active] = min(take_v, take_nb)
+    memo[start] = peeled + res
+    return peeled + res
+
+
+def test_cover_peel_matches_the_restarting_scan():
+    # the same size and the same memo, state by state, as the restarting
+    # scan on 2,000 seeded graphs, random cubic graphs and long paths, cycles
+    # and stars, so the search stores the same states and is refused at the
+    # same point
+    rng = random.Random(3030)
+    corpus = [rand_graph(rng, rng.randint(0, 20), rng.choice([0.05, 0.1, 0.2, 0.4, 0.7]))
+              for _ in range(2000)]
+    corpus += [rand_cubic(rng, n) for n in (10, 20, 30, 40)]
+    corpus += [Graph.path(300), Graph.cycle(301), Graph.star(60), Graph.matching(80)]
+    for g in corpus:
+        full = (1 << g.n) - 1
+        adj = [g.adj_mask(v) for v in range(g.n)]
+        want, got = {}, {}
+        assert (graphs._cover_size(adj, full, got)
+                == _restart_cover_size(adj, full, want))
+        assert got == want
 
 
 # -- cover against matching ----------------------------------------------

@@ -4,10 +4,10 @@ The modules under ``src/subcount`` must import each other without a cycle,
 every name a module imports must be used there or re-exported through its
 ``__all__``, no module imports ``fractions``, ``decimal``, ``argparse`` or
 ``re``, ``json`` is imported only inside a function, in ``cli.py`` only
-``main`` and ``_parse`` print, no function in ``brute`` or ``vc`` calls
-itself, every oracle goes through ``routes.count_sub``, and every top-level
-definition is reached from a command or ``subcount.__all__`` unless an
-allow-list names it.
+``main`` and ``_parse`` print, no function in ``brute``, ``vc``,
+``structural`` or ``gadgets`` calls itself, every oracle goes through
+``routes.count_sub``, and every top-level definition is reached from a
+command or ``subcount.__all__`` unless an allow-list names it.
 """
 
 import ast
@@ -141,9 +141,10 @@ def test_only_main_and_parse_print_in_cli():
 
 
 def test_brute_and_vc_do_not_recurse():
-    # their searches run on brute's explicit placement stack, so no pattern
-    # is too deep for Python's recursion limit; nested closures count too
-    found = [f"{name}.{node.name}" for name in ("brute", "vc")
+    # their searches, and the clique and gadget searches, run on brute's
+    # explicit placement stack, so no pattern is too deep for Python's
+    # recursion limit; nested closures count too
+    found = [f"{name}.{node.name}" for name in ("brute", "vc", "structural", "gadgets")
              for node in ast.walk(MODULES[name])
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)

@@ -7,6 +7,7 @@ it must return.
 
 import json
 import random
+import time
 
 import pytest
 
@@ -15,8 +16,8 @@ from subcount.cli import main
 from subcount.fileio import write_graph
 from subcount.graphs import Graph
 
-from helpers import (colorful, rand_bipartite, rand_digraph, rand_edge_colored,
-                     rand_graph, rand_vertex_colored)
+from helpers import (colorful, rand_bipartite, rand_cubic, rand_digraph,
+                     rand_edge_colored, rand_graph, rand_vertex_colored)
 
 
 def _bench_host(name, n, p, seed=1):
@@ -120,6 +121,23 @@ def test_vc_estimate_of_a_refused_pattern_skips_the_twin_cut(monkeypatch):
     vc._plan.cache_clear()
     p = Graph.path(1100)
     assert routes._estimate("vc", p, routes._Host(p)) == float("inf")
+
+
+def test_vc_is_priced_at_inf_when_its_cover_search_is_refused(capsys, tmp_path):
+    # a random cubic pattern on 200 vertices: its vertex cover search passes
+    # WORK_LIMIT stored states in seconds (unbounded, it did not finish in
+    # 100 s), so auto prices vc at inf and --algo vc exits 2
+    c200 = rand_cubic(random.Random(1), 200)
+    t0 = time.perf_counter()
+    assert routes.cost("vc", c200, c200) == float("inf")
+    assert time.perf_counter() - t0 < 5
+    path = tmp_path / "c200.g"
+    write_graph(c200, path)
+    t0 = time.perf_counter()
+    code = main(["count-emb", "-p", str(path), "-H", str(path), "--algo", "vc"])
+    assert time.perf_counter() - t0 < 5
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "vertex cover search" in err
 
 
 def test_estimates_past_the_float_range():

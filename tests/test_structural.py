@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from subcount.graphs import Graph, PreconditionError
+from subcount.graphs import Graph, PreconditionError, refuse_over_limit
 from subcount.brute import (count_colorpreserving_subgraphs, count_subgraphs,
                             is_colorful)
 from subcount.structural import (MinorModel, TreeDecomposition,
@@ -193,7 +193,7 @@ def test_ramsey_work_counts_the_color_reads():
 
 def test_ramsey_bounds_the_prefixes_entered():
     # color 0 joins vertices in different classes mod 3, so it has no
-    # 4-clique: on 120 vertices its search enters 63998 prefixes before
+    # 4-clique: on 120 vertices its search enters 64000 prefixes before
     # color 1 gives the answer, on 150 it passes WORK_LIMIT
     color = lambda u, v: int(u % 3 == v % 3)
     assert ramsey_monochromatic_clique(120, color, 4) == (0, 3, 6, 9)
@@ -218,6 +218,63 @@ def test_least_clique_is_not_bounded_by_the_recursion_limit():
     up = [((1 << n) - 1) ^ ((1 << (v + 1)) - 1) for v in range(n)]
     assert _least_clique(up, n) == tuple(range(n))
     assert _least_clique(up, n + 1) is None
+
+
+def _stack_least_clique(up, r):
+    # the search on its own explicit stack of candidate masks, popped while
+    # fewer candidates are left than the prefix still needs: the reference
+    # for the rising placement walk
+    steps = 0
+    for root, fwd in enumerate(up):
+        if fwd.bit_count() < r - 1:
+            continue
+        clique, stack = [root], [fwd]
+        while clique:
+            steps += 1
+            refuse_over_limit(steps, f"the {r}-clique search would take {steps} steps")
+            if len(clique) == r:
+                return tuple(clique)
+            while stack and stack[-1].bit_count() < r - len(clique):
+                stack.pop()
+                clique.pop()
+            if stack:
+                cand = stack[-1]
+                low = cand & -cand
+                stack[-1] = cand ^ low
+                clique.append(low.bit_length() - 1)
+                stack.append(cand & up[clique[-1]])
+    return None
+
+
+def _clique_outcome(search, up, r):
+    try:
+        return search(up, r)
+    except PreconditionError as e:
+        return str(e).partition(" would")[0]  # its step count may differ
+
+
+def test_least_clique_walk_matches_the_stack_search():
+    # the same clique or None as the stack search on 2,000 seeded forward
+    # masks, and the same answer or refusal on complete m-partite classes,
+    # which hold no (m+1)-clique.  The walk's step count can exceed the
+    # stack's by a few: it also enters the empty prefix, and each root below
+    # the top r - 1 that has fewer than r - 1 forward neighbours
+    rng = random.Random(3030)
+    found = 0
+    for _ in range(2000):
+        n, r, p = rng.randint(0, 12), rng.randint(1, 5), rng.random()
+        up = [sum(1 << v for v in range(u + 1, n) if rng.random() < p) for u in range(n)]
+        got = _least_clique(up, r)
+        assert got == _stack_least_clique(up, r)
+        found += got is not None
+    assert 700 < found < 1300
+    refused = 0
+    for m, n in ((3, 120), (3, 150), (4, 60), (4, 90), (5, 40), (5, 60)):
+        up = [sum(1 << v for v in range(u + 1, n) if u % m != v % m) for u in range(n)]
+        got = _clique_outcome(_least_clique, up, m + 1)
+        assert got == _clique_outcome(_stack_least_clique, up, m + 1)
+        refused += got is not None
+    assert refused == 3
 
 
 # -- clique / biclique / matching extraction ---------------------------------
