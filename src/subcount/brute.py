@@ -6,26 +6,39 @@ adjacency bitmasks, no clever algebra.  Every counter (embeddings, matchings,
 colorful matchings, paths and cycles) walks its placements on one explicit
 stack, _placements, so no pattern is too deep for it; so do the clique and
 gadget searches.  Walks of k rising items take candidates from _rising, which
-leaves out the top k - i - 1 items at position i.  Only the last two
-positions are not walked one candidate at a time but counted by masks: the
-last by one popcount of its candidate mask, the pair by one popcount per
-candidate of the last-but-one position, in _pair_count.  In the embedding
-search a non-adjacent last pair is a product of popcounts less their
-overlap, and the matching counter takes its last two edges as the pairs of
-available edges less those sharing an endpoint, one popcount per vertex
-with edges, when there are more available edges than such vertices.  In the
-embedding search a pendant last pair (the last vertex's only earlier
-neighbor is the last-but-one, as in every kK2) is the sum of d(x) =
-|N(x) & allowed| over the candidates x, one popcount per bit plane of d,
-less the pairs whose second vertex is used, whenever that takes fewer
-popcounts than one per candidate.  When the last pair is a K2 or 2K1
-component of the pattern (as in every kK2), its count depends on nothing
-but the set of host vertices already used, so it is counted once per
-distinct used set and looked up for every other placement that yields that
-set; at most WORK_LIMIT such counts are stored, and every placement of the
-earlier positions is still walked.  The counters are fast enough for the
-graph sizes the test corpus and the reductions feed them (a couple dozen
-vertices).
+leaves out the top k - i - 1 items at position i, by _without_top.
+
+The embedding search applies one twin rule to the unpinned pattern
+vertices: u and v are twins when swapping them is an automorphism of the
+pattern, N(u) - v = N(v) - u (and equal colors under respect_colors), as for
+the leaves of a star, the sides of K_{a,b}, the vertices of K_n and the two
+ends of each K2 of a kK2.  A twin takes only images above the image of its
+class's previous member, less the top items of its mask that the members
+after it need, so one embedding per orbit of the swaps is walked and the
+count is that times prod |class|!; automorphism_count walks the k!
+automorphisms of K_{1,k} as one placement.  A pattern without twins walks
+the plain masks.
+
+Only the last two positions are not walked one candidate at a time but
+counted by masks: the last by one popcount of its candidate mask, the pair
+by one popcount per candidate of the last-but-one position, in _pair_count.
+In the embedding search a non-adjacent last pair is a product of popcounts
+less their overlap, and two twins are counted as ordered pairs above their
+class's earlier images and halved.  The matching counter takes its last two
+edges as the pairs of available edges less those sharing an endpoint, one
+popcount per vertex with edges, when there are more available edges than
+such vertices.  In the embedding search a pendant last pair (the last
+vertex's only earlier neighbor is the last-but-one, as in every kK2) is the
+sum of d(x) = |N(x) & allowed| over the candidates x, one popcount per bit
+plane of d, less the pairs whose second vertex is used, whenever that takes
+fewer popcounts than one per candidate.
+When the last pair is a K2 or 2K1 component of the pattern (as in every kK2)
+with no earlier twin to rise above, its count depends on nothing but the set
+of host vertices already used, so it is counted once per distinct used set
+and looked up for every other placement that yields that set; at most
+WORK_LIMIT such counts are stored, and every placement of the earlier
+positions is still walked.  The counters are fast enough for the graph sizes
+the test corpus and the reductions feed them (a couple dozen vertices).
 
 Counting conventions
 --------------------
@@ -40,6 +53,7 @@ Counting conventions
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heappop, heappush
 
 from .graphs import (WORK_LIMIT, Graph, InconsistencyError, PreconditionError,
@@ -69,23 +83,73 @@ def _search_order(h: Graph, pinned=()):
     return order
 
 
+def _twin_chain(labels):
+    """Per position, the previous position with its label (-1 for none), and
+    the product over labels of (positions with it)!: the weight of a walk
+    whose images rise along each class of equally labelled positions, when
+    the permutations within the classes act freely on the maps walked."""
+    prev, weight, last, size = [], 1, {}, {}
+    for i, c in enumerate(labels):
+        prev.append(last.get(c, -1))
+        last[c] = i
+        size[c] = size.get(c, 0) + 1
+        weight *= size[c]
+    return prev, weight
+
+
+def _twins(h: Graph, order, colors=None, start=0):
+    """_twin_chain over the search positions, the vertices at positions from
+    ``start`` on (the pinned ones come first) labelled by twin class: u and v
+    are twins when swapping them is an automorphism of h (keeping
+    ``colors``, when given), that is N(u) - v = N(v) - u.  False twins share
+    N(v) and true twins N[v]; no vertex has twins of both kinds, and no
+    N(u) is an N[v], since v in N[v] = N(u) would put u in N(v), so in N(u)."""
+    keys = [(colors[v] if colors else 0, h.adj_mask(v)) for v in order]
+    shared: dict = {}  # N(v), with v's color: shared by another vertex?
+    for k in keys[start:]:
+        shared[k] = k in shared
+    return _twin_chain([i if i < start else k if shared[k] else (k[0], k[1] | 1 << v)
+                        for i, (k, v) in enumerate(zip(keys, order))])
+
+
+@lru_cache(maxsize=64)
+def _pattern_plan(h: Graph, respect_colors, pinned: tuple):
+    """What the search plan takes from the pattern alone: the search order,
+    each position's earlier neighbours as positions, the twin chain (prev,
+    weight) and, per position, the members of its twin class after it.
+    Cached per pattern, since a reduction's oracle and #Aut ask about one
+    pattern many times; tuples, since every caller shares them."""
+    order = _search_order(h, pinned)
+    position = {v: i for i, v in enumerate(order)}
+    back = [[position[u] for u in h.neighbors(v) if position[u] < i]
+            for i, v in enumerate(order)]
+    prev, weight = _twins(h, order, h.vcolors if respect_colors else None, len(pinned))
+    later = [0] * h.n
+    for i in range(h.n - 1, -1, -1):
+        if prev[i] >= 0:
+            later[prev[i]] = later[i] + 1
+    return tuple(order), tuple(map(tuple, back)), tuple(prev), weight, tuple(later)
+
+
 def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
     """The search order, and two functions over it.
 
     ``candidates(i, image, used)`` is the host vertices allowed for pattern
     vertex ``order[i]`` (its color class under ``respect_colors``), not in
     ``used`` and adjacent to the images ``image[j]`` of its pattern neighbors
-    at earlier positions j.  ``count_last_two(image, used)``, for a pattern
-    of at least two vertices, is the number of ways to place the last two
-    positions once all earlier ones are placed; a pendant last pair is
-    counted by the bit planes of its degrees into the last position's
-    allowed mask when that is cheaper than one popcount per candidate."""
+    at earlier positions j.  A position whose twin class (_twins) has a
+    member before it also takes only vertices above that member's image,
+    and one whose class has members after it leaves out the top vertices
+    they need; a pattern without twins keeps the plain mask.
+    ``count_last_two(image, used)``, for a pattern of at least two vertices,
+    is the number of ways to place the last two positions once all earlier
+    ones are placed; twins there are counted as ordered pairs above their
+    class's earlier images and halved, and a pendant last pair is counted
+    by the bit planes of its degrees into the last position's allowed mask
+    when that is cheaper than one popcount per candidate."""
     if respect_colors and (h.vcolors is None or g.vcolors is None):
         raise PreconditionError("respect_colors needs vertex colors on both graphs")
-    order = _search_order(h, pinned)
-    position = {v: i for i, v in enumerate(order)}
-    back = [[position[u] for u in h.neighbors(v) if position[u] < i]
-            for i, v in enumerate(order)]
+    order, back, prev, weight, later = _pattern_plan(h, bool(respect_colors), tuple(pinned))
     if respect_colors:
         by_color: dict[int, int] = {}
         for gv, c in enumerate(g.vcolors):
@@ -95,17 +159,35 @@ def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
         allowed = [(1 << g.n) - 1] * h.n
     adj = [g.adj_mask(v) for v in range(g.n)]
 
-    def candidates(i, image, used):
+    def reach(i, image, used):
         cand = allowed[i] & ~used
         for j in back[i]:
             cand &= adj[image[j]]
         return cand
 
+    candidates = reach
+    if weight > 1:
+        # each of the later[i] members of i's twin class after position i
+        # takes a vertex of i's mask above i's image
+        def candidates(i, image, used):
+            cand = reach(i, image, used)
+            if prev[i] >= 0:
+                cand &= -2 << image[prev[i]]
+            return _without_top(cand, later[i]) if later[i] else cand
+
     last = h.n - 1
-    tail = back[last] if h.n else []
+    tail = back[last] if h.n else ()
     joined = last - 1 in tail
     before = [j for j in tail if j != last - 1]
-    pendant = tail == [last - 1]
+    # the positions whose images the last two rise above; when the two are
+    # twins, their ordered pairs above their class's earlier images, halved
+    floor_a, floor_b = ((-1, -1) + prev)[-2:]
+    halve = 0 <= floor_b == last - 1
+    if halve:
+        floor_b = floor_a
+    # a pendant last position's twins are the last but one and its other
+    # leaves, which the search order places after it: no floor_b to apply
+    pendant = tail == (last - 1,)
     if pendant:
         # bit plane k: the host vertices x whose d(x) = |adj[x] & allowed[last]|
         # has bit k set, so the sum of d over a mask is one popcount per plane
@@ -115,7 +197,9 @@ def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
         cutoff = len(planes) + h.n - 2  # the plane sum's popcounts, at most
 
     def count_last_two(image, used):
-        cand = candidates(last - 1, image, used)
+        cand = reach(last - 1, image, used)
+        if floor_a >= 0:
+            cand &= -2 << image[floor_a]
         if pendant and cand.bit_count() > cutoff:
             # the sum of d(x) over cand, less the pairs (x, u) with u in used
             total = 0
@@ -126,15 +210,17 @@ def _search_plan(h: Graph, g: Graph, respect_colors, pinned=()):
                 low = ends & -ends
                 total -= (adj[low.bit_length() - 1] & cand).bit_count()
                 ends ^= low
-            return total
+            return total >> halve
         # the last position's candidates before position last - 1 is placed
         base = allowed[last] & ~used
         for j in before:
             base &= adj[image[j]]
+        if floor_b >= 0:
+            base &= -2 << image[floor_b]
         if joined:  # x is never in adj[x], since Graph rejects loops
-            return _pair_count(cand, base, adj)
+            return _pair_count(cand, base, adj) >> halve
         # every pair (x, y) from cand x base with x != y
-        return cand.bit_count() * base.bit_count() - (cand & base).bit_count()
+        return cand.bit_count() * base.bit_count() - (cand & base).bit_count() >> halve
 
     return order, candidates, count_last_two
 
@@ -144,14 +230,17 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
 
     ``anchor`` optionally pins pattern vertices to host vertices ({h_v: g_v});
     ``respect_colors`` additionally demands vcolor(h_v) == vcolor(map(h_v)).
+    The search walks the maps whose images rise along each twin class of
+    the unpinned vertices, and the swaps of twins fix the anchors and act
+    freely on the rest, so the count is theirs times prod |class|!.
     """
     if h.directed or g.directed:
         raise PreconditionError("embedding counting is for undirected graphs")
     if h.n > g.n:
         return 0
     anchor = dict(anchor or {})
-    order, candidates, count_last_two = _search_plan(h, g, respect_colors,
-                                                     pinned=sorted(anchor))
+    pinned = tuple(sorted(anchor))
+    order, candidates, count_last_two = _search_plan(h, g, respect_colors, pinned=pinned)
     # image[i] is the host vertex at search position i; anchors come first
     image = [anchor.get(v, 0) for v in order]
     used = 0
@@ -164,12 +253,15 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
         if start == h.n:
             return 1
         return candidates(last, image, used).bit_count()
+    _, _, prev, weight, _ = _pattern_plan(h, bool(respect_colors), pinned)
     placements = _placements(candidates, image, used, start, last - 2)
     pair = 1 << order[-2] | 1 << order[-1]
-    if (h.adj_mask(order[-2]) | h.adj_mask(order[-1])) & ~pair:
-        return sum(count_last_two(image, placed) for placed in placements)
-    # the last pair is a K2 or 2K1 component of h, so its count reads only the
-    # used set: count each distinct set once, storing at most WORK_LIMIT
+    if ((h.adj_mask(order[-2]) | h.adj_mask(order[-1])) & ~pair
+            or prev[-2] >= 0 or prev[-1] not in (-1, last - 1)):
+        return weight * sum(count_last_two(image, placed) for placed in placements)
+    # the last pair is a K2 or 2K1 component of h with no earlier twin to
+    # rise above, so its count reads only the used set: count each distinct
+    # set once, storing at most WORK_LIMIT
     counted: dict[int, int] = {}
     total = 0
     for placed in placements:
@@ -179,7 +271,7 @@ def count_embeddings(h: Graph, g: Graph, *, respect_colors=False, anchor=None) -
             if len(counted) < WORK_LIMIT:
                 counted[placed] = ways
         total += ways
-    return total
+    return weight * total
 
 
 def _placements(candidates, image, used, start, stop):
@@ -224,12 +316,25 @@ def _rising(masks, full, k):
     def candidates(i, image, used):
         if i:
             free[i] = free[i - 1] & masks[image[i - 1]]
-        cand = free[i]
-        for _ in range(k - i - 1):
-            cand ^= 1 << cand.bit_length() >> 1  # the top item, or nothing
-        return cand
+        return _without_top(free[i], k - i - 1)
 
     return candidates, free
+
+
+def _without_top(mask, r):
+    """``mask`` less its top r items, in min(r, items kept) steps: the kept
+    items are taken from the bottom when there are fewer of them."""
+    keep = mask.bit_count() - r
+    if keep < r:
+        kept = 0
+        for _ in range(keep):
+            low = mask & -mask
+            kept |= low
+            mask ^= low
+        return kept
+    for _ in range(r):
+        mask ^= 1 << mask.bit_length() >> 1
+    return mask
 
 
 def _pair_count(cand, base, masks):

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial, inf
 
 from . import brute, vc
-from .graphs import Graph, PreconditionError, iter_bits
+from .graphs import Graph, iter_bits
 
 # A count by a route is estimated to take CALL_SECONDS[route] +
 # SECONDS_PER_UNIT[route] * estimate seconds, and a #Sub count by brute or vc
@@ -53,19 +53,25 @@ from .graphs import Graph, PreconditionError, iter_bits
 # last K2 again) once per used set, which took M3 in g26 to 23-31 ms
 # in-process, and count_matchings counts its last two edges by vertex
 # degrees, M4 in g26 about 22 ms; the constants were kept again.
+# + brute now places twins (brute._twins) in rising order, one embedding per
+# orbit of their swaps, so the rows marked + are stale for brute: star5 in
+# g60 about 1.1 ms and M3 in g26 about 8 ms in-process, #Sub included.
+# The constants were kept, and _search_work still charges every ordering of
+# twins for #Emb, so brute is overstated there; only _aut_seconds divides
+# its levels by the orderings, which prices the #Aut of K_{1,300} finite.
 #
 #   instance (ms)        brute      vc  matchings  cycles
-#   triangle in g120      0.86    1.79               0.94
+#   triangle in g120     0.86+    1.79               0.94
 #   P4 in g120            3.01    3.73
-#   star5 in g120          409    0.57
-#   star5 in g60          21.3    0.33
-#   M3 in g26             222*    22.5       2.44
+#   star5 in g120         409+    0.57
+#   star5 in g60         21.3+    0.33
+#   M3 in g26            222*+    22.5       2.44
 #   M4 in g26                -     301       58.4
 #   C6 in g25             24.7    7.79               7.03
 #   C7 in g60              219       -               56.2
-#   K4 in g60             0.79    0.58
+#   K4 in g60            0.79+    0.58
 #   P5 in g60             4.07    4.86
-#   K4 in G_2(bip10)      0.40    0.44
+#   K4 in G_2(bip10)     0.40+    0.44
 #   C4 in pruned g40v4    0.77    1.19               0.45
 #   4K2 G(30, .25) s3        -     527       66.2
 #   5K2 G(30, .25) s3        -       -        878
@@ -181,7 +187,7 @@ class _Host:
         return _f(total)
 
 
-def _tree_levels(h: Graph, order, host: _Host, roots=None):
+def _tree_levels(h: Graph, order, host: _Host, roots=None, prev=None):
     """Upper bounds on the injective partial maps of each prefix of ``order``
     into the host that keep, for every position, the edge to its first
     placed neighbour.
@@ -190,11 +196,15 @@ def _tree_levels(h: Graph, order, host: _Host, roots=None):
     neighbour starts a tree and takes one of ``roots`` vertices (default
     all n); by Sidorenko's theorem a tree with e edges has at most
     sum_v d(v)^e homomorphisms into the host, as many as its star.
-    Injectivity caps prefix i at n (n-1) ... (n-i)."""
+    Injectivity caps prefix i at n (n-1) ... (n-i).  With ``prev``, the
+    previous member of each position's twin class (brute._twin_chain), the
+    images rise along each class, which divides each bound by the
+    orderings of the members placed so far; the division is made at each
+    position, so a bound too large for a float before it need not be."""
     n = host.n
     roots = n if roots is None else roots
     position = {v: i for i, v in enumerate(order)}
-    root, edges, levels = [], {}, []
+    root, edges, levels, rank = [], {}, [], []
     forest, falling = 1.0, 1.0
     for i, v in enumerate(order):
         placed = [position[u] for u in h.neighbors(v) if position[u] < i]
@@ -210,6 +220,8 @@ def _tree_levels(h: Graph, order, host: _Host, roots=None):
             edges[r] = 0
             forest = _times(forest, roots)
         falling = _times(falling, max(n - i, 0))
+        rank.append(rank[prev[i]] + 1 if prev and prev[i] >= 0 else 1)
+        forest, falling = forest / rank[i], falling / rank[i]
         root.append(r)
         levels.append(min(forest, falling))
     return levels
@@ -230,9 +242,13 @@ def _search_nodes(h: Graph, order, levels) -> float:
     return _NODE * (sum(levels[:-2]) + 1) + (levels[-2] if joined else 0)
 
 
-def _search_work(h: Graph, host: _Host) -> float:
-    order = brute._search_order(h)
-    return host.n + _search_nodes(h, order, _tree_levels(h, order, host))
+def _search_work(h: Graph, host: _Host, rising=False) -> float:
+    """brute.count_embeddings' work; ``rising`` divides its levels by the
+    orderings of the twins placed so far (brute._twins), as the search
+    walks them."""
+    order, _, prev, _, _ = brute._pattern_plan(h, False, ())
+    levels = _tree_levels(h, order, host, prev=prev if rising else None)
+    return host.n + _search_nodes(h, order, levels)
 
 
 def _vc_work(h: Graph, host: _Host) -> float:
@@ -242,27 +258,21 @@ def _vc_work(h: Graph, host: _Host) -> float:
     recurrence's steps, counted exactly by vc._lattice_work.  inf when vc
     refuses h's cover search or steps.  The per-anchor constants were fitted
     to the placement terms that the steps replaced, so they overstate vc."""
-    try:
-        core, cover, demand, steps, twins = vc._plan(h)
-    except PreconditionError:
+    plan = vc._plan(h)
+    if isinstance(plan, str) or plan[4] is None:
         return inf
-    if twins is None:
-        return inf
-    prev, _weight = twins
+    core, cover, demand, steps, (prev, _weight) = plan
     keys = 1 if len(demand) == 1 else _f(2 ** min(len(demand), len(cover)) - 1)
-    levels = _tree_levels(core.induced(cover), range(len(cover)), host,
-                          roots=host.at_least(1))
     # images rise along each twin class, which divides the anchors at each
     # level by the orderings of the members placed so far
-    placed, work, scale, above = {}, 0.0, 1.0, 1.0
+    levels = _tree_levels(core.induced(cover), range(len(cover)), host,
+                          roots=host.at_least(1), prev=prev)
+    work, above = 0.0, 1.0
     for i, level in enumerate(levels):
-        j = prev[i]
-        placed[i] = placed[j] + 1 if j >= 0 else 1
-        scale *= placed[i]
         # a position with no earlier cover neighbour scans every free vertex
         if not any(core.has_edge(cover[i], cover[j]) for j in range(i)):
             work += above * host.n
-        above = level / scale if level < inf else inf
+        above = level
         work += _NODE * above
     per_anchor = _NODE + (keys + steps) * max(len(cover), len(demand))
     return host.n + work + _times(above, per_anchor) + steps * len(demand)
@@ -288,8 +298,10 @@ def _estimate(route: str, h: Graph, host: _Host) -> float:
 @lru_cache(maxsize=64)
 def _aut_seconds(h: Graph) -> float:
     """#Aut by brute's search of h in itself, which #Sub by brute or vc adds
-    to #Emb; the same for every host, so computed once per pattern."""
-    return CALL_SECONDS["brute"] + SECONDS_PER_UNIT["brute"] * _search_work(h, _Host(h))
+    to #Emb; the same for every host, so computed once per pattern.  The
+    search's images rise along each twin class of h."""
+    return (CALL_SECONDS["brute"]
+            + SECONDS_PER_UNIT["brute"] * _search_work(h, _Host(h), rising=True))
 
 
 def _fixed(route: str, h: Graph, sub: bool) -> float:

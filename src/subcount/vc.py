@@ -44,7 +44,7 @@ from itertools import compress, product
 from math import comb, factorial, inf, prod
 from operator import or_, sub
 
-from .brute import _placements, copies_from_embeddings
+from .brute import _placements, _twin_chain, copies_from_embeddings
 from .graphs import (WORK_LIMIT, Graph, PreconditionError, iter_bits, min_vertex_cover,
                      refuse_over_limit)
 from .polynomials import falling_factorial
@@ -147,8 +147,9 @@ def _degree_first_core(h: Graph) -> Graph:
 def _twin_cut(h: Graph, cover: tuple[int, ...],
              demand: dict[int, int]) -> tuple[list[int], int]:
     """Per cover position, the previous member of its twin class (-1 for
-    none), and prod |class|!.  Twinship is an equivalence (a swap conjugated
-    by a swap is a swap), so each class is tested against its first member."""
+    none), and prod |class|!, by brute's _twin_chain.  Twinship is an
+    equivalence (a swap conjugated by a swap is a swap), so each class is
+    tested against its first member."""
     pos = {c: i for i, c in enumerate(cover)}
     inner = [sum(1 << pos[w] for w in h.neighbors(c) if w in pos) for c in cover]
 
@@ -158,14 +159,10 @@ def _twin_cut(h: Graph, cover: tuple[int, ...],
             demand.get(k ^ flip if (k >> i ^ k >> j) & 1 else k) == d
             for k, d in demand.items()))
 
-    prev, weight, last, size = [], 1, {}, {}  # keyed by a class's first member
+    labels: list[int] = []  # per position, the first member of its class
     for i in range(len(cover)):
-        r = next((r for r in last if twins(r, i)), i)
-        prev.append(last.get(r, -1))
-        last[r] = i
-        size[r] = size.get(r, 0) + 1
-        weight *= size[r]
-    return prev, weight
+        labels.append(next((r for r, c in enumerate(labels) if r == c and twins(r, i)), i))
+    return _twin_chain(labels)
 
 
 @lru_cache(maxsize=64)
@@ -173,10 +170,15 @@ def _plan(h: Graph):
     """vc's plan for h, made here only: h's degree-first core, the core's
     minimum vertex cover, its demand classes, the placement recurrence's
     steps per anchor, and the twin cut (prev, weight), which is None when
-    the steps are above WORK_LIMIT, since such a count is refused.  Cached
-    per pattern, so estimating a route and counting by it take one cover."""
+    the steps are above WORK_LIMIT, since such a count is refused.  When the
+    cover search is refused, its message, returned rather than raised so
+    that the refusal is cached too.  Cached per pattern, so estimating a
+    route and counting by it take one cover search."""
     core = _degree_first_core(h)
-    _tau, cover = min_vertex_cover(core)
+    try:
+        _tau, cover = min_vertex_cover(core)
+    except PreconditionError as refused:
+        return str(refused)
     demand = _demand(core, cover)
     steps = _lattice_work(sorted(demand.values()))
     twins = None if steps > WORK_LIMIT else _twin_cut(core, cover, demand)
@@ -193,7 +195,10 @@ def count_emb_vc(h: Graph, g: Graph) -> int:
         raise PreconditionError("embedding counting is for undirected graphs")
     if h.n > g.n:
         return 0
-    core, cover, demand, steps, twins = _plan(h)
+    plan = _plan(h)
+    if isinstance(plan, str):
+        raise PreconditionError(plan)
+    core, cover, demand, steps, twins = plan
     size = f"{steps:.3g}" if steps < inf else "more than 1e300"
     refuse_over_limit(steps, f"the vertex-cover count would run {size} recurrence "
                              f"steps per anchor over {len(demand)} demand classes")

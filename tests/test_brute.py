@@ -543,6 +543,20 @@ def test_component_last_pair_store_is_capped(monkeypatch):
     assert len(calls) == 8 + sum(list(sets.values())[8:])
 
 
+def test_pendant_planes_count_a_dense_last_pair(monkeypatch):
+    # M3 in G(26, .3): the last-but-one position always has more candidates
+    # than the plane sum costs, so no last pair is counted one candidate at
+    # a time, and the count stays put
+    g = rand_graph(random.Random(26), 26, 0.3)
+    want = 48 * count_matchings(g, 3)
+
+    def never(*args):
+        raise AssertionError("a pendant last pair must be counted by its bit planes")
+
+    monkeypatch.setattr(brute, "_pair_count", never)
+    assert count_embeddings(Graph.matching(3), g) == want
+
+
 def test_cycles_agree_with_networkx_simple_cycles():
     nx = pytest.importorskip("networkx")
     rng = random.Random(77)
@@ -674,3 +688,126 @@ def test_masked_colorful_matchings_agree_with_subdivided_embeddings():
             # each colourful matching, with each edge's two ends either way
             assert (count_colorful_matchings(g, want) * 2 ** r
                     == count_embeddings(pattern, host, respect_colors=True))
+
+
+# -- twin classes: images rise along each class ------------------------------
+
+
+def _spider(legs):
+    """A centre with a path of each length in ``legs`` hanging from it."""
+    edges, n = [], 1
+    for length in legs:
+        edges += [(0 if i == 0 else n + i - 1, n + i) for i in range(length)]
+        n += length
+    return Graph(n, edges)
+
+
+def _with_twins(rng, h, k):
+    """h with k more vertices, each a false or a true twin of an existing one."""
+    edges, n = list(h.edges), h.n
+    for _ in range(k):
+        v = rng.randrange(n)
+        edges += [(u, n) for u in range(n) if (u, v) in edges or (v, u) in edges]
+        if rng.random() < 0.5:
+            edges.append((v, n))
+        n += 1
+    return Graph(n, edges)
+
+
+def _twin_pattern(rng):
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    return rng.choice([
+        Graph.star(rng.randint(1, 5)), Graph.complete(rng.randint(2, 5)),
+        Graph.complete_bipartite(a, b), Graph.matching(rng.randint(1, 3)),
+        _spider([rng.randint(1, 2) for _ in range(rng.randint(2, 4))]),
+        Graph.matching(a % 2 + 1).disjoint_union(Graph.empty(2 - a % 2)),
+        _with_twins(rng, rand_graph(rng, rng.randint(1, 4), rng.uniform(0.2, 0.8)),
+                    rng.randint(1, 2))])
+
+
+def test_twin_rising_counts_agree_with_networkx_monomorphisms():
+    # stars, K_n, K_{a,b}, kK2, spiders, kK2 with isolated vertices and
+    # random graphs with planted twins, coloured from two colours so that
+    # twins of equal colour stay twins under respect_colors: plain,
+    # coloured and anchored counts, and find_embedding, against an outside
+    # enumerator
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(3131)
+    pairs = twins = 0
+    while pairs < 2000:
+        h = _twin_pattern(rng)
+        if h.n > 6:  # small hosts keep the enumeration short
+            continue
+        h = h.with_vertex_colors([rng.randint(1, 2) for _ in range(h.n)])
+        g = rand_vertex_colored(rng, rng.randint(h.n, h.n + (1 if h.n > 4 else 2)),
+                                rng.uniform(0.2, 0.7), 2)
+        maps = [tuple(sorted(m, key=m.get)) for m in
+                GraphMatcher(_to_nx(nx, g), _to_nx(nx, h)).subgraph_monomorphisms_iter()]
+        colored = [im for im in maps
+                   if all(h.vcolors[v] == g.vcolors[im[v]] for v in range(h.n))]
+        pairs += 1
+        twins += brute._twins(h, _search_order(h))[1] > 1
+        assert count_embeddings(h, g) == len(maps)
+        assert count_embeddings(h, g, respect_colors=True) == len(colored)
+        found = find_embedding(h, g)
+        assert found in maps if maps else found is None
+        pinned = rng.sample(range(h.n), rng.randint(1, min(2, h.n)))
+        image = rng.choice(maps) if maps else rng.sample(range(g.n), h.n)
+        anchor = {v: image[v] for v in pinned}
+        for respect, pool in ((False, maps), (True, colored)):
+            want = sum(1 for im in pool if all(im[v] == gv for v, gv in anchor.items()))
+            assert count_embeddings(h, g, respect_colors=respect, anchor=anchor) == want
+    assert twins > 1500
+
+
+def test_automorphism_count_agrees_with_networkx_isomorphisms():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(909)
+    for _ in range(500):
+        h = rand_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.85))
+        H = _to_nx(nx, h)
+        assert automorphism_count(h) == sum(1 for _ in GraphMatcher(H, H).isomorphisms_iter())
+
+
+def test_twin_free_patterns_keep_the_plain_candidates():
+    # C6, P4, the Petersen graph and colourful patterns have no twins, so
+    # every position's candidates are the plain mask: allowed, unused and
+    # adjacent to the images of the placed neighbours
+    rng = random.Random(66)
+    g = rand_vertex_colored(rng, 11, 0.5, 3)
+    for h, respect in [(Graph.cycle(6), False), (Graph.path(4), False), (petersen(), False),
+                       (colorful(Graph.complete(3)).with_vertex_colors([1, 2, 3]), True),
+                       (colorful(Graph.star(2)).with_vertex_colors([1, 2, 3]), True)]:
+        order, candidates, _ = brute._search_plan(h, g, respect)
+        assert brute._twins(h, order, h.vcolors if respect else None)[1] == 1
+        position = {v: i for i, v in enumerate(order)}
+        checked = 0
+
+        def plain(i, image, used):
+            nonlocal checked
+            mask = sum(1 << x for x in range(g.n) if not used >> x & 1
+                       and (not respect or g.vcolors[x] == h.vcolors[order[i]])
+                       and all(g.has_edge(x, image[position[u]]) for u in h.neighbors(order[i])
+                               if position[u] < i))
+            assert candidates(i, image, used) == mask
+            checked += 1
+            return mask
+
+        for _ in brute._placements(plain, [0] * h.n, 0, 0, h.n - 1):
+            pass
+        assert checked > h.n
+
+
+def test_without_top_matches_the_one_at_a_time_trim():
+    def reference(mask, r):
+        for _ in range(r):
+            mask ^= 1 << mask.bit_length() >> 1
+        return mask
+
+    rng = random.Random(12)
+    for _ in range(3000):
+        mask = rng.getrandbits(rng.randint(0, 90))
+        r = rng.randint(0, mask.bit_count() + 2)
+        assert brute._without_top(mask, r) == reference(mask, r)

@@ -1264,3 +1264,22 @@ def test_patterns_larger_than_the_host_count_zero_at_once(files, argv):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=5)
     assert proc.returncode == 0 and json.loads(proc.stdout)["count"] == "0"
+
+
+@pytest.mark.parametrize("argv, count, algorithm", [
+    (["count-sub", "-p", "@s12", "-H", "@s40"], str(math.comb(40, 12)), "vc"),
+    (["count-sub", "-p", "@s300", "-H", "@s300"], "1", "vc"),
+    (["count-sub", "-p", "@s300", "-H", "@s300", "--verify"], "1", "brute+vc"),
+])
+def test_stars_count_sub_within_seconds(files, argv, count, algorithm):
+    # #Sub divides by |Aut K_{1,k}| = k!, which brute's search takes as one
+    # rising walk of the k twin leaves times k!, not as k! placements
+    paths = {f"@s{k}": files(f"s{k}.g", Graph.star(k)) for k in (12, 40, 300)}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "subcount.cli", *(paths.get(a, a) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=5)
+    record = json.loads(proc.stdout)
+    assert proc.returncode == 0 and record["count"] == count
+    assert record["algorithm"] == algorithm

@@ -6,8 +6,10 @@ every name a module imports must be used there or re-exported through its
 ``re``, ``json`` is imported only inside a function, in ``cli.py`` only
 ``main`` and ``_parse`` print, no function in ``brute``, ``vc``,
 ``structural`` or ``gadgets`` calls itself, every oracle goes through
-``routes.count_sub``, and every top-level definition is reached from a
-command or ``subcount.__all__`` unless an allow-list names it.
+``routes.count_sub``, brute and vc build their twin chains with one helper
+and drop the top items of a mask with one other, and every top-level
+definition is reached from a command or ``subcount.__all__`` unless an
+allow-list names it.
 """
 
 import ast
@@ -225,3 +227,27 @@ def test_every_definition_is_reached():
     assert unreached == UNREACHED_ALLOWED, (
         f"unreached outside the allow-list: {sorted(unreached - UNREACHED_ALLOWED)}; "
         f"allow-listed but reached or gone: {sorted(UNREACHED_ALLOWED - unreached)}")
+
+
+def test_one_twin_rule_and_one_top_trim():
+    # brute's embedding search and vc's anchor walk build their twin chains
+    # (prev, weight) with one helper, brute._twin_chain; and the top items of
+    # a mask are dropped in brute._without_top alone, which _rising and the
+    # twin trim call: no other function shifts by a bit_length
+    def calls(node, name):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name
+                   for n in ast.walk(node))
+
+    defs = {(name, node.name): node for name, tree in MODULES.items()
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert calls(defs["vc", "_twin_cut"], "_twin_chain")
+    assert calls(defs["brute", "_twins"], "_twin_chain")
+    assert calls(defs["brute", "_rising"], "_without_top")
+    assert calls(defs["brute", "_search_plan"], "_without_top")
+    trims = set()
+    for (name, fn), node in defs.items():
+        for n in ast.walk(node):
+            if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+                    and "bit_length" in ast.unparse(n.right)):
+                trims.add(f"{name}.{fn}")
+    assert trims == {"brute._without_top"}

@@ -14,7 +14,7 @@ import pytest
 from subcount import brute, gadgets, hardness, iex, routes, vc
 from subcount.cli import main
 from subcount.fileio import write_graph
-from subcount.graphs import Graph
+from subcount.graphs import Graph, PreconditionError
 
 from helpers import (colorful, rand_bipartite, rand_cubic, rand_digraph,
                      rand_edge_colored, rand_graph, rand_vertex_colored)
@@ -174,6 +174,49 @@ def test_tree_levels_bound_the_search_tree():
         for i, bound in enumerate(levels):
             prefix = h.induced(order[:i + 1])
             assert brute.count_embeddings(prefix, g) <= bound + 1e-9
+
+
+def test_rising_tree_levels_bound_the_rising_walk():
+    # brute's search places twins in rising order: each prefix of its walk
+    # has at most as many placements as the forest bound divided by the
+    # orderings of the twins placed so far, in the pattern itself (the #Aut
+    # search) and in a random host
+    rng = random.Random(8)
+    named = [Graph.star(4), Graph.complete(4), Graph.complete_bipartite(2, 3),
+             Graph.matching(3), Graph.matching(2).disjoint_union(Graph.empty(2))]
+    for h in named + [rand_graph(rng, rng.randrange(2, 7), 0.5) for _ in range(30)]:
+        for g in (h, rand_graph(rng, rng.randrange(h.n, 12), rng.choice((0.3, 0.6)))):
+            order, candidates, _ = brute._search_plan(h, g, False)
+            prev, _ = brute._twins(h, order)
+            levels = routes._tree_levels(h, order, routes._Host(g), prev=prev)
+            for i, bound in enumerate(levels):
+                walked = sum(1 for _ in brute._placements(candidates, [0] * h.n, 0, 0, i))
+                assert walked <= bound * (1 + 1e-9)
+    # the 300-leaf star's #Aut search is priced below the float range, where
+    # its bound before the division is not, so auto counts it by vc
+    star = Graph.star(300)
+    assert routes._aut_seconds(star) < float("inf")
+    assert routes.choose(star, star) == "vc"
+
+
+def test_a_refused_cover_search_runs_once(monkeypatch):
+    # vc._plan keeps the refusal of the cubic-200 pattern's cover search, so
+    # pricing vc again and counting by it refuse without a second search
+    calls = []
+    search = vc.min_vertex_cover
+
+    def spy(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(vc, "min_vertex_cover", spy)
+    vc._plan.cache_clear()
+    c200 = rand_cubic(random.Random(1), 200)
+    for _ in range(2):
+        assert routes.cost("vc", c200, c200) == float("inf")
+        with pytest.raises(PreconditionError, match="vertex cover search"):
+            vc.count_emb_vc(c200, c200)
+    assert len(calls) == 1
 
 
 def test_matchings_estimate_bounds_the_branches():
