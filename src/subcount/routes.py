@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, factorial, inf
 
 from . import brute, vc
-from .graphs import Graph, iter_bits
+from .graphs import WORK_LIMIT, Graph, iter_bits
 
 # A count by a route is estimated to take CALL_SECONDS[route] +
 # SECONDS_PER_UNIT[route] * estimate seconds, and a #Sub count by brute or vc
@@ -57,22 +57,26 @@ from .graphs import Graph, iter_bits
 # orbit of their swaps, so the rows marked + are stale for brute: star5 in
 # g60 about 1.1 ms and M3 in g26 about 8 ms in-process, #Sub included.
 # The constants were kept, and _search_work still charges every ordering of
-# twins for #Emb, so brute is overstated there; only _aut_seconds divides
-# its levels by the orderings, which prices the #Aut of K_{1,300} finite.
+# twins for #Emb, so brute is overstated there.
+# # brute's floors now come from a stabilizer chain, one embedding per
+# automorphism that keeps each component, so the rows marked # are stale
+# for brute: C6 in g25 about 4 ms and P4 in g120 about 0.7 ms in-process.
+# _search_work still charges the twin walk, and _aut_seconds prices #Aut
+# by the chains, K_{1,300} at 64 us.
 #
 #   instance (ms)        brute      vc  matchings  cycles
 #   triangle in g120     0.86+    1.79               0.94
-#   P4 in g120            3.01    3.73
+#   P4 in g120           3.01#    3.73
 #   star5 in g120         409+    0.57
 #   star5 in g60         21.3+    0.33
 #   M3 in g26            222*+    22.5       2.44
 #   M4 in g26                -     301       58.4
-#   C6 in g25             24.7    7.79               7.03
-#   C7 in g60              219       -               56.2
+#   C6 in g25            24.7#    7.79               7.03
+#   C7 in g60             219#       -               56.2
 #   K4 in g60            0.79+    0.58
-#   P5 in g60             4.07    4.86
+#   P5 in g60            4.07#    4.86
 #   K4 in G_2(bip10)     0.40+    0.44
-#   C4 in pruned g40v4    0.77    1.19               0.45
+#   C4 in pruned g40v4   0.77#    1.19               0.45
 #   4K2 G(30, .25) s3        -     527       66.2
 #   5K2 G(30, .25) s3        -       -        878
 #   C8 G(40, .2) s1          -       -                554
@@ -244,10 +248,11 @@ def _search_nodes(h: Graph, order, levels) -> float:
 
 def _search_work(h: Graph, host: _Host, rising=False) -> float:
     """brute.count_embeddings' work; ``rising`` divides its levels by the
-    orderings of the twins placed so far (brute._twins), as the search
-    walks them."""
-    order, _, prev, _, _ = brute._pattern_plan(h, False, ())
-    levels = _tree_levels(h, order, host, prev=prev if rising else None)
+    orderings of the twins placed so far (brute._twins).  The search's
+    stabilizer chain cuts its walk further, but building the chain runs
+    searches, and an estimate counts nothing, so the twins' bound stands."""
+    order = brute._search_order(h)
+    levels = _tree_levels(h, order, host, prev=brute._twins(h, order)[0] if rising else None)
     return host.n + _search_nodes(h, order, levels)
 
 
@@ -297,11 +302,27 @@ def _estimate(route: str, h: Graph, host: _Host) -> float:
 
 @lru_cache(maxsize=64)
 def _aut_seconds(h: Graph) -> float:
-    """#Aut by brute's search of h in itself, which #Sub by brute or vc adds
-    to #Emb; the same for every host, so computed once per pattern.  The
-    search's images rise along each twin class of h."""
-    return (CALL_SECONDS["brute"]
-            + SECONDS_PER_UNIT["brute"] * _search_work(h, _Host(h), rising=True))
+    """brute.automorphism_count, which #Sub by brute or vc adds to #Emb; the
+    same for every host, so computed once per pattern.  It reads h and
+    builds each component's stabilizer chain (brute._chain) with no walk.
+    The chain's anchored searches are priced at the first position of each
+    component C: one search per vertex of C of the first vertex's shape
+    (brute._shapes) that is not its twin, |C| nodes each; later positions'
+    candidates lie among a placed vertex's neighbours.  Searches past
+    WORK_LIMIT nodes cut the chain short, and brute then walks C in itself,
+    priced as that search with its twin floors."""
+    shape = brute._shapes(h)
+    work = float(h.n + h.m)
+    for comp in h.components():
+        first = max(comp, key=h.degree)  # the least vertex of the top degree
+        tried = len(comp) * sum(shape[v] == shape[first] and h.adj_mask(v) & ~(1 << first)
+                                != h.adj_mask(first) & ~(1 << v) for v in comp)
+        if tried > WORK_LIMIT:
+            c = h.induced(comp)
+            work += _NODE * WORK_LIMIT + _search_work(c, _Host(c), rising=True)
+        else:
+            work += _NODE * tried
+    return CALL_SECONDS["brute"] + SECONDS_PER_UNIT["brute"] * work
 
 
 def _fixed(route: str, h: Graph, sub: bool) -> float:

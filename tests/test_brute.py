@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from subcount.brute import (_search_order, automorphism_count,
                             count_matchings, count_subgraphs,
                             count_walk_patterns, find_embedding, is_isomorphic)
 from subcount.graphs import Graph, PreconditionError
-from helpers import (colorful, petersen, rand_digraph, rand_edge_colored,
+from helpers import (colorful, petersen, rand_cubic, rand_digraph, rand_edge_colored,
                      rand_graph, rand_vertex_colored)
 
 
@@ -77,7 +78,7 @@ def test_search_order_matches_direct_formula():
 
 def _scan_search_order(h, pinned=()):
     # the greedy order by a max over every unplaced vertex at each step,
-    # quadratic in |V(h)|: the reference for brute's heap
+    # quadratic in |V(h)|: the reference for brute's bucket order
     order = list(pinned)
     back = [0] * h.n
     for v in order:
@@ -464,10 +465,10 @@ def test_pendant_last_pair_agrees_with_networkx_monomorphisms(monkeypatch):
                 Graph.path(4), Graph.star(3), Graph.path(5), tadpole]
     branches = Counter()  # plane sum chosen: True / False
     shapes = Counter()
-    plan = brute._search_plan
+    search_plan = brute._search_plan
 
-    def spy(h, g, respect_colors, pinned=()):
-        order, candidates, count_last_two = plan(h, g, respect_colors, pinned)
+    def spy(h, g, respect_colors, pinned=(), plan=None):
+        order, candidates, count_last_two = search_plan(h, g, respect_colors, pinned, plan)
         if h.n < 2 or set(h.neighbors(order[-1])) != {order[-2]}:  # not pendant
             return order, candidates, count_last_two
         ends = [x for x in range(g.n) if not respect_colors
@@ -523,10 +524,10 @@ def test_component_last_pair_store_is_capped(monkeypatch):
     order, candidates, _ = brute._search_plan(h, g, False)
     sets = Counter(brute._placements(candidates, [0] * h.n, 0, 0, h.n - 3))
     calls = []
-    plan = brute._search_plan
+    search_plan = brute._search_plan
 
-    def spy(h, g, respect_colors, pinned=()):
-        order, candidates, count_last_two = plan(h, g, respect_colors, pinned)
+    def spy(h, g, respect_colors, pinned=(), plan=None):
+        order, candidates, count_last_two = search_plan(h, g, respect_colors, pinned, plan)
 
         def counted(image, used):
             calls.append(used)
@@ -764,25 +765,188 @@ def test_twin_rising_counts_agree_with_networkx_monomorphisms():
 def test_automorphism_count_agrees_with_networkx_isomorphisms():
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
+    # #Aut is read from the components' stabilizer chains; #Emb(h, h), a
+    # walk, stays the reference beside networkx
     rng = random.Random(909)
     for _ in range(500):
         h = rand_graph(rng, rng.randint(2, 9), rng.uniform(0.15, 0.85))
         H = _to_nx(nx, h)
         assert automorphism_count(h) == sum(1 for _ in GraphMatcher(H, H).isomorphisms_iter())
+        assert automorphism_count(h) == count_embeddings(h, h)
+
+
+# -- the stabilizer chain: one embedding per automorphism --------------------
+
+
+def _tadpole(k, tail):
+    """C_k with a path of ``tail`` more vertices hanging from vertex 0."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(0 if i == 0 else k + i - 1, k + i) for i in range(tail)]
+    return Graph(k + tail, edges)
+
+
+def _chain_pattern(rng):
+    if rng.random() < 0.02:  # networkx takes about 70 ms per Petersen host
+        return petersen()
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    return rng.choice([
+        Graph.cycle(rng.randint(3, 7)), Graph.path(rng.randint(2, 6)), prism,
+        _tadpole(rng.randint(3, 4), rng.randint(1, 2)),
+        Graph.cycle(4).disjoint_union(Graph.empty(2)), Graph.matching(rng.randint(1, 3))])
+
+
+def test_chain_counts_agree_with_networkx_monomorphisms():
+    # C_k, P_k, the Petersen graph, the prism, tadpoles, C4+2K1 and kK2,
+    # coloured from two colours so that orbits under respect_colors are cut
+    # by repeated colours, in random and planted hosts: plain, coloured and
+    # anchored counts against an outside enumerator
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    rng = random.Random(3333)
+    pairs = chained = 0
+    while pairs < 2000:
+        pattern = _chain_pattern(rng)
+        h = pattern.with_vertex_colors([rng.randint(1, 2) for _ in range(pattern.n)])
+        n = h.n + rng.randint(0, 1 if h.n > 5 else 2)  # small hosts keep networkx quick
+        if h.n > 7 or h.n >= 5 and rng.random() < 0.5:  # room for the extra edges
+            g = _planted_host(rng, h, n)
+        else:
+            g = rand_vertex_colored(rng, n, rng.uniform(0.2, 0.5), 2)
+        maps = [tuple(sorted(m, key=m.get)) for m in
+                GraphMatcher(_to_nx(nx, g), _to_nx(nx, h)).subgraph_monomorphisms_iter()]
+        colored = [im for im in maps
+                   if all(h.vcolors[v] == g.vcolors[im[v]] for v in range(h.n))]
+        pairs += 1
+        plan = brute._pattern_plan(h, False, ())
+        chained += plan[5] and plan[3] > brute._twins(h, plan[0])[1]
+        assert count_embeddings(h, g) == len(maps)
+        assert count_embeddings(h, g, respect_colors=True) == len(colored)
+        pinned = rng.sample(range(h.n), rng.randint(1, min(2, h.n)))
+        image = rng.choice(maps) if maps else rng.sample(range(g.n), h.n)
+        anchor = {v: image[v] for v in pinned}
+        for respect, pool in ((False, maps), (True, colored)):
+            want = sum(1 for im in pool if all(im[v] == gv for v, gv in anchor.items()))
+            assert count_embeddings(h, g, respect_colors=respect, anchor=anchor) == want
+            found = find_embedding(h, g, respect_colors=respect, anchor=anchor)
+            assert found in pool if want else found is None
+    assert chained > 1000
+
+
+def test_a_chain_cut_short_keeps_the_counts(monkeypatch):
+    # with WORK_LIMIT shrunk, the chain's searches run out at some position,
+    # after some orbit members there may already have been found; from that
+    # position on the orbits are the twin classes, and every count stays put
+    rng = random.Random(44)
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    cases = []
+    for h in (Graph.cycle(6), prism, petersen(), _tadpole(4, 1), Graph.path(5)):
+        g = _planted_host(rng, h.with_vertex_colors([1] * h.n), h.n + 2)
+        cases.append((h, g, count_embeddings(h, g), automorphism_count(h)))
+    cut = set()
+    for limit in range(0, 160, 3):
+        monkeypatch.setattr(brute, "WORK_LIMIT", limit)
+        brute._pattern_plan.cache_clear()
+        for h, g, emb, aut in cases:
+            assert count_embeddings(h, g) == emb and automorphism_count(h) == aut
+            plan = brute._pattern_plan(h, False, ())
+            if not plan[5]:
+                cut.add(plan[3] > brute._twins(h, plan[0])[1])
+    brute._pattern_plan.cache_clear()
+    # some chains were cut at their first position, and some after it
+    assert cut == {False, True}
+
+
+def test_automorphism_count_of_repeated_components():
+    # |Aut| is mult! |Aut C|^mult per isomorphism class of components: 3C4,
+    # 2K3+K2 and C4+2K1 against networkx, M9 against its closed form, each
+    # also against #Emb(h, h), and M9 well under a tenth of a second
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    k3, c4 = Graph.complete(3), Graph.cycle(4)
+    for h in (c4.disjoint_union(c4).disjoint_union(c4),
+              k3.disjoint_union(k3).disjoint_union(Graph.path(2)),
+              c4.disjoint_union(Graph.empty(2)), Graph.matching(4)):
+        H = _to_nx(nx, h)
+        want = sum(1 for _ in GraphMatcher(H, H).isomorphisms_iter())
+        assert automorphism_count(h) == count_embeddings(h, h) == want
+    m9 = Graph.matching(9)
+    brute._pattern_plan.cache_clear()
+    t0 = time.perf_counter()
+    assert automorphism_count(m9) == 2 ** 9 * math.factorial(9)
+    assert time.perf_counter() - t0 < 0.1
+    assert count_embeddings(m9, m9) == 2 ** 9 * math.factorial(9)
+
+
+def test_stabilizer_chain_stops_within_its_bound(monkeypatch):
+    # P1200 (only its two ends' neighbours share a shape, so one search),
+    # M1000 (one twin pair per component, no search) and a random cubic
+    # graph on 200 vertices (one shape, so its anchored searches run out of
+    # their WORK_LIMIT steps, and the plan falls back to the twin floors):
+    # each chain stops within its bound, and the counts stay put
+    searches = []
+    find = brute.find_embedding
+
+    def spy(*args, **kwargs):
+        if kwargs.get("steps"):  # a search of the chain
+            searches.append(kwargs["steps"])
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(brute, "find_embedding", spy)
+    p, m, c = Graph.path(1200), Graph.matching(1000), rand_cubic(random.Random(1), 200)
+    for h, exact, weight, tried in ((p, True, 2, 1), (m, True, 2 ** 1000, 0),
+                                    (c, False, None, None)):
+        searches.clear()
+        brute._pattern_plan.cache_clear()
+        t0 = time.perf_counter()
+        order, _, prev, plan_weight, _, plan_exact = brute._pattern_plan(h, False, ())
+        assert time.perf_counter() - t0 < 2
+        assert plan_exact == exact
+        if exact:
+            assert plan_weight == weight and len(searches) == tried
+        else:
+            # every step was spent, and the walk keeps the twin floors
+            assert searches and next(searches[-1], None) is None
+            assert (list(prev), plan_weight) == brute._twins(h, order)
+    assert automorphism_count(p) == 2
+    assert count_embeddings(p, p, anchor={0: 1199}) == 1
+    assert automorphism_count(m) == 2 ** 1000 * math.factorial(1000)
+    assert count_embeddings(c, Graph.cycle(200)) == 0
+    # its one twin pair, 93 and 95, is its only symmetry: fixing the even
+    # vertices leaves the identity and their swap
+    assert c.adj_mask(93) == c.adj_mask(95)
+    assert count_embeddings(c, c, anchor={v: v for v in range(0, 200, 2)}) == 2
 
 
 def test_twin_free_patterns_keep_the_plain_candidates():
-    # C6, P4, the Petersen graph and colourful patterns have no twins, so
-    # every position's candidates are the plain mask: allowed, unused and
-    # adjacent to the images of the placed neighbours
+    # C6, P4, the Petersen graph, an asymmetric graph and colourful patterns
+    # have no twins, so every position's candidates are the plain mask
+    # (allowed, unused and adjacent to the images of the placed neighbours)
+    # above the images of its floors: the earlier positions j whose orbit
+    # O_j, under the automorphisms fixing the positions before j, holds it.
+    # The floors are recomputed here from every automorphism networkx
+    # lists; the asymmetric and the colourful patterns have none
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    same_color = lambda a, b: a["color"] == b["color"]
+    asymmetric = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (3, 5)])
     rng = random.Random(66)
     g = rand_vertex_colored(rng, 11, 0.5, 3)
+    floored = 0
     for h, respect in [(Graph.cycle(6), False), (Graph.path(4), False), (petersen(), False),
+                       (asymmetric, False),
                        (colorful(Graph.complete(3)).with_vertex_colors([1, 2, 3]), True),
                        (colorful(Graph.star(2)).with_vertex_colors([1, 2, 3]), True)]:
         order, candidates, _ = brute._search_plan(h, g, respect)
         assert brute._twins(h, order, h.vcolors if respect else None)[1] == 1
         position = {v: i for i, v in enumerate(order)}
+        H = _to_nx(nx, h)
+        autos = list(GraphMatcher(H, H, node_match=same_color if respect else None)
+                     .isomorphisms_iter())
+        assert (len(autos) == 1) == (respect or h is asymmetric)
+        floors = [[j for j in range(i) if any(
+            s[order[j]] == order[i] and all(s[order[k]] == order[k] for k in range(j))
+            for s in autos)] for i in range(h.n)]
+        floored += any(floors)
         checked = 0
 
         def plain(i, image, used):
@@ -790,7 +954,8 @@ def test_twin_free_patterns_keep_the_plain_candidates():
             mask = sum(1 << x for x in range(g.n) if not used >> x & 1
                        and (not respect or g.vcolors[x] == h.vcolors[order[i]])
                        and all(g.has_edge(x, image[position[u]]) for u in h.neighbors(order[i])
-                               if position[u] < i))
+                               if position[u] < i)
+                       and all(x > image[j] for j in floors[i]))
             assert candidates(i, image, used) == mask
             checked += 1
             return mask
@@ -798,6 +963,7 @@ def test_twin_free_patterns_keep_the_plain_candidates():
         for _ in brute._placements(plain, [0] * h.n, 0, 0, h.n - 1):
             pass
         assert checked > h.n
+    assert floored == 3  # C6, P4 and the Petersen graph
 
 
 def test_without_top_matches_the_one_at_a_time_trim():

@@ -7,9 +7,10 @@ every name a module imports must be used there or re-exported through its
 ``main`` and ``_parse`` print, no function in ``brute``, ``vc``,
 ``structural`` or ``gadgets`` calls itself, every oracle goes through
 ``routes.count_sub``, brute and vc build their twin chains with one helper
-and drop the top items of a mask with one other, and every top-level
-definition is reached from a command or ``subcount.__all__`` unless an
-allow-list names it.
+and drop the top items of a mask with one other, brute's embedding search
+takes its floors from one stabilizer chain with no walk of its own, and
+every top-level definition is reached from a command or
+``subcount.__all__`` unless an allow-list names it.
 """
 
 import ast
@@ -251,3 +252,30 @@ def test_one_twin_rule_and_one_top_trim():
                     and "bit_length" in ast.unparse(n.right)):
                 trims.add(f"{name}.{fn}")
     assert trims == {"brute._without_top"}
+
+
+def test_one_symmetry_rule_and_no_second_walk():
+    # brute's embedding search takes its floors from one rule, the
+    # stabilizer chain (brute._chain, built by _pattern_plan alone), and
+    # _search_plan's reach alone applies them, as a floor above
+    # image[prev[i]].  The chain settles each orbit by find_embedding and
+    # walks no placements of its own, and automorphism_count reads the
+    # chains: the placement walk is run by the counters and find_embedding
+    found = {}  # name -> the innermost functions calling it or shifting by prev
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else fn
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                found.setdefault(child.func.id, set()).add(fn)
+            elif (isinstance(child, ast.BinOp) and isinstance(child.op, ast.LShift)
+                  and "prev" in ast.unparse(child.right)):
+                found.setdefault("<< prev", set()).add(fn)
+            visit(child, inner)
+
+    visit(MODULES["brute"], None)
+    assert found["_chain"] == {"_pattern_plan"}
+    assert found["find_embedding"] == {"moves", "is_isomorphic"}
+    assert found["_placements"] == {"count_embeddings", "find_embedding",
+                                    "count_colorful_matchings", "count_matchings", "walks"}
+    assert found["<< prev"] == {"reach"}
