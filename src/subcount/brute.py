@@ -62,8 +62,6 @@ Counting conventions
 * paths/cycles are counted as subgraphs, once each; see count_walk_patterns.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import islice
 from math import factorial

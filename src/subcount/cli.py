@@ -7,16 +7,23 @@ All output but ``elapsed_ms`` is deterministic.
 
 Exit codes: 0 success, 1 malformed input (bad flags, unreadable or
 ill-formed files), 2 precondition violation, 3 internal inconsistency
-detected by a cross-check.
+detected by a cross-check, 141 (128 + SIGPIPE) stdout closed before the
+output was written.
 """
 
 import gc
 import math
+import os
 import sys
 import time
 from collections import namedtuple
 from itertools import permutations
 from types import SimpleNamespace
+
+if __name__ == "__main__":
+    # the heap the imports below build lives until the process ends, so no
+    # collection walks it while it loads; run() freezes it, then collects
+    gc.disable()
 
 from . import brute, gadgets, hardness, iex, routes, structural
 from .fileio import (GraphParseError, dumps, format_matching, load_model,
@@ -495,13 +502,27 @@ def run():
     subcount.cli``: run ``main`` on ``sys.argv`` and exit with its code.
 
     Everything loaded so far is the import heap, which lives until the
-    process ends; ``gc.freeze`` moves it out of the collector's sight, so
-    no collection during the command, nor those at interpreter shutdown,
-    walks it again.
+    process ends: ``python -m`` loads it with the collector off, and
+    ``gc.freeze`` moves it out of the collector's sight before the
+    collector is turned on for the command.  Once ``main`` returns, the
+    output is flushed and ``os._exit`` ends the process without tearing
+    the heap down; help and usage errors leave through ``SystemExit``,
+    and a bug through its traceback.  A stdout whose reader has gone
+    exits 141 with nothing on stderr.
     ``main`` itself does not freeze, as callers that run it in-process
     keep their own heap."""
     gc.freeze()
-    sys.exit(main())
+    gc.enable()
+    try:
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    else:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,6 @@ vertex colors and edge colors ride along untouched through the derived-graph
 helpers.
 """
 
-from __future__ import annotations
-
 from collections.abc import Iterable, Iterator, Sequence
 
 
@@ -71,17 +69,17 @@ class Graph:
                 raise PreconditionError(f"duplicate edge {e}")
             seen.add(e)
             norm.append(e)
-        self.edges: tuple[Edge, ...] = tuple(norm)
+        self.edges = tuple(norm)
         if vcolors is not None:
             if len(vcolors) != n:
                 raise PreconditionError("vcolors length must equal n")
-            self.vcolors: tuple[int, ...] | None = tuple(vcolors)
+            self.vcolors = tuple(vcolors)
         else:
             self.vcolors = None
         if ecolors is not None:
             if len(tuple(ecolors)) != len(self.edges):
                 raise PreconditionError("ecolors must align with edges")
-            self.ecolors: tuple[int, ...] | None = tuple(ecolors)
+            self.ecolors = tuple(ecolors)
         else:
             self.ecolors = None
 

@@ -49,8 +49,6 @@ each query on the explicit edge-colored host as ``oracle(graph, colors)``:
 #ColMatch is the one oracle query that is not #Sub(pattern -> host).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from functools import lru_cache, partial

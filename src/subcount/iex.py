@@ -12,8 +12,6 @@ Both make exactly 2^(number of colors) oracle calls, including the empty set,
 and refuse before the first call when that is above WORK_LIMIT.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 
 from .brute import is_colorful

@@ -7,8 +7,6 @@ binom(x+i, i) come from forward differences, and the only divisions are
 exact ones by factorials.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Sequence
 

@@ -36,8 +36,6 @@ of 24 vertices has 12 singleton classes and (3^12 - 1)/2 = 265,720 steps) is
 refused with PreconditionError, before the twin cut and before any step.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable
 from functools import lru_cache, reduce
 from itertools import compress, product

@@ -419,16 +419,33 @@ def test_last_two_levels_agree_with_networkx_monomorphisms():
 def _planted_host(rng, h, n):
     """A host on n vertices coloured 1 or 2: a copy of the coloured h on
     random vertices, and n/3 to n/2 more random edges, sparse enough that
-    networkx lists every monomorphism of a 3-matching in under a second."""
+    networkx lists every monomorphism of a 3-matching in under a second.
+    Raises ValueError when n vertices cannot hold that many edges."""
     at = rng.sample(range(n), h.n)
     edges = {tuple(sorted((at[u], at[v]))) for u, v in h.edges}
     extra = rng.randint(n // 3, n // 2)
+    if h.m + extra > math.comb(n, 2):
+        raise ValueError(f"{n} vertices cannot hold {h.m} + {extra} edges")
     while len(edges) < h.m + extra:
         edges.add(tuple(sorted(rng.sample(range(n), 2))))
     colors = [rng.randint(1, 2) for _ in range(n)]
     for v in range(h.n):
         colors[at[v]] = h.vcolors[v]
     return Graph(n, sorted(edges)).with_vertex_colors(colors)
+
+
+def test_planted_host_refuses_a_host_too_small_for_its_edges():
+    # K3 on 3 vertices and K4 on 4 leave no room for the n // 3 extra edges:
+    # each raises at once, seed for seed, where the edge loop would never end
+    for k in (3, 4):
+        h = Graph.complete(k).with_vertex_colors([1] * k)
+        for seed in range(20):
+            with pytest.raises(ValueError, match="cannot hold"):
+                _planted_host(random.Random(seed), h, k)
+    # with room to spare the host holds the copy and its extra edges
+    h = Graph.complete(3).with_vertex_colors([1, 2, 2])
+    g = _planted_host(random.Random(0), h, 12)
+    assert 3 + 4 <= g.m <= 3 + 6 and count_embeddings(h, g, respect_colors=True) >= 2
 
 
 def _last_pair_shape(h, pinned):

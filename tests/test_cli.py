@@ -1124,10 +1124,11 @@ def _modules_after(argv):
 
 
 # modules a count must not load: typing, dataclasses (which pulls in inspect),
-# fractions (which pulls in decimal), and the argparse and json the front end
-# does without (argparse pulls in re, enum and gettext)
+# fractions (which pulls in decimal), the argparse and json the front end
+# does without (argparse pulls in re, enum and gettext), and __future__, the
+# one stdlib module ``python -m`` does not load already
 _HEAVY = {"typing", "dataclasses", "inspect", "fractions", "decimal",
-          "argparse", "json", "re", "gettext", "enum"}
+          "argparse", "json", "re", "gettext", "enum", "__future__"}
 
 
 def test_startup_imports_stay_light(files):
@@ -1146,13 +1147,29 @@ def test_startup_imports_stay_light(files):
 
 
 # Run the CLI in a fresh ``python3 -S`` process through one entry and write
-# the process's gc freeze count to a file at the end, so stdout and stderr
-# stay the CLI's own.  Entries: "main" is ``sys.exit(main())``, the body of
-# ``__main__`` before the entry freeze; "module" is ``python -m subcount.cli``
-# by runpy; anything else is a "module:function" console-script entry.
+# the process's gc freeze count and whether the collector is on to a file at
+# the end, so stdout and stderr stay the CLI's own.  The process entry ends
+# with ``os._exit``, which runs no ``finally:``, so the script wraps it to
+# write the file first.  Entries: "main" is ``sys.exit(main())``, the body
+# of ``__main__`` before the entry freeze; "module" is ``python -m
+# subcount.cli`` by runpy; anything else is a "module:function" console-script
+# entry.
 _ENTRY_SCRIPT = """\
 import gc, os, sys
 entry = sys.argv.pop(1)
+
+
+def report():
+    with open(os.environ["GC_STATE_FILE"], "w") as out:
+        out.write(f"{gc.get_freeze_count()} {int(gc.isenabled())}")
+
+
+def exit_after_report(code, _exit=os._exit):
+    report()
+    _exit(code)
+
+
+os._exit = exit_after_report
 try:
     if entry == "main":
         from subcount.cli import main
@@ -1165,45 +1182,111 @@ try:
         module, _, function = entry.partition(":")
         getattr(importlib.import_module(module), function)()
 finally:
-    with open(os.environ["FREEZE_COUNT_FILE"], "w") as out:
-        out.write(str(gc.get_freeze_count()))
+    report()
 """
 
 
-def _through_entry(entry, argv, tmp_path):
-    """Exit code, stdout with ``elapsed_ms`` masked, stderr and the final
-    gc freeze count of one CLI process entered through ``entry``."""
-    frozen = tmp_path / "freeze-count"
+def _through_entry(entry, argv, tmp_path, prelude=""):
+    """Exit code, stdout with ``elapsed_ms`` masked, stderr, the final gc
+    freeze count and whether the collector was on at the end, of one CLI
+    process entered through ``entry`` after running ``prelude``."""
+    state = tmp_path / "gc-state"
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-S", "-c", _ENTRY_SCRIPT, entry, *argv],
-                          env=dict(os.environ, PYTHONPATH=src,
-                                   FREEZE_COUNT_FILE=str(frozen)),
-                          capture_output=True, text=True, timeout=30)
+    # block-buffered, so output the entry does not flush is lost
+    env = dict(os.environ, PYTHONPATH=src, GC_STATE_FILE=str(state))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, "-S", "-c", prelude + _ENTRY_SCRIPT, entry, *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
     out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', proc.stdout)
-    return proc.returncode, out, proc.stderr, int(frozen.read_text())
+    frozen, enabled = map(int, state.read_text().split())
+    return proc.returncode, out, proc.stderr, frozen, bool(enabled)
+
+
+def _console_script():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    return tomllib.loads(pyproject.read_text())["project"]["scripts"]["subcount"]
 
 
 def test_process_entries_freeze_and_keep_their_output(files, tmp_path):
     # ``python -m subcount.cli`` and the console script freeze the import
-    # heap before running main; what they print and exit with is what
-    # ``sys.exit(main())`` gives, for a count, a usage error, an unreadable
-    # file and a precondition error
-    tomllib = pytest.importorskip("tomllib")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    script = tomllib.loads(pyproject.read_text())["project"]["scripts"]["subcount"]
+    # heap and run main with the collector on; what they print and exit with
+    # is what ``sys.exit(main())`` gives, for help, a count, a usage error,
+    # an unreadable file and a precondition error
+    script = _console_script()
     tri = files("tri.g", Graph.cycle(3))
     k4 = files("k4.g", Graph.complete(4))
     c5 = files("c5.g", Graph.cycle(5))
     cases = [(["count-sub", "-p", tri, "-H", k4], 0),
+             (["--help"], 0),
              (["count-sub", "-p", tri], 1),
              (["count-sub", "-p", str(tmp_path / "missing.g"), "-H", k4], 1),
              (["count-matchings", "-H", c5, "-k", "-1"], 2)]
     for argv, code in cases:
-        *reference, unfrozen = _through_entry("main", argv, tmp_path)
+        *reference, unfrozen, _ = _through_entry("main", argv, tmp_path)
         assert reference[0] == code and unfrozen == 0
         for entry in ("module", script):
-            *seen, frozen = _through_entry(entry, argv, tmp_path)
+            *seen, frozen, enabled = _through_entry(entry, argv, tmp_path)
             assert seen == reference and frozen > 0, (entry, argv)
+            assert enabled, (entry, argv)
+
+
+def test_inconsistency_exits_3_through_every_entry(files, tmp_path):
+    # a cross-check that fails exits 3 under ``python -m`` and the console
+    # script as under ``sys.exit(main())``: brute is made to miscount by one
+    miscount = ("import subcount.brute as b\n"
+                "_count = b.count_subgraphs\n"
+                "b.count_subgraphs = lambda *a, **k: _count(*a, **k) + 1\n")
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    argv = ["count-sub", "-p", tri, "-H", k4, "--verify"]
+    *reference, _, _ = _through_entry("main", argv, tmp_path, miscount)
+    assert reference[:2] == [3, ""] and reference[2].startswith("subcount: error:")
+    for entry in ("module", _console_script()):
+        *seen, frozen, enabled = _through_entry(entry, argv, tmp_path, miscount)
+        assert seen == reference and frozen > 0 and enabled, entry
+
+
+def test_import_leaves_the_collector_as_it_found_it():
+    # only ``python -m subcount.cli`` turns the collector off for its
+    # imports; a plain import, as by tests and outside wrappers, does not
+    script = (
+        "import gc, sys\n"
+        "seen = []\n"
+        "for on in (True, False):\n"
+        "    (gc.enable if on else gc.disable)()\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'subcount']:\n"
+        "        del sys.modules[name]\n"
+        "    import subcount.cli\n"
+        "    seen.append(gc.isenabled() == on)\n"
+        "    del subcount\n"
+        "print(all(seen))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=30)
+    assert proc.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_quietly(files, unbuffered):
+    # a reader that has gone before the record or the help is written: exit
+    # 141, 128 + SIGPIPE, with nothing on stderr.  Unbuffered, the print
+    # itself fails (the help's inside the parser); buffered, the flush does
+    tri = files("tri.g", Graph.cycle(3))
+    k4 = files("k4.g", Graph.complete(4))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    for argv in (["count-sub", "-p", tri, "-H", k4], ["--help"], ["count-sub", "--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-S", "-m", "subcount.cli", *argv],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=30)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141 and proc.stderr == "", argv
 
 
 def test_main_in_process_does_not_freeze(capsys, files):

@@ -80,8 +80,6 @@ def test_every_imported_name_is_used_or_exported():
     for name, tree in MODULES.items():
         bound = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for a in node.names:
                     bound.add(a.asname or a.name.partition(".")[0])
